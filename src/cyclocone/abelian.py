@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from ._frozen import Frozen
 
-class IntMatrix:
+
+class IntMatrix(Frozen):
     """Immutable integer matrix; either dimension may be zero."""
 
     __slots__ = ("rows", "cols", "entries")
@@ -24,12 +26,7 @@ class IntMatrix:
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
                 f"got {len(entries)}"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+        self._assign(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None):
@@ -84,18 +81,6 @@ class IntMatrix:
             for i in range(self.rows)
         ]
         return IntMatrix.from_rows(out, cols=other.cols)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
         return f"IntMatrix.from_rows({self.row_lists()!r}, cols={self.cols})"
@@ -188,7 +173,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
-class FGAbelianGroup:
+class FGAbelianGroup(Frozen):
     """Finitely generated abelian group in invariant factor form.
 
     Stored as a free rank together with invariant factors d1 | d2 | ...,
@@ -207,11 +192,7 @@ class FGAbelianGroup:
                 raise ValueError(f"invariant factors must be >= 2: {factors!r}")
             if k + 1 < len(factors) and factors[k + 1] % d != 0:
                 raise ValueError(f"divisibility chain violated: {factors!r}")
-        object.__setattr__(self, "free_rank", int(free_rank))
-        object.__setattr__(self, "invariant_factors", factors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FGAbelianGroup is immutable")
+        self._assign(int(free_rank), factors)
 
     @classmethod
     def free(cls, rank: int) -> FGAbelianGroup:
@@ -235,17 +216,6 @@ class FGAbelianGroup:
         for d in self.invariant_factors:
             out *= d
         return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FGAbelianGroup):
-            return NotImplemented
-        return (
-            self.free_rank == other.free_rank
-            and self.invariant_factors == other.invariant_factors
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.free_rank, self.invariant_factors))
 
     def __repr__(self) -> str:
         return f"FGAbelianGroup({self.free_rank}, {self.invariant_factors!r})"

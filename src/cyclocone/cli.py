@@ -13,7 +13,9 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import chain
 
+from .abelian import FGAbelianGroup
 from .orbits import OrbitLabel, enumerate_Q_chi, fundamental_group
 from .params import (
     KappaParams,
@@ -128,20 +130,23 @@ def _resolve_chi(args, ell: int, required: bool = True) -> RationalCharacter | N
     return None
 
 
-def _emit(out, text: str) -> None:
-    out.write(text)
-    if not text.endswith("\n"):
-        out.write("\n")
+def _render(out, fmt: str, obj, header: list[str], rows, pretty) -> None:
+    """Print one result as json of obj(), tsv of header plus rows(), or pretty().
+
+    The three arguments are thunks and only the one for `fmt` is called, so
+    a format that is not printed is never built.
+    """
+    if fmt == "json":
+        lines = [json.dumps(obj(), ensure_ascii=False, indent=2)]
+    elif fmt == "tsv":
+        lines = chain(["\t".join(header)], map("\t".join, rows()))
+    else:
+        lines = pretty()
+    out.writelines(f"{line}\n" for line in lines)
 
 
-def _emit_json(out, obj) -> None:
-    _emit(out, json.dumps(obj, ensure_ascii=False, indent=2))
-
-
-def _emit_tsv(out, header: list[str], rows: list[list[str]]) -> None:
-    lines = ["\t".join(header)]
-    lines.extend("\t".join(row) for row in rows)
-    _emit(out, "\n".join(lines))
+def _cell(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
 def _summand_text(record: dict) -> str:
@@ -152,52 +157,40 @@ def _summand_text(record: dict) -> str:
     )
 
 
-def _pi1_text(pi1: dict) -> str:
-    parts = []
-    if pi1["free_rank"] == 1:
-        parts.append("Z")
-    elif pi1["free_rank"] > 1:
-        parts.append(f"Z^{pi1['free_rank']}")
-    parts.extend(f"Z/{d}" for d in pi1["invariant_factors"])
-    return " x ".join(parts) if parts else "1"
-
-
 def _cmd_orbits(args, out) -> int:
     if args.n < 0:
         raise InputError("n must be nonnegative")
     chi = _resolve_chi(args, args.ell, required=False)
     data = orbit_report(args.n, args.ell, chi)
-    if args.format == "json":
-        _emit_json(out, data)
-        return EXIT_OK
     header = ["lambda", "nu", "pi1", "summands"]
     if chi is not None:
         header.append("monodromic")
-    rows = []
-    for record in data["orbits"]:
-        row = [
-            record["lambda"],
-            record["nu"],
-            _pi1_text(record["pi1"]),
-            _summand_text(record),
-        ]
-        if chi is not None:
-            row.append(str(record["monodromic_for_chi"]).lower())
-        rows.append(row)
-    if args.format == "tsv":
-        _emit_tsv(out, header, rows)
-        return EXIT_OK
-    totals = data["totals"]
-    _emit(out, f"orbit labels for n={args.n}, ell={args.ell}")
-    for row in rows:
-        _emit(out, "  " + "  ".join(row))
-    line = (
-        f"totals: orbits={totals['orbits']} "
-        f"multipartitions={totals['multipartitions']}"
-    )
-    if totals["monodromic"] is not None:
-        line += f" monodromic={totals['monodromic']}"
-    _emit(out, line)
+
+    def rows():
+        for record in data["orbits"]:
+            row = [
+                record["lambda"],
+                record["nu"],
+                str(FGAbelianGroup(**record["pi1"])),
+                _summand_text(record),
+            ]
+            if chi is not None:
+                row.append(_cell(record["monodromic_for_chi"]))
+            yield row
+
+    def pretty():
+        totals = data["totals"]
+        yield f"orbit labels for n={args.n}, ell={args.ell}"
+        yield from ("  " + "  ".join(row) for row in rows())
+        line = (
+            f"totals: orbits={totals['orbits']} "
+            f"multipartitions={totals['multipartitions']}"
+        )
+        if totals["monodromic"] is not None:
+            line += f" monodromic={totals['monodromic']}"
+        yield line
+
+    _render(out, args.format, lambda: data, header, rows, pretty)
     return EXIT_OK
 
 
@@ -215,26 +208,21 @@ def _cmd_pi1(args, out) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     group = fundamental_group(label)
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "lambda": str(lam),
-                "nu": str(nu),
-                "n": n,
-                "ell": args.ell,
-                "pi1": group.to_json(),
-                "pi1_text": str(group),
-            },
-        )
-    elif args.format == "tsv":
-        _emit_tsv(
-            out,
-            ["lambda", "nu", "pi1"],
-            [[str(lam), str(nu), str(group)]],
-        )
-    else:
-        _emit(out, str(group))
+    _render(
+        out,
+        args.format,
+        lambda: {
+            "lambda": str(lam),
+            "nu": str(nu),
+            "n": n,
+            "ell": args.ell,
+            "pi1": group.to_json(),
+            "pi1_text": str(group),
+        },
+        ["lambda", "nu", "pi1"],
+        lambda: [[str(lam), str(nu), str(group)]],
+        lambda: [group],
+    )
     return EXIT_OK
 
 
@@ -243,29 +231,25 @@ def _cmd_simples(args, out) -> int:
         raise InputError("n must be nonnegative")
     chi = _resolve_chi(args, args.ell)
     labels = enumerate_Q_chi(args.n, args.ell, chi)
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "n": args.n,
-                "ell": args.ell,
-                "chi": [str(v) for v in chi.values],
-                "count": len(labels),
-                "labels": [
-                    {"lambda": str(lab.lam), "nu": str(lab.nu)} for lab in labels
-                ],
-            },
-        )
-    elif args.format == "tsv":
-        _emit_tsv(
-            out,
-            ["lambda", "nu"],
-            [[str(lab.lam), str(lab.nu)] for lab in labels],
-        )
-    else:
-        _emit(out, f"{len(labels)} simple objects at chi={chi}")
-        for lab in labels:
-            _emit(out, f"  ({lab.lam};{lab.nu})")
+    _render(
+        out,
+        args.format,
+        lambda: {
+            "n": args.n,
+            "ell": args.ell,
+            "chi": [str(v) for v in chi.values],
+            "count": len(labels),
+            "labels": [
+                {"lambda": str(lab.lam), "nu": str(lab.nu)} for lab in labels
+            ],
+        },
+        ["lambda", "nu"],
+        lambda: ([str(lab.lam), str(lab.nu)] for lab in labels),
+        lambda: chain(
+            [f"{len(labels)} simple objects at chi={chi}"],
+            (f"  {lab}" for lab in labels),
+        ),
+    )
     return EXIT_OK
 
 
@@ -282,70 +266,57 @@ def _cmd_semisimple(args, out) -> int:
     if args.n < 1:
         raise InputError("n must be positive")
     if args.selftest is not None:
+        if args.selftest < 1:
+            raise InputError("--selftest COUNT must be positive")
         rng = random.Random(args.seed)
-        checked = 0
         for _ in range(args.selftest):
             chi = _random_character(rng, args.ell)
             semisimplicity_report(args.n, args.ell, chi)  # raises on disagreement
-            checked += 1
-        _emit(
-            out,
-            f"selftest: {checked} random characters, all criteria agree",
+        out.write(
+            f"selftest: {args.selftest} random characters, all criteria agree\n"
         )
         return EXIT_OK
     chi = _resolve_chi(args, args.ell)
     report = semisimplicity_report(args.n, args.ell, chi)
-    if args.format == "json":
-        _emit_json(out, report.to_json())
-    elif args.format == "tsv":
-        header = [
-            "n",
-            "ell",
-            "chi",
-            "semisimple",
-            "verdict_roots",
-            "verdict_hecke",
-            "verdict_counting",
-            "simple_count",
-            "pell_count",
-            "chi_integral",
-            "violated_roots",
-        ]
+    header = [
+        "n",
+        "ell",
+        "chi",
+        "semisimple",
+        "verdict_roots",
+        "verdict_hecke",
+        "verdict_counting",
+        "simple_count",
+        "pell_count",
+        "chi_integral",
+        "violated_roots",
+    ]
+
+    def rows():
         violated = ";".join(
             f"{alpha}={value}" for alpha, value in report.violated_roots
         )
-        row = [
-            str(report.n),
-            str(report.ell),
-            str(report.chi),
-            str(report.semisimple).lower(),
-            str(report.verdict_roots).lower(),
-            str(report.verdict_hecke).lower(),
-            str(report.verdict_counting).lower(),
-            str(report.simple_count),
-            str(report.pell_count),
-            str(report.chi_integral).lower(),
-            violated or "-",
+        yield [_cell(getattr(report, name)) for name in header[:-1]] + [
+            violated or "-"
         ]
-        _emit_tsv(out, header, [row])
-    else:
-        verdict = "yes" if report.semisimple else "no"
-        _emit(out, f"semi-simple: {verdict}")
-        _emit(
-            out,
+
+    def pretty():
+        yield f"semi-simple: {'yes' if report.semisimple else 'no'}"
+        yield (
             f"criteria: roots={report.verdict_roots} "
-            f"hecke={report.verdict_hecke} counting={report.verdict_counting}",
+            f"hecke={report.verdict_hecke} counting={report.verdict_counting}"
         )
-        _emit(
-            out,
+        yield (
             f"simple objects: {report.simple_count} "
-            f"(multipartition count {report.pell_count})",
+            f"(multipartition count {report.pell_count})"
         )
-        _emit(out, f"chi integral: {report.chi_integral}")
+        yield f"chi integral: {report.chi_integral}"
         if report.violated_roots:
-            _emit(out, "violated hyperplanes:")
+            yield "violated hyperplanes:"
             for alpha, value in report.violated_roots:
-                _emit(out, f"  {alpha}: pairing {value}")
+                yield f"  {alpha}: pairing {value}"
+
+    _render(out, args.format, report.to_json, header, rows, pretty)
     return EXIT_OK if report.semisimple else EXIT_NOT_SEMISIMPLE
 
 
@@ -353,94 +324,66 @@ def _cmd_hyperplanes(args, out) -> int:
     if args.n < 1:
         raise InputError("n must be positive")
     listing = hyperplane_listing(args.n, args.ell)
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "n": args.n,
-                "ell": args.ell,
-                "count": len(listing),
-                "roots": [
-                    {"dim_vector": str(alpha), "equation": eq}
-                    for alpha, eq in listing
-                ],
-            },
-        )
-    elif args.format == "tsv":
-        _emit_tsv(
-            out,
-            ["root", "equation"],
-            [[str(alpha), eq] for alpha, eq in listing],
-        )
-    else:
-        _emit(out, f"{len(listing)} hyperplanes for n={args.n}, ell={args.ell}")
-        for alpha, eq in listing:
-            _emit(out, f"  {alpha}: {eq}")
+    _render(
+        out,
+        args.format,
+        lambda: {
+            "n": args.n,
+            "ell": args.ell,
+            "count": len(listing),
+            "roots": [
+                {"dim_vector": str(alpha), "equation": eq} for alpha, eq in listing
+            ],
+        },
+        ["root", "equation"],
+        lambda: ([str(alpha), eq] for alpha, eq in listing),
+        lambda: chain(
+            [f"{len(listing)} hyperplanes for n={args.n}, ell={args.ell}"],
+            (f"  {alpha}: {eq}" for alpha, eq in listing),
+        ),
+    )
     return EXIT_OK
 
 
 def _cmd_translate(args, out) -> int:
-    chi_text = args.chi
-    kappa_text = args.kappa
-    if bool(chi_text) == bool(kappa_text):
+    if bool(args.chi) == bool(args.kappa):
         raise InputError("translate needs exactly one of --chi or --kappa")
-    if chi_text:
-        chi = RationalCharacter.parse(chi_text)
-        if chi.ell != args.ell:
-            raise InputError(f"character has {chi.ell} entries, expected {args.ell}")
-        kp = chi_to_kappa(chi)
-    else:
-        kp = KappaParams.parse(kappa_text, args.ell)
-        chi = kappa_to_chi(kp, args.ell)
+    # chi_to_kappa inverts kappa_to_chi exactly, so --kappa input round-trips.
+    chi = _resolve_chi(args, args.ell)
+    kp = chi_to_kappa(chi)
     q0, q1, u = hecke_params(kp, args.ell)
     q = hecke_q(q0, q1)
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "ell": args.ell,
-                "chi": [str(v) for v in chi.values],
-                "kappa": {
-                    "k00": str(kp.k00),
-                    "k01": str(kp.k01),
-                    "kappa": [str(v) for v in kp.kappa],
-                },
-                "hecke": {
-                    "q0": str(q0),
-                    "q1": str(q1),
-                    "q": str(q),
-                    "u": [str(x) for x in u],
-                },
+    kappa_csv = ",".join(str(v) for v in kp.kappa)
+    u_csv = ",".join(str(x) for x in u)
+    _render(
+        out,
+        args.format,
+        lambda: {
+            "ell": args.ell,
+            "chi": [str(v) for v in chi.values],
+            "kappa": {
+                "k00": str(kp.k00),
+                "k01": str(kp.k01),
+                "kappa": [str(v) for v in kp.kappa],
             },
-        )
-    elif args.format == "tsv":
-        _emit_tsv(
-            out,
-            ["chi", "k00", "k01", "kappa", "q0", "q1", "q", "u"],
-            [
-                [
-                    str(chi),
-                    str(kp.k00),
-                    str(kp.k01),
-                    ",".join(str(v) for v in kp.kappa),
-                    str(q0),
-                    str(q1),
-                    str(q),
-                    ",".join(str(x) for x in u),
-                ]
-            ],
-        )
-    else:
-        _emit(out, f"chi = {chi}")
-        _emit(
-            out,
-            f"kappa: k00={kp.k00} k01={kp.k01} "
-            f"kappa={','.join(str(v) for v in kp.kappa)}",
-        )
-        _emit(
-            out,
-            f"hecke: q0={q0} q1={q1} q={q} u={','.join(str(x) for x in u)}",
-        )
+            "hecke": {
+                "q0": str(q0),
+                "q1": str(q1),
+                "q": str(q),
+                "u": [str(x) for x in u],
+            },
+        },
+        ["chi", "k00", "k01", "kappa", "q0", "q1", "q", "u"],
+        lambda: [
+            [str(chi), str(kp.k00), str(kp.k01), kappa_csv]
+            + [str(q0), str(q1), str(q), u_csv]
+        ],
+        lambda: [
+            f"chi = {chi}",
+            f"kappa: k00={kp.k00} k01={kp.k01} kappa={kappa_csv}",
+            f"hecke: q0={q0} q1={q1} q={q} u={u_csv}",
+        ],
+    )
     return EXIT_OK
 
 
@@ -490,6 +433,11 @@ def run(argv: list[str], out=None, err=None) -> int:
     except CriteriaDisagreement as exc:
         print(f"internal error: {exc}", file=err)
         return EXIT_DISAGREEMENT
+    except RecursionError:
+        # Enumeration recurses once per nu component, so a long cycle
+        # (orbits -n 0 -l 1500) runs out of stack.
+        print("error: input too large", file=err)
+        return EXIT_INPUT
 
 
 def main() -> None:

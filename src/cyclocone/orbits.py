@@ -2,10 +2,16 @@
 
 A label is a pair (lambda; nu) of a partition and an ell-multipartition whose
 residues add up to n*delta.  Each row of each nu component contributes one
-string summand; the framed summand absorbs lambda.  Fundamental groups come
-out of the summand matrix as a cokernel, and a character admits a monodromic
-local system on the orbit exactly when it pairs integrally with every string
-summand.
+string summand; the framed summand absorbs lambda.  Row j >= 1 of component
+i >= 0, of length l, is fixed up to isomorphism by its string class
+
+    (top, length) = (i + j - 1 mod ell, l),
+
+and `_string_classes` is the one place that derives it.  The class is the
+key of both the fundamental group (the cokernel of one column per distinct
+class) and the string-class counting table.  A character admits a
+monodromic local system on the orbit exactly when it pairs integrally with
+every string summand.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
+from ._frozen import Frozen
 from .abelian import FGAbelianGroup, IntMatrix, cokernel
 from .params import RationalCharacter
 from .partitions import (
@@ -23,10 +30,12 @@ from .partitions import (
     residue,
     shifted_residue,
 )
-from .rootlattice import DimVector, delta, is_integral_pairing
+from .rootlattice import DimVector, delta
+
+Coords = tuple[int, ...]
 
 
-class OrbitLabel:
+class OrbitLabel(Frozen):
     """A pair (lambda; nu) with residue(lambda) + sres(nu) = n*delta."""
 
     __slots__ = ("lam", "nu", "n", "ell")
@@ -40,36 +49,14 @@ class OrbitLabel:
             raise ValueError(
                 f"residues of ({lam}; {nu}) do not add up to {n}*delta"
             )
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ell", ell)
+        self._assign(lam, nu, n, ell)
 
     @classmethod
     def _trusted(cls, lam, nu, n, ell):
         # Enumeration guarantees the residue identity; skip re-deriving it.
         label = object.__new__(cls)
-        object.__setattr__(label, "lam", lam)
-        object.__setattr__(label, "nu", nu)
-        object.__setattr__(label, "n", n)
-        object.__setattr__(label, "ell", ell)
+        label._assign(lam, nu, n, ell)
         return label
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrbitLabel is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OrbitLabel):
-            return NotImplemented
-        return (
-            self.lam == other.lam
-            and self.nu == other.nu
-            and self.n == other.n
-            and self.ell == other.ell
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.lam, self.nu, self.n, self.ell))
 
     def __repr__(self) -> str:
         return f"OrbitLabel({self.lam!r}, {self.nu!r}, n={self.n}, ell={self.ell})"
@@ -91,48 +78,47 @@ class SummandDecomposition(NamedTuple):
     strings: tuple[StringSummand, ...]
 
 
+def _string_classes(label: OrbitLabel) -> Iterator[tuple[int, int, int, int]]:
+    """(component, row, top, length) for every row of every nu component."""
+    # Row j of a diagram carries contents j-1 down to j-length; the component
+    # shift adds i.  Keeping the within-diagram content shift is what makes
+    # framed + sum(strings) close up to n*delta.
+    ell = label.ell
+    for i, comp in enumerate(label.nu):
+        for j, length in enumerate(comp.parts, start=1):
+            yield i, j, (i + j - 1) % ell, length
+
+
 @lru_cache(maxsize=None)
-def _string_coords(top: int, length: int, ell: int) -> tuple[int, ...]:
+def _string_coords(top: int, length: int, ell: int) -> Coords:
     coords = [0] * ell
     for step in range(length):
         coords[(top - step) % ell] += 1
     return tuple(coords)
 
 
-def _string_vector(component: int, row: int, length: int, ell: int) -> DimVector:
-    # Row `row` of a diagram carries contents row-1 down to row-length; the
-    # component shift adds `component`.  Keeping the within-diagram content
-    # shift is what makes framed + sum(strings) close up to n*delta.
-    return DimVector(_string_coords((component + row - 1) % ell, length, ell))
-
-
 def decompose(label: OrbitLabel) -> SummandDecomposition:
     """Framed summand plus one string summand per row of each nu component."""
     ell = label.ell
-    strings = []
-    for i, comp in enumerate(label.nu):
-        for j, part in enumerate(comp.parts, start=1):
-            strings.append(StringSummand(i, j, _string_vector(i, j, part, ell)))
+    strings = tuple(
+        StringSummand(i, j, DimVector(_string_coords(top, length, ell)))
+        for i, j, top, length in _string_classes(label)
+    )
     framed = DimVector(residue(label.lam, ell).coords, framing=1)
-    return SummandDecomposition(framed, tuple(strings))
+    return SummandDecomposition(framed, strings)
 
 
 def fundamental_group(label: OrbitLabel) -> FGAbelianGroup:
     """Cokernel of the matrix of string summand classes inside Z^ell.
 
-    The framed summand is dropped.  Columns are deduplicated by isomorphism
-    class of the string, keyed by its top vertex (component + row - 1 mod ell)
-    and its length; repeated columns would not change the cokernel anyway.
+    The framed summand is dropped, and there is one column per distinct
+    string class; repeated columns would not change the cokernel anyway.
     """
     ell = label.ell
-    dec = decompose(label)
-    seen = set()
-    columns = []
-    for s in dec.strings:
-        key = ((s.start + s.row - 1) % ell, s.vector.coordinate_sum())
-        if key not in seen:
-            seen.add(key)
-            columns.append(list(s.vector.coords))
+    classes = dict.fromkeys(
+        (top, length) for _, _, top, length in _string_classes(label)
+    )
+    columns = [_string_coords(top, length, ell) for top, length in classes]
     return cokernel(IntMatrix.from_columns(columns, rows=ell))
 
 
@@ -145,8 +131,11 @@ def admits_monodromic_local_system(
             f"character has {chi.ell} entries, label lives on a cycle "
             f"of length {label.ell}"
         )
-    dec = decompose(label)
-    return all(is_integral_pairing(chi, s.vector) for s in dec.strings)
+    vectors = tuple(
+        _string_coords(top, length, chi.ell)
+        for _, _, top, length in _string_classes(label)
+    )
+    return all(_integral_vector_flags(vectors, chi))
 
 
 @lru_cache(maxsize=None)
@@ -215,12 +204,8 @@ def enumerate_orbits(n: int, ell: int) -> tuple[OrbitLabel, ...]:
 
 
 @lru_cache(maxsize=None)
-def _string_class_table(
-    n: int, ell: int
-) -> tuple[
-    tuple[tuple[int, ...], ...],
-    tuple[tuple[int, ...], ...],
-    tuple[tuple[tuple[int, ...], int], ...],
+def _string_class_table(n: int, ell: int) -> tuple[
+    tuple[Coords, ...], tuple[Coords, ...], tuple[tuple[Coords, int], ...]
 ]:
     """Distinct string vectors per label, as indices into a shared vector table.
 
@@ -229,18 +214,19 @@ def _string_class_table(
     characters: per character only the shared vectors need a pairing test,
     and counting walks the grouped multiset instead of every label.
     """
-    vector_index: dict[tuple[int, ...], int] = {}
+    vector_index: dict[Coords, int] = {}
+    class_index: dict[tuple[int, int], int] = {}  # (top, length) -> vector
     per_label = []
     groups: dict[tuple[int, ...], int] = {}
     for label in enumerate_orbits(n, ell):
         indices = set()
-        for i, comp in enumerate(label.nu):
-            for j, length in enumerate(comp.parts, start=1):
-                coords = _string_coords((i + j - 1) % ell, length, ell)
-                k = vector_index.get(coords)
-                if k is None:
-                    k = vector_index[coords] = len(vector_index)
-                indices.add(k)
+        for _, _, top, length in _string_classes(label):
+            k = class_index.get((top, length))
+            if k is None:
+                coords = _string_coords(top, length, ell)
+                k = vector_index.setdefault(coords, len(vector_index))
+                class_index[top, length] = k
+            indices.add(k)
         key = tuple(sorted(indices))
         per_label.append(key)
         groups[key] = groups.get(key, 0) + 1
@@ -248,7 +234,7 @@ def _string_class_table(
 
 
 def _integral_vector_flags(
-    vectors: tuple[tuple[int, ...], ...], chi: RationalCharacter
+    vectors: tuple[Coords, ...], chi: RationalCharacter
 ) -> tuple[bool, ...]:
     values = chi.values
     return tuple(

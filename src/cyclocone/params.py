@@ -14,6 +14,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
+from ._frozen import Frozen
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse `a/b` or a plain integer `a` into an exact fraction."""
@@ -23,7 +25,7 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"malformed rational: {text!r}") from exc
 
 
-class RationalCharacter:
+class RationalCharacter(Frozen):
     """A vector of ell exact rationals, one per cycle vertex."""
 
     __slots__ = ("values",)
@@ -32,10 +34,7 @@ class RationalCharacter:
         vals = tuple(Fraction(v) for v in values)
         if not vals:
             raise ValueError("a character needs at least one entry")
-        object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalCharacter is immutable")
+        self._assign(vals)
 
     @classmethod
     def zero(cls, ell: int) -> RationalCharacter:
@@ -63,14 +62,6 @@ class RationalCharacter:
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.values)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalCharacter):
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(self.values)
-
     def __repr__(self) -> str:
         return f"RationalCharacter({[str(v) for v in self.values]!r})"
 
@@ -78,7 +69,7 @@ class RationalCharacter:
         return ",".join(str(v) for v in self.values)
 
 
-class KappaParams:
+class KappaParams(Frozen):
     """Kappa coordinates (k00, k01, kappa) with k00+k01 = 0 and sum(kappa) = 0."""
 
     __slots__ = ("k00", "k01", "kappa")
@@ -97,12 +88,7 @@ class KappaParams:
             raise ValueError(f"k00 + k01 must vanish, got {k00 + k01}")
         if sum(kappa, Fraction(0)) != 0:
             raise ValueError(f"kappa entries must sum to zero: {kappa!r}")
-        object.__setattr__(self, "k00", k00)
-        object.__setattr__(self, "k01", k01)
-        object.__setattr__(self, "kappa", kappa)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KappaParams is immutable")
+        self._assign(k00, k01, kappa)
 
     @property
     def ell(self) -> int:
@@ -111,18 +97,6 @@ class KappaParams:
     @property
     def k(self) -> Fraction:
         return self.k00 - self.k01
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KappaParams):
-            return NotImplemented
-        return (
-            self.k00 == other.k00
-            and self.k01 == other.k01
-            and self.kappa == other.kappa
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.k00, self.k01, self.kappa))
 
     def __repr__(self) -> str:
         return (
@@ -152,7 +126,7 @@ class KappaParams:
         return cls(k00, -k00, kappa)
 
 
-class CircleElement:
+class CircleElement(Frozen):
     """exp(2*pi*i*t) for rational t, stored as the canonical t in [0, 1).
 
     Multiplication of circle elements is addition of the t's modulo one,
@@ -162,10 +136,7 @@ class CircleElement:
     __slots__ = ("t",)
 
     def __init__(self, t: Fraction | int):
-        object.__setattr__(self, "t", Fraction(t) % 1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CircleElement is immutable")
+        self._assign(Fraction(t) % 1)
 
     def __mul__(self, other: CircleElement) -> CircleElement:
         if not isinstance(other, CircleElement):
@@ -180,14 +151,6 @@ class CircleElement:
 
     def is_one(self) -> bool:
         return self.t == 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CircleElement):
-            return NotImplemented
-        return self.t == other.t
-
-    def __hash__(self) -> int:
-        return hash(self.t)
 
     def __repr__(self) -> str:
         return f"CircleElement({str(self.t)!r})"
@@ -288,20 +251,19 @@ def ariki_product_nonzero(
 def cherednik_semisimple(kp: KappaParams, n: int, ell: int) -> bool:
     """Semi-simplicity test in kappa coordinates.
 
-    Requires k00 - k01 + j/m to miss Z for 2 <= m <= n with j coprime to m,
+    Requires k00 - k01 + j/m to miss Z for 1 <= m <= n with j coprime to m,
     and m*(k00 - k01) + kappa_j - kappa_i + (i - j)/ell to miss Z for all
     -n < m < n and i != j.
 
-    Note the first clause on its own is indifferent to integer values of
-    k00 - k01 (an integer plus j/m is never an integer for m >= 2); it
-    rules out exactly the denominators 2..n.
+    The first clause rules out exactly the denominators 1..n of k00 - k01;
+    its m = 1 case (j = 0) is the condition k00 - k01 not in Z.
     """
     if kp.ell != ell:
         raise ValueError(f"expected {ell} kappa entries, got {kp.ell}")
     if n < 1:
         raise ValueError("n must be positive")
     k = kp.k
-    for m in range(2, n + 1):
+    for m in range(1, n + 1):
         for j in range(m):
             if gcd(j, m) == 1 and (k + Fraction(j, m)).denominator == 1:
                 return False

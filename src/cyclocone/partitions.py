@@ -17,6 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
+from ._frozen import Frozen
 from .rootlattice import DimVector
 
 
@@ -32,7 +33,7 @@ def content(box: Box) -> int:
     return box.row - box.column
 
 
-class Partition:
+class Partition(Frozen):
     """A weakly decreasing tuple of positive integers (possibly empty)."""
 
     __slots__ = ("parts",)
@@ -44,10 +45,7 @@ class Partition:
                 raise ValueError(f"parts must be positive: {parts!r}")
             if k + 1 < len(parts) and parts[k] < parts[k + 1]:
                 raise ValueError(f"parts must be weakly decreasing: {parts!r}")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+        self._assign(parts)
 
     @property
     def size(self) -> int:
@@ -72,14 +70,6 @@ class Partition:
             box.row - 1
         ]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)!r})"
 
@@ -98,7 +88,7 @@ class Partition:
         return cls(tuple(int(tok) for tok in inner.split(",")))
 
 
-class MultiPartition:
+class MultiPartition(Frozen):
     """A fixed-length tuple of partitions, one per cycle vertex."""
 
     __slots__ = ("components",)
@@ -110,10 +100,7 @@ class MultiPartition:
         for comp in components:
             if not isinstance(comp, Partition):
                 raise TypeError(f"expected Partition, got {type(comp).__name__}")
-        object.__setattr__(self, "components", components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPartition is immutable")
+        self._assign(components)
 
     @property
     def ell(self) -> int:
@@ -134,14 +121,6 @@ class MultiPartition:
 
     def __getitem__(self, index: int) -> Partition:
         return self.components[index]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiPartition):
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self) -> int:
-        return hash(self.components)
 
     def __repr__(self) -> str:
         return f"MultiPartition({list(self.components)!r})"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .orbits import (
     count_Q_chi,
@@ -50,57 +51,21 @@ class CriteriaDisagreement(RuntimeError):
         )
 
 
-class SemisimplicityReport:
+class SemisimplicityReport(NamedTuple):
     """All three verdicts plus the data every criterion was run on."""
 
-    __slots__ = (
-        "n",
-        "ell",
-        "chi",
-        "verdict_roots",
-        "verdict_hecke",
-        "verdict_counting",
-        "violated_roots",
-        "simple_count",
-        "pell_count",
-        "chi_integral",
-        "kappa",
-        "hecke",
-    )
-
-    def __init__(
-        self,
-        n: int,
-        ell: int,
-        chi: RationalCharacter,
-        verdict_roots: bool,
-        verdict_hecke: bool,
-        verdict_counting: bool,
-        violated_roots: tuple[tuple[DimVector, Fraction], ...],
-        simple_count: int,
-        pell_count: int,
-        chi_integral: bool,
-        kappa: KappaParams,
-        hecke: tuple[CircleElement, CircleElement, tuple[CircleElement, ...]],
-    ):
-        for name, value in (
-            ("n", n),
-            ("ell", ell),
-            ("chi", chi),
-            ("verdict_roots", verdict_roots),
-            ("verdict_hecke", verdict_hecke),
-            ("verdict_counting", verdict_counting),
-            ("violated_roots", violated_roots),
-            ("simple_count", simple_count),
-            ("pell_count", pell_count),
-            ("chi_integral", chi_integral),
-            ("kappa", kappa),
-            ("hecke", hecke),
-        ):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SemisimplicityReport is immutable")
+    n: int
+    ell: int
+    chi: RationalCharacter
+    verdict_roots: bool
+    verdict_hecke: bool
+    verdict_counting: bool
+    violated_roots: tuple[tuple[DimVector, Fraction], ...]
+    simple_count: int
+    pell_count: int
+    chi_integral: bool
+    kappa: KappaParams
+    hecke: tuple[CircleElement, CircleElement, tuple[CircleElement, ...]]
 
     @property
     def semisimple(self) -> bool:

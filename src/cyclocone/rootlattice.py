@@ -12,11 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from ._frozen import Frozen
+
 if TYPE_CHECKING:  # pragma: no cover
     from .params import RationalCharacter
 
 
-class DimVector:
+class DimVector(Frozen):
     """Integer vector of length ell with an optional framing multiplicity."""
 
     __slots__ = ("coords", "framing")
@@ -27,11 +29,7 @@ class DimVector:
             raise ValueError("dimension vector needs at least one coordinate")
         if framing < 0:
             raise ValueError("framing multiplicity must be nonnegative")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "framing", int(framing))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DimVector is immutable")
+        self._assign(coords, int(framing))
 
     @property
     def ell(self) -> int:
@@ -80,14 +78,6 @@ class DimVector:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DimVector):
-            return NotImplemented
-        return self.coords == other.coords and self.framing == other.framing
-
-    def __hash__(self) -> int:
-        return hash((self.coords, self.framing))
-
     def __repr__(self) -> str:
         if self.framing:
             return f"DimVector({self.coords!r}, framing={self.framing})"
@@ -132,18 +122,13 @@ def epsilon(index: int, ell: int) -> DimVector:
     return DimVector(tuple(1 if r == index else 0 for r in range(ell)))
 
 
-class RootSet:
+class RootSet(Frozen):
     """The finite root list attached to the bound n on a cycle of length ell."""
 
     __slots__ = ("roots", "n", "ell")
 
     def __init__(self, roots: Sequence[DimVector], n: int, ell: int):
-        object.__setattr__(self, "roots", tuple(roots))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ell", ell)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootSet is immutable")
+        self._assign(tuple(roots), n, ell)
 
     def __iter__(self) -> Iterator[DimVector]:
         return iter(self.roots)

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 
 import pytest
 
@@ -149,6 +150,15 @@ class TestSemisimpleCommand:
         assert code == 0
         assert "25 random characters" in out
 
+    def test_selftest_draw_order(self):
+        # A seed must keep naming the same characters: per entry the
+        # denominator is drawn first, then the numerator.
+        from cyclocone.cli import _random_character
+
+        rng = random.Random(5)
+        drawn = [str(_random_character(rng, 3)) for _ in range(3)]
+        assert drawn == ["-4/5,-1/6,23/12", "9/11,5,17/4", "-14,-1/2,-9/8"]
+
     def test_tsv(self):
         code, out, _ = invoke(
             ["semisimple", "-n", "2", "-l", "1", "--chi", "1/2", "--format", "tsv"]
@@ -220,3 +230,20 @@ class TestInputValidation:
     def test_bad_ell(self):
         code, _, _ = invoke(["orbits", "-n", "1", "-l", "0"])
         assert code == 2
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_selftest_count_must_be_positive(self, count):
+        code, out, err = invoke(
+            ["semisimple", "-n", "2", "-l", "1", "--selftest", count]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_too_many_components_is_input_error(self):
+        code, out, err = invoke(["orbits", "-n", "0", "-l", "1500"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: input too large\n"

@@ -189,14 +189,17 @@ class TestCherednik:
         assert not cherednik_semisimple(kp, 2, 1)
 
     def test_ell_two_zero(self):
+        # k = 0 is an integer, which the m = 1 case of the first clause
+        # rules out; the report agrees that chi = (-1/2, 1/2) at n = 1 is
+        # not semi-simple (the hyperplane of delta).
         kp = KappaParams(0, 0, (0, 0))
-        assert cherednik_semisimple(kp, 1, 2)
+        assert not cherednik_semisimple(kp, 1, 2)
 
     def test_first_clause_vs_multiplier_form(self):
         # For k not an integer the first clause is the same as
         # "m*k not in Z for every 2 <= m <= n"; integer k satisfies the
         # clause vacuously but fails the multiplier form, so the criterion
-        # needs the separate "k not in Z" conjunct it is always paired with.
+        # needs its separate m = 1 case, "k not in Z".
         from math import gcd
 
         rng = random.Random(9)
@@ -221,8 +224,8 @@ class TestCherednik:
 class TestCriterionEquivalence:
     @pytest.mark.parametrize("seed", [11, 12])
     def test_three_way_equivalence(self, seed):
-        # roots-side avoidance == Hecke-side product == (Cherednik and
-        # non-integral k), on random rational characters.
+        # roots-side avoidance == Hecke-side product == Cherednik, on random
+        # rational characters.
         rng = random.Random(seed)
         for _ in range(150):
             n = rng.randint(1, 4)
@@ -239,5 +242,5 @@ class TestCriterionEquivalence:
             kp = chi_to_kappa(chi)
             q0, q1, u = hecke_params(kp, ell)
             hecke_ok = ariki_product_nonzero(hecke_q(q0, q1), u, n)
-            cher_ok = cherednik_semisimple(kp, n, ell) and kp.k.denominator != 1
+            cher_ok = cherednik_semisimple(kp, n, ell)
             assert roots_ok == hecke_ok == cher_ok
