@@ -97,11 +97,17 @@ def _string_coords(top: int, length: int, ell: int) -> Coords:
     return tuple(coords)
 
 
+@lru_cache(maxsize=None)
+def _summand_vector(top: int, length: int, ell: int) -> DimVector:
+    # DimVector is immutable, so every row of a class shares one instance.
+    return DimVector(_string_coords(top, length, ell))
+
+
 def decompose(label: OrbitLabel) -> SummandDecomposition:
     """Framed summand plus one string summand per row of each nu component."""
     ell = label.ell
     strings = tuple(
-        StringSummand(i, j, DimVector(_string_coords(top, length, ell)))
+        StringSummand(i, j, _summand_vector(top, length, ell))
         for i, j, top, length in _string_classes(label)
     )
     framed = DimVector(residue(label.lam, ell).coords, framing=1)
@@ -113,12 +119,20 @@ def fundamental_group(label: OrbitLabel) -> FGAbelianGroup:
 
     The framed summand is dropped, and there is one column per distinct
     string class; repeated columns would not change the cokernel anyway.
+    Neither does column order, so the group is computed once per distinct
+    set of classes.
     """
-    ell = label.ell
-    classes = dict.fromkeys(
+    classes = frozenset(
         (top, length) for _, _, top, length in _string_classes(label)
     )
-    columns = [_string_coords(top, length, ell) for top, length in classes]
+    return _class_set_cokernel(label.ell, classes)
+
+
+@lru_cache(maxsize=None)
+def _class_set_cokernel(
+    ell: int, classes: frozenset[tuple[int, int]]
+) -> FGAbelianGroup:
+    columns = [_string_coords(top, length, ell) for top, length in sorted(classes)]
     return cokernel(IntMatrix.from_columns(columns, rows=ell))
 
 

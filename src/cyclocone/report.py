@@ -44,10 +44,12 @@ class CriteriaDisagreement(RuntimeError):
         self.verdict_roots = verdict_roots
         self.verdict_hecke = verdict_hecke
         self.verdict_counting = verdict_counting
+        # `--chi=` keeps a leading minus sign from reading as an option.
         super().__init__(
             f"criteria disagree at n={n}, ell={ell}, chi={chi}: "
             f"roots={verdict_roots}, hecke={verdict_hecke}, "
-            f"counting={verdict_counting}"
+            f"counting={verdict_counting}; reproduce with: "
+            f"cyclocone semisimple -n {n} -l {ell} --chi={chi}"
         )
 
 

@@ -3,13 +3,16 @@
 Everything here is deliberately written from first principles, separate from
 the library code paths it checks: determinants via fraction-free elimination,
 partition counts via the bounded-part recurrence, the root set via the
-abstract positive-root filter, and residues via a plain box scan.
+abstract positive-root filter, residues and string vectors via a plain box
+scan, and cokernels via determinantal divisors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import gcd
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -134,6 +137,42 @@ def brute_force_orbit_pairs(
             if tuple(a + b for a, b in zip(lam_res, sres)) == target:
                 out.add((lam.parts, comps))
     return out
+
+
+def string_vectors_scan(
+    components: tuple[tuple[int, ...], ...], ell: int
+) -> list[tuple[int, ...]]:
+    """One vector per row of every component: its boxes' shifted contents."""
+    out = []
+    for i, parts in enumerate(components):
+        for row, part in enumerate(parts, start=1):
+            counts = [0] * ell
+            for col in range(1, part + 1):
+                counts[(i + row - col) % ell] += 1
+            out.append(tuple(counts))
+    return out
+
+
+def cokernel_by_minors(
+    columns: list[tuple[int, ...]], rows: int
+) -> tuple[int, tuple[int, ...]]:
+    """(free rank, invariant factors >= 2) of Z^rows / span(columns).
+
+    D_i is the gcd of all i x i minors; the rank r is the largest i with
+    D_i != 0, and the invariant factors are d_i = D_i / D_{i-1}, i <= r.
+    """
+    divisors = [1]
+    for size in range(1, min(rows, len(columns)) + 1):
+        d = 0
+        for rs in combinations(range(rows), size):
+            for cs in combinations(columns, size):
+                d = gcd(d, det_int([[c[r] for c in cs] for r in rs]))
+        if d == 0:
+            break
+        divisors.append(d)
+    rank = len(divisors) - 1
+    factors = tuple(divisors[i] // divisors[i - 1] for i in range(1, rank + 1))
+    return rows - rank, tuple(f for f in factors if f >= 2)
 
 
 def random_fraction(rng, max_den: int = 12, max_num: int = 24) -> Fraction:

@@ -4,7 +4,10 @@ import random
 
 import pytest
 
-from cyclocone.cli import run
+import cyclocone.report as report_module
+from cyclocone.cli import _build_parser, run
+from cyclocone.params import RationalCharacter
+from cyclocone.report import CriteriaDisagreement
 
 
 def invoke(argv):
@@ -247,3 +250,26 @@ class TestExitCodeContract:
         assert code == 2
         assert out == ""
         assert err == "error: input too large\n"
+
+
+class TestDisagreementReproducer:
+    def test_message_ends_with_parseable_command(self):
+        chi = RationalCharacter.parse("-1/2,3,-7/4")
+        exc = CriteriaDisagreement(2, 3, chi, True, False, True)
+        _, _, command = str(exc).rpartition("reproduce with: ")
+        argv = command.split()
+        assert argv[:2] == ["cyclocone", "semisimple"]
+        # The plain parser, without run()'s folding of `--chi -1/2`.
+        args = _build_parser().parse_args(argv[1:])
+        assert (args.subcommand, args.n, args.ell) == ("semisimple", 2, 3)
+        assert RationalCharacter.parse(args.chi) == chi
+
+    def test_exit_three_prints_a_reproducing_command(self, monkeypatch):
+        monkeypatch.setattr(
+            report_module, "ariki_product_nonzero", lambda q, u, n: True
+        )
+        code, out, err = invoke(["semisimple", "-n", "2", "-l", "1", "--chi", "1/2"])
+        assert code == 3 and out == ""
+        command = err.rstrip("\n").rpartition("reproduce with: ")[2]
+        assert command == "cyclocone semisimple -n 2 -l 1 --chi=1/2"
+        assert invoke(command.split()[1:])[0] == 3

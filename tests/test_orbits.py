@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import cyclocone.orbits as orbits_module
 from cyclocone.abelian import FGAbelianGroup
 from cyclocone.orbits import (
     OrbitLabel,
@@ -19,7 +20,12 @@ from cyclocone.partitions import MultiPartition, Partition
 from cyclocone.report import count_multipartitions
 from cyclocone.rootlattice import DimVector, generate_Rn, pair
 
-from oracles import brute_force_orbit_pairs, random_fraction
+from oracles import (
+    brute_force_orbit_pairs,
+    cokernel_by_minors,
+    random_fraction,
+    string_vectors_scan,
+)
 
 
 def label(lam, nu, n, ell):
@@ -167,6 +173,27 @@ class TestFundamentalGroup:
         # different vertices, so they contribute independent columns.
         lab = label((2,), ((1, 1), ()), 2, 2)
         assert fundamental_group(lab).is_trivial()
+
+    @pytest.mark.parametrize("n, ell", [(3, 3), (2, 4)])
+    def test_agrees_with_determinantal_divisors(self, n, ell):
+        for lab in enumerate_orbits(n, ell):
+            columns = string_vectors_scan(tuple(c.parts for c in lab.nu), ell)
+            free_rank, factors = cokernel_by_minors(columns, ell)
+            assert fundamental_group(lab) == FGAbelianGroup(free_rank, factors)
+
+    def test_cold_and_warm_calls_agree(self):
+        labels = enumerate_orbits(3, 3)
+        cache = orbits_module._class_set_cokernel
+        cold = []
+        for lab in labels:
+            cache.cache_clear()
+            cold.append(fundamental_group(lab))
+        for lab in labels:
+            fundamental_group(lab)
+        misses = cache.cache_info().misses
+        warm = [fundamental_group(lab) for lab in labels]
+        assert cache.cache_info().misses == misses
+        assert warm == cold
 
 
 class TestMonodromy:
