@@ -41,6 +41,7 @@ from .partitions import (
 )
 from .report import (
     CriteriaDisagreement,
+    OrbitRow,
     SemisimplicityReport,
     count_multipartitions,
     hyperplane_listing,
@@ -69,6 +70,7 @@ __all__ = [
     "KappaParams",
     "MultiPartition",
     "OrbitLabel",
+    "OrbitRow",
     "Partition",
     "RationalCharacter",
     "RootSet",

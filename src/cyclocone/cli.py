@@ -3,19 +3,20 @@
 Subcommands: orbits, pi1, simples, semisimple, hyperplanes, translate.
 Output is deterministic for a fixed invocation.  Exit codes: 0 = success
 (for `semisimple`: the category is semi-simple), 1 = not semi-simple,
-2 = input error, 3 = internal criteria disagreement.
+2 = input error, 3 = internal criteria disagreement, 4 = run aborted (stdout
+closed early, or an unexpected internal error).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
 from itertools import chain
 
-from .abelian import FGAbelianGroup
 from .orbits import OrbitLabel, enumerate_Q_chi, fundamental_group
 from .params import (
     KappaParams,
@@ -28,6 +29,7 @@ from .params import (
 from .partitions import MultiPartition, Partition
 from .report import (
     CriteriaDisagreement,
+    count_multipartitions,
     hyperplane_listing,
     orbit_report,
     semisimplicity_report,
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_NOT_SEMISIMPLE = 1
 EXIT_INPUT = 2
 EXIT_DISAGREEMENT = 3
+EXIT_ABORTED = 4
 
 
 class InputError(Exception):
@@ -67,29 +70,30 @@ def _build_parser() -> argparse.ArgumentParser:
             help="output format (default: pretty)",
         )
 
-    p = sub.add_parser("orbits", help="enumerate orbit labels")
+    character = argparse.ArgumentParser(add_help=False)
+    character.add_argument("--chi", help="rational character, e.g. 1/5,1/7")
+    character.add_argument(
+        "--kappa", help="kappa coordinates, e.g. k00=1/3,k=1/4,-1/4"
+    )
+
+    p = sub.add_parser("orbits", parents=[character], help="enumerate orbit labels")
     add_common(p)
-    p.add_argument("--chi", help="rational character, e.g. 1/5,1/7")
-    p.add_argument("--kappa", help="kappa coordinates, e.g. k00=1/3,k=1/4,-1/4")
 
     p = sub.add_parser("pi1", help="fundamental group of one orbit")
+    add_common(p, need_n=False)
     p.add_argument("-n", type=int, help="rank parameter n (derived if omitted)")
-    p.add_argument("-l", "--ell", type=int, required=True)
-    p.add_argument(
-        "--format", choices=("pretty", "json", "tsv"), default="pretty"
-    )
     p.add_argument("--lambda", dest="lam", required=True, help="partition, e.g. [2,1]")
     p.add_argument("--nu", required=True, help="multipartition, e.g. [2];[]")
 
-    p = sub.add_parser("simples", help="labels of the simple objects at chi")
+    p = sub.add_parser(
+        "simples", parents=[character], help="labels of the simple objects at chi"
+    )
     add_common(p)
-    p.add_argument("--chi", help="rational character")
-    p.add_argument("--kappa", help="kappa coordinates")
 
-    p = sub.add_parser("semisimple", help="decide semi-simplicity at chi")
+    p = sub.add_parser(
+        "semisimple", parents=[character], help="decide semi-simplicity at chi"
+    )
     add_common(p)
-    p.add_argument("--chi", help="rational character")
-    p.add_argument("--kappa", help="kappa coordinates")
     p.add_argument(
         "--selftest",
         type=int,
@@ -102,10 +106,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hyperplanes", help="list the hyperplanes of the bound n")
     add_common(p)
 
-    p = sub.add_parser("translate", help="translate between chi and kappa")
+    p = sub.add_parser(
+        "translate", parents=[character], help="translate between chi and kappa"
+    )
     add_common(p, need_n=False)
-    p.add_argument("--chi", help="rational character")
-    p.add_argument("--kappa", help="kappa coordinates")
 
     return parser
 
@@ -149,48 +153,60 @@ def _cell(value) -> str:
     return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-def _summand_text(record: dict) -> str:
-    if not record["summands"]:
-        return "-"
-    return " ".join(
-        f"{s['start']}:{s['row']}:{s['dim_vector']}" for s in record["summands"]
-    )
-
-
 def _cmd_orbits(args, out) -> int:
-    if args.n < 0:
-        raise InputError("n must be nonnegative")
     chi = _resolve_chi(args, args.ell, required=False)
-    data = orbit_report(args.n, args.ell, chi)
+    rows = orbit_report(args.n, args.ell, chi)
+    monodromic = None if chi is None else sum(row.monodromic for row in rows)
+    multipartitions = count_multipartitions(args.n, args.ell)
     header = ["lambda", "nu", "pi1", "summands"]
     if chi is not None:
         header.append("monodromic")
 
-    def rows():
-        for record in data["orbits"]:
-            row = [
-                record["lambda"],
-                record["nu"],
-                str(FGAbelianGroup(**record["pi1"])),
-                _summand_text(record),
-            ]
+    def as_json(row) -> dict:
+        entry = {
+            "lambda": str(row.label.lam),
+            "nu": str(row.label.nu),
+            "summands": [
+                {"start": s.start, "row": s.row, "dim_vector": str(s.vector)}
+                for s in row.strings
+            ],
+            "pi1": row.pi1.to_json(),
+        }
+        if chi is not None:
+            entry["monodromic_for_chi"] = row.monodromic
+        return entry
+
+    def obj() -> dict:
+        return {
+            "n": args.n,
+            "ell": args.ell,
+            "chi": [str(v) for v in chi.values] if chi is not None else None,
+            "orbits": [as_json(row) for row in rows],
+            "totals": {
+                "orbits": len(rows),
+                "monodromic": monodromic,
+                "multipartitions": multipartitions,
+            },
+        }
+
+    def cells():
+        for row in rows:
+            summands = " ".join(f"{s.start}:{s.row}:{s.vector}" for s in row.strings)
+            line = [str(row.label.lam), str(row.label.nu), str(row.pi1)]
+            line.append(summands or "-")
             if chi is not None:
-                row.append(_cell(record["monodromic_for_chi"]))
-            yield row
+                line.append(_cell(row.monodromic))
+            yield line
 
     def pretty():
-        totals = data["totals"]
         yield f"orbit labels for n={args.n}, ell={args.ell}"
-        yield from ("  " + "  ".join(row) for row in rows())
-        line = (
-            f"totals: orbits={totals['orbits']} "
-            f"multipartitions={totals['multipartitions']}"
-        )
-        if totals["monodromic"] is not None:
-            line += f" monodromic={totals['monodromic']}"
-        yield line
+        yield from ("  " + "  ".join(line) for line in cells())
+        totals = f"totals: orbits={len(rows)} multipartitions={multipartitions}"
+        if monodromic is not None:
+            totals += f" monodromic={monodromic}"
+        yield totals
 
-    _render(out, args.format, lambda: data, header, rows, pretty)
+    _render(out, args.format, obj, header, cells, pretty)
     return EXIT_OK
 
 
@@ -203,10 +219,7 @@ def _cmd_pi1(args, out) -> int:
             f"|lambda| + |nu| = {total} is not a multiple of ell = {args.ell}"
         )
     n = args.n if args.n is not None else total // args.ell
-    try:
-        label = OrbitLabel(lam, nu, n, args.ell)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    label = OrbitLabel(lam, nu, n, args.ell)
     group = fundamental_group(label)
     _render(
         out,
@@ -227,8 +240,6 @@ def _cmd_pi1(args, out) -> int:
 
 
 def _cmd_simples(args, out) -> int:
-    if args.n < 0:
-        raise InputError("n must be nonnegative")
     chi = _resolve_chi(args, args.ell)
     labels = enumerate_Q_chi(args.n, args.ell, chi)
     _render(
@@ -263,8 +274,6 @@ def _random_character(rng: random.Random, ell: int) -> RationalCharacter:
 
 
 def _cmd_semisimple(args, out) -> int:
-    if args.n < 1:
-        raise InputError("n must be positive")
     if args.selftest is not None:
         if args.selftest < 1:
             raise InputError("--selftest COUNT must be positive")
@@ -321,8 +330,6 @@ def _cmd_semisimple(args, out) -> int:
 
 
 def _cmd_hyperplanes(args, out) -> int:
-    if args.n < 1:
-        raise InputError("n must be positive")
     listing = hyperplane_listing(args.n, args.ell)
     _render(
         out,
@@ -361,11 +368,7 @@ def _cmd_translate(args, out) -> int:
         lambda: {
             "ell": args.ell,
             "chi": [str(v) for v in chi.values],
-            "kappa": {
-                "k00": str(kp.k00),
-                "k01": str(kp.k01),
-                "kappa": [str(v) for v in kp.kappa],
-            },
+            "kappa": kp.to_json(),
             "hecke": {
                 "q0": str(q0),
                 "q1": str(q1),
@@ -401,15 +404,11 @@ def _merge_negative_chi(argv: list[str]) -> list[str]:
     # argparse rejects option values that start with "-", which negative
     # rationals do; fold `--chi -1/2` into `--chi=-1/2`.
     merged = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--chi" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            merged.append(tok + "=" + argv[i + 1])
-            i += 2
+    for tok in argv:
+        if merged and merged[-1] == "--chi" and tok.startswith("-"):
+            merged[-1] += "=" + tok
         else:
             merged.append(tok)
-            i += 1
     return merged
 
 
@@ -438,10 +437,24 @@ def run(argv: list[str], out=None, err=None) -> int:
         # (orbits -n 0 -l 1500) runs out of stack.
         print("error: input too large", file=err)
         return EXIT_INPUT
+    except BrokenPipeError:
+        raise  # a closed stdout is not an internal error; main() handles it
+    except Exception as exc:
+        # Exit 1 would read as "not semi-simple", so no crash may escape.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=err)
+        return EXIT_ABORTED
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+    except BrokenPipeError:
+        # As the Python signal docs advise: point stdout at devnull so that
+        # the interpreter's final flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_ABORTED
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Iterator, NamedTuple
 
 from ._frozen import Frozen
@@ -257,6 +258,15 @@ def _integral_vector_flags(
     )
 
 
+def _monodromic_flags(n: int, ell: int, chi: RationalCharacter) -> list[bool]:
+    """Per label of enumerate_orbits(n, ell): does it admit a chi-monodromic system?"""
+    if chi.ell != ell:
+        raise ValueError(f"character has {chi.ell} entries, expected {ell}")
+    vectors, per_label, _ = _string_class_table(n, ell)
+    ok = _integral_vector_flags(vectors, chi)
+    return [all(ok[k] for k in indices) for indices in per_label]
+
+
 def enumerate_Q_chi(
     n: int, ell: int, chi: RationalCharacter
 ) -> list[OrbitLabel]:
@@ -265,16 +275,8 @@ def enumerate_Q_chi(
     Its length is the number of simple objects of the admissible category
     at the character chi.
     """
-    if chi.ell != ell:
-        raise ValueError(f"character has {chi.ell} entries, expected {ell}")
-    labels = enumerate_orbits(n, ell)
-    vectors, per_label, _ = _string_class_table(n, ell)
-    ok = _integral_vector_flags(vectors, chi)
-    return [
-        label
-        for label, indices in zip(labels, per_label)
-        if all(ok[k] for k in indices)
-    ]
+    flags = _monodromic_flags(n, ell, chi)
+    return list(compress(enumerate_orbits(n, ell), flags))
 
 
 def count_Q_chi(n: int, ell: int, chi: RationalCharacter) -> int:

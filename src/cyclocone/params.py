@@ -104,6 +104,13 @@ class KappaParams(Frozen):
             f"{[str(v) for v in self.kappa]!r})"
         )
 
+    def to_json(self) -> dict:
+        return {
+            "k00": str(self.k00),
+            "k01": str(self.k01),
+            "kappa": [str(v) for v in self.kappa],
+        }
+
     @classmethod
     def parse(cls, text: str, ell: int | None = None) -> KappaParams:
         """Parse `k00=1/3,k=1/4,-1/4`; k01 is implied by k00 + k01 = 0."""

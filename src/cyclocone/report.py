@@ -1,4 +1,4 @@
-"""Aggregated semi-simplicity diagnostics and machine-readable orbit reports.
+"""Aggregated semi-simplicity diagnostics and typed orbit tables.
 
 The report runs three independent criteria for semi-simplicity of the
 admissible category at a rational character: hyperplane avoidance on the
@@ -12,12 +12,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
+from .abelian import FGAbelianGroup
 from .orbits import (
+    OrbitLabel,
+    StringSummand,
+    _monodromic_flags,
     count_Q_chi,
     decompose,
-    enumerate_Q_chi,
     enumerate_orbits,
     fundamental_group,
 )
@@ -89,11 +93,7 @@ class SemisimplicityReport(NamedTuple):
             "simple_count": self.simple_count,
             "pell_count": self.pell_count,
             "chi_integral": self.chi_integral,
-            "kappa": {
-                "k00": str(self.kappa.k00),
-                "k01": str(self.kappa.k01),
-                "kappa": [str(v) for v in self.kappa.kappa],
-            },
+            "kappa": self.kappa.to_json(),
             "hecke": {
                 "q0": str(q0),
                 "q1": str(q1),
@@ -160,23 +160,16 @@ def semisimplicity_report(
 
 
 def _equation_text(alpha: DimVector) -> str:
-    terms = []
+    text = ""
     for r, coeff in enumerate(alpha.coords):
         if coeff == 0:
             continue
-        var = f"χ_{r}"
-        if not terms:
-            if coeff == 1:
-                terms.append(var)
-            elif coeff == -1:
-                terms.append(f"-{var}")
-            else:
-                terms.append(f"{coeff}{var}")
+        term = f"χ_{r}" if abs(coeff) == 1 else f"{abs(coeff)}χ_{r}"
+        if text:
+            text += f" {'+' if coeff > 0 else '-'} {term}"
         else:
-            sign = "+" if coeff > 0 else "-"
-            mag = abs(coeff)
-            terms.append(f"{sign} {var}" if mag == 1 else f"{sign} {mag}{var}")
-    return " ".join(terms) + " ∈ Z"
+            text = term if coeff > 0 else f"-{term}"
+    return text + " ∈ Z"
 
 
 def hyperplane_listing(n: int, ell: int) -> list[tuple[DimVector, str]]:
@@ -186,40 +179,22 @@ def hyperplane_listing(n: int, ell: int) -> list[tuple[DimVector, str]]:
     return [(alpha, _equation_text(alpha)) for alpha in generate_Rn(n, ell)]
 
 
+class OrbitRow(NamedTuple):
+    """An orbit label, its string summands, its pi1 and whether it admits a
+    chi-monodromic local system (None when no chi is given)."""
+
+    label: OrbitLabel
+    strings: tuple[StringSummand, ...]
+    pi1: FGAbelianGroup
+    monodromic: bool | None
+
+
 def orbit_report(
     n: int, ell: int, chi: RationalCharacter | None = None
-) -> dict:
-    """JSON-ready record list for every orbit label, plus a totals block."""
-    if chi is not None and chi.ell != ell:
-        raise ValueError(f"character has {chi.ell} entries, expected {ell}")
-    labels = enumerate_orbits(n, ell)
-    monodromic = None
-    if chi is not None:
-        monodromic = set(enumerate_Q_chi(n, ell, chi))
-    records = []
-    for label in labels:
-        dec = decompose(label)
-        record = {
-            "lambda": str(label.lam),
-            "nu": str(label.nu),
-            "summands": [
-                {"start": s.start, "row": s.row, "dim_vector": str(s.vector)}
-                for s in dec.strings
-            ],
-            "pi1": fundamental_group(label).to_json(),
-        }
-        if monodromic is not None:
-            record["monodromic_for_chi"] = label in monodromic
-        records.append(record)
-    totals = {
-        "orbits": len(labels),
-        "monodromic": len(monodromic) if monodromic is not None else None,
-        "multipartitions": count_multipartitions(n, ell),
-    }
-    return {
-        "n": n,
-        "ell": ell,
-        "chi": [str(v) for v in chi.values] if chi is not None else None,
-        "orbits": records,
-        "totals": totals,
-    }
+) -> list[OrbitRow]:
+    """One OrbitRow per orbit label, in enumeration order."""
+    flags = repeat(None) if chi is None else _monodromic_flags(n, ell, chi)
+    return [
+        OrbitRow(label, decompose(label).strings, fundamental_group(label), flag)
+        for label, flag in zip(enumerate_orbits(n, ell), flags)
+    ]

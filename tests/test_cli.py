@@ -1,9 +1,13 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import cyclocone.cli as cli_module
 import cyclocone.report as report_module
 from cyclocone.cli import _build_parser, run
 from cyclocone.params import RationalCharacter
@@ -250,6 +254,34 @@ class TestExitCodeContract:
         assert code == 2
         assert out == ""
         assert err == "error: input too large\n"
+
+    def test_unexpected_exception_is_exit_four(self, monkeypatch):
+        def crash(*args):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli_module, "orbit_report", crash)
+        code, out, err = invoke(["orbits", "-n", "1", "-l", "1"])
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: KeyError: 'boom'\n"
+
+    def test_closed_stdout_is_exit_four_without_traceback(self):
+        # The (3,3) table is about 150 kB, more than a pipe buffers, so the
+        # child is still writing when the reader goes away.
+        src = os.path.dirname(os.path.dirname(cli_module.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "cyclocone.cli", "orbits", "-n", "3", "-l", "3"]
+            + ["--format", "tsv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert child.stdout.readline() == b"lambda\tnu\tpi1\tsummands\n"
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 4
+        assert "Traceback" not in err
 
 
 class TestDisagreementReproducer:

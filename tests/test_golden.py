@@ -6,7 +6,9 @@ rendering was consolidated.  The self-test ignores `--format`, so its three
 digests coincide.  One extra table at (3, 2) with a character covers
 non-trivial pi1 and a mixed monodromic column.  The (3, 3) table has 2,090
 labels over far fewer distinct string-class sets, so most of its pi1 column
-comes from the per-process pi1 cache rather than a fresh cokernel.
+comes from the per-process pi1 cache rather than a fresh cokernel.  Its
+JSON form with a character pins the per-orbit records and totals that the
+CLI builds from the report's typed rows.
 """
 
 import hashlib
@@ -45,6 +47,7 @@ GOLDEN = [
     ("orbits -n 3 -l 2 --chi 1/2,1/3", "json", 0, "b88999ae4990b6dad453f5674cb08ec6f76d05e045d196a0112b4ff5a5209808"),
     ("orbits -n 3 -l 2 --chi 1/2,1/3", "tsv", 0, "8573e18bbf98908f67db22b9d2535be68d7c484453ca8d044baaacf40eb2e3db"),
     ("orbits -n 3 -l 3", "tsv", 0, "46b930971d2014d67aae7c8987f8699b4f90b9068af38d4154a86d851805e026"),
+    ("orbits -n 3 -l 3 --chi 1/2,1/3,1/5", "json", 0, "e423e8fb77b3eb9198ba0e25746b89f02847b85ca73584084d046a03bd6751da"),
 ]
 
 

@@ -3,9 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from cyclocone.abelian import FGAbelianGroup
+from cyclocone.orbits import (
+    admits_monodromic_local_system,
+    decompose,
+    enumerate_orbits,
+    enumerate_Q_chi,
+)
 from cyclocone.params import RationalCharacter
 from cyclocone.report import (
     CriteriaDisagreement,
+    OrbitRow,
     count_multipartitions,
     hyperplane_listing,
     orbit_report,
@@ -127,40 +135,55 @@ class TestHyperplaneListing:
 
 class TestOrbitReport:
     def test_pi1_column(self):
-        data = orbit_report(2, 1)
-        groups = [rec["pi1"] for rec in data["orbits"]]
-        assert groups == [
-            {"free_rank": 1, "invariant_factors": []},
-            {"free_rank": 1, "invariant_factors": []},
-            {"free_rank": 0, "invariant_factors": []},
-            {"free_rank": 0, "invariant_factors": [2]},
-            {"free_rank": 0, "invariant_factors": []},
+        rows = orbit_report(2, 1)
+        assert all(isinstance(row, OrbitRow) for row in rows)
+        assert [row.label for row in rows] == list(enumerate_orbits(2, 1))
+        assert [row.pi1 for row in rows] == [
+            FGAbelianGroup(1),
+            FGAbelianGroup(1),
+            FGAbelianGroup(0),
+            FGAbelianGroup(0, (2,)),
+            FGAbelianGroup(0),
         ]
-        assert data["totals"] == {
-            "orbits": 5,
-            "monodromic": None,
-            "multipartitions": 2,
-        }
+        assert [row.monodromic for row in rows] == [None] * 5
+        assert len(rows) == 5
+        assert count_multipartitions(2, 1) == 2
 
     def test_half_integral_flags(self):
-        data = orbit_report(2, 1, chi_of("1/2"))
-        flags = [rec["monodromic_for_chi"] for rec in data["orbits"]]
+        rows = orbit_report(2, 1, chi_of("1/2"))
+        flags = [row.monodromic for row in rows]
         assert flags == [True, True, False, True, False]
-        assert data["totals"]["monodromic"] == 3
+        assert sum(flags) == 3
 
     def test_integral_flags(self):
-        data = orbit_report(2, 1, chi_of(0))
-        flags = [rec["monodromic_for_chi"] for rec in data["orbits"]]
-        assert flags == [True] * 5
+        rows = orbit_report(2, 1, chi_of(0))
+        assert [row.monodromic for row in rows] == [True] * 5
 
     def test_record_fields(self):
-        data = orbit_report(1, 2, chi_of(0, "1/2"))
-        rec = next(r for r in data["orbits"] if r["nu"] == "[];[2]")
-        assert rec["lambda"] == "[]"
-        assert rec["summands"] == [
-            {"start": 1, "row": 1, "dim_vector": "(1,1)"}
+        rows = orbit_report(1, 2, chi_of(0, "1/2"))
+        row = next(r for r in rows if str(r.label.nu) == "[];[2]")
+        assert str(row.label.lam) == "[]"
+        assert [(s.start, s.row, s.vector.coords) for s in row.strings] == [
+            (1, 1, (1, 1))
         ]
-        assert rec["monodromic_for_chi"] is False
+        assert row.strings == decompose(row.label).strings
+        assert row.monodromic is False
+
+    @pytest.mark.parametrize("n, ell", [(3, 2), (2, 3)])
+    def test_flags_match_per_label_criterion(self, n, ell):
+        # The table-driven flags against the per-label pairing test.
+        rng = random.Random(31 * n + ell)
+        for _ in range(6):
+            chi = RationalCharacter(
+                tuple(random_fraction(rng, max_den=4) for _ in range(ell))
+            )
+            rows = orbit_report(n, ell, chi)
+            assert [row.monodromic for row in rows] == [
+                admits_monodromic_local_system(row.label, chi) for row in rows
+            ]
+            assert [row.label for row in rows if row.monodromic] == (
+                enumerate_Q_chi(n, ell, chi)
+            )
 
 
 class TestMultipartitionCount:
