@@ -277,6 +277,8 @@ def _cmd_semisimple(args, out) -> int:
     if args.selftest is not None:
         if args.selftest < 1:
             raise InputError("--selftest COUNT must be positive")
+        if args.chi or args.kappa:
+            raise InputError("--selftest draws its own characters; drop --chi/--kappa")
         rng = random.Random(args.seed)
         for _ in range(args.selftest):
             chi = _random_character(rng, args.ell)

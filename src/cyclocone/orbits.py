@@ -16,10 +16,11 @@ every string summand.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from typing import Iterator, NamedTuple
+from math import lcm
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 from ._frozen import Frozen
 from .abelian import FGAbelianGroup, IntMatrix, cokernel
@@ -79,15 +80,27 @@ class SummandDecomposition(NamedTuple):
     strings: tuple[StringSummand, ...]
 
 
+@lru_cache(maxsize=None)
+def _component_classes(
+    ell: int, index: int, parts: tuple[int, ...]
+) -> tuple[tuple[int, int], ...]:
+    """(top, length) of every row of a partition placed as nu component `index`."""
+    # Row j of a diagram carries contents j-1 down to j-length; the component
+    # shift adds the index.  Keeping the within-diagram content shift is what
+    # makes framed + sum(strings) close up to n*delta.
+    return tuple(
+        ((index + j - 1) % ell, length) for j, length in enumerate(parts, start=1)
+    )
+
+
 def _string_classes(label: OrbitLabel) -> Iterator[tuple[int, int, int, int]]:
     """(component, row, top, length) for every row of every nu component."""
-    # Row j of a diagram carries contents j-1 down to j-length; the component
-    # shift adds i.  Keeping the within-diagram content shift is what makes
-    # framed + sum(strings) close up to n*delta.
     ell = label.ell
     for i, comp in enumerate(label.nu):
-        for j, length in enumerate(comp.parts, start=1):
-            yield i, j, (i + j - 1) % ell, length
+        for j, (top, length) in enumerate(
+            _component_classes(ell, i, comp.parts), start=1
+        ):
+            yield i, j, top, length
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +163,7 @@ def admits_monodromic_local_system(
         _string_coords(top, length, chi.ell)
         for _, _, top, length in _string_classes(label)
     )
-    return all(_integral_vector_flags(vectors, chi))
+    return not _non_integral_mask(vectors, chi)
 
 
 @lru_cache(maxsize=None)
@@ -220,51 +233,119 @@ def enumerate_orbits(n: int, ell: int) -> tuple[OrbitLabel, ...]:
 
 @lru_cache(maxsize=None)
 def _string_class_table(n: int, ell: int) -> tuple[
-    tuple[Coords, ...], tuple[Coords, ...], tuple[tuple[Coords, int], ...]
+    tuple[Coords, ...], Mapping[tuple[int, int], int], tuple[tuple[int, int], ...]
 ]:
-    """Distinct string vectors per label, as indices into a shared vector table.
+    """The labels of (n, ell) counted per set of distinct string vectors.
 
-    Returns (vectors, per-label index tuples, grouped multiset of index
-    tuples).  This is the hot path for counting monodromic labels over many
-    characters: per character only the shared vectors need a pairing test,
-    and counting walks the grouped multiset instead of every label.
+    Returns (vectors, {(top, length): bit}, ((mask, count), ...)).  Bit
+    1 << k stands for vectors[k], and every string class with that vector
+    maps to it; a group counts the labels whose string vectors are exactly
+    the bits of its mask.  Per character only the vectors need a pairing
+    test, and counting walks the groups instead of the labels.
+
+    No label is built.  A dynamic program fills the nu components in the
+    order enumerate_orbits does, keeping (remaining residue, mask) -> number
+    of partial labels: lambda seeds it, components 0 .. ell-2 fold in, and
+    the last component must take up the remaining residue exactly.
     """
-    vector_index: dict[Coords, int] = {}
-    class_index: dict[tuple[int, int], int] = {}  # (top, length) -> vector
-    per_label = []
-    groups: dict[tuple[int, ...], int] = {}
-    for label in enumerate_orbits(n, ell):
-        indices = set()
-        for _, _, top, length in _string_classes(label):
-            k = class_index.get((top, length))
-            if k is None:
-                coords = _string_coords(top, length, ell)
-                k = vector_index.setdefault(coords, len(vector_index))
-                class_index[top, length] = k
-            indices.add(k)
-        key = tuple(sorted(indices))
-        per_label.append(key)
-        groups[key] = groups.get(key, 0) + 1
-    return tuple(vector_index), tuple(per_label), tuple(groups.items())
+    if ell < 1:
+        raise ValueError("cycle length must be positive")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    bits: dict[tuple[int, int], int] = {}
+    vectors: dict[Coords, int] = {}
+    built: dict[tuple[int, int], list[tuple[Coords, int]]] = {}
+
+    def candidates(index: int, size: int) -> list[tuple[Coords, int]]:
+        # (rotated residue, mask) per partition, built on first use.
+        out = built.get((index, size))
+        if out is None:
+            out = built[index, size] = []
+            for parts, shifted in _component_candidates(ell, index, size):
+                mask = 0
+                for top, length in _component_classes(ell, index, parts):
+                    bit = bits.get((top, length))
+                    if bit is None:
+                        coords = _string_coords(top, length, ell)
+                        bit = vectors.setdefault(coords, 1 << len(vectors))
+                        bits[top, length] = bit
+                    mask |= bit
+                out.append((shifted, mask))
+        return out
+
+    # remaining residue -> mask -> number of partial labels
+    states: dict[Coords, dict[int, int]] = {}
+    target = n * delta(ell)
+    for lam_size in range(n * ell + 1):
+        for parts in partitions_of(lam_size):
+            rest = target - residue(_interned_partition(parts), ell)
+            if rest.is_nonnegative():
+                masks = states.setdefault(rest.coords, {0: 0})
+                masks[0] += 1
+    for index in range(ell - 1):
+        folded: dict[Coords, dict[int, int]] = {}
+        for remaining, masks in states.items():
+            for size in range(sum(remaining) + 1):
+                for shifted, part_mask in candidates(index, size):
+                    rest = tuple(r - s for r, s in zip(remaining, shifted))
+                    if min(rest) < 0:
+                        continue
+                    into = folded.setdefault(rest, {})
+                    for mask, count in masks.items():
+                        mask |= part_mask
+                        into[mask] = into.get(mask, 0) + count
+        states = folded
+    closing: dict[int, dict[Coords, list[int]]] = {}
+    groups: dict[int, int] = {}
+    for remaining, masks in states.items():
+        size = sum(remaining)
+        by_residue = closing.get(size)
+        if by_residue is None:
+            by_residue = closing[size] = {}
+            for shifted, part_mask in candidates(ell - 1, size):
+                by_residue.setdefault(shifted, []).append(part_mask)
+        for part_mask in by_residue.get(remaining, ()):
+            for mask, count in masks.items():
+                mask |= part_mask
+                groups[mask] = groups.get(mask, 0) + count
+    # Cached and shared by every caller, so the class bits are read-only.
+    return tuple(vectors), MappingProxyType(bits), tuple(groups.items())
 
 
-def _integral_vector_flags(
-    vectors: tuple[Coords, ...], chi: RationalCharacter
-) -> tuple[bool, ...]:
-    values = chi.values
-    return tuple(
-        sum((v * c for v, c in zip(values, coords)), Fraction(0)).denominator == 1
-        for coords in vectors
-    )
+def _non_integral_mask(vectors: tuple[Coords, ...], chi: RationalCharacter) -> int:
+    """Bit k set exactly when chi pairs non-integrally with vectors[k]."""
+    # Over the common denominator d of chi the pairing is integral iff the
+    # integer pairing with d*chi is divisible by d.
+    d = lcm(*(v.denominator for v in chi.values))
+    scaled = [v.numerator * (d // v.denominator) for v in chi.values]
+    mask = 0
+    for k, coords in enumerate(vectors):
+        if sum(a * c for a, c in zip(scaled, coords)) % d:
+            mask |= 1 << k
+    return mask
 
 
 def _monodromic_flags(n: int, ell: int, chi: RationalCharacter) -> list[bool]:
     """Per label of enumerate_orbits(n, ell): does it admit a chi-monodromic system?"""
     if chi.ell != ell:
         raise ValueError(f"character has {chi.ell} entries, expected {ell}")
-    vectors, per_label, _ = _string_class_table(n, ell)
-    ok = _integral_vector_flags(vectors, chi)
-    return [all(ok[k] for k in indices) for indices in per_label]
+    vectors, bits, _ = _string_class_table(n, ell)
+    bad = _non_integral_mask(vectors, chi)
+    masks: dict[tuple[int, tuple[int, ...]], int] = {}  # per placed component
+    flags = []
+    for label in enumerate_orbits(n, ell):
+        mask = 0
+        for index, comp in enumerate(label.nu.components):
+            key = index, comp.parts
+            part_mask = masks.get(key)
+            if part_mask is None:
+                part_mask = 0
+                for cls in _component_classes(ell, index, comp.parts):
+                    part_mask |= bits[cls]
+                masks[key] = part_mask
+            mask |= part_mask
+        flags.append(not mask & bad)
+    return flags
 
 
 def enumerate_Q_chi(
@@ -280,11 +361,9 @@ def enumerate_Q_chi(
 
 
 def count_Q_chi(n: int, ell: int, chi: RationalCharacter) -> int:
-    """len(enumerate_Q_chi(...)), via the grouped table."""
+    """len(enumerate_Q_chi(...)), from the string-class table, listing no label."""
     if chi.ell != ell:
         raise ValueError(f"character has {chi.ell} entries, expected {ell}")
     vectors, _, groups = _string_class_table(n, ell)
-    ok = _integral_vector_flags(vectors, chi)
-    return sum(
-        count for indices, count in groups if all(ok[k] for k in indices)
-    )
+    bad = _non_integral_mask(vectors, chi)
+    return sum(count for mask, count in groups if not mask & bad)

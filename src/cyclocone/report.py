@@ -34,7 +34,7 @@ from .params import (
     hecke_params,
     hecke_q,
 )
-from .partitions import enumerate_multipartitions
+from .partitions import partitions_of
 from .rootlattice import DimVector, generate_Rn, pair
 
 
@@ -104,8 +104,23 @@ class SemisimplicityReport(NamedTuple):
 
 @lru_cache(maxsize=None)
 def count_multipartitions(n: int, ell: int) -> int:
-    """Size of the set of ell-multipartitions of n, by direct enumeration."""
-    return sum(1 for _ in enumerate_multipartitions(n, ell))
+    """Size of the set of ell-multipartitions of n, listing none of them.
+
+    The generating function is the ell-th power of the partition generating
+    function, so the partition counts up to n are convolved ell times.
+    """
+    if ell < 1:
+        raise ValueError("cycle length must be positive")
+    if n < 0:
+        raise ValueError("total size must be nonnegative")
+    partitions = [len(partitions_of(k)) for k in range(n + 1)]
+    counts = [1] + [0] * n
+    for _ in range(ell):
+        counts = [
+            sum(counts[j] * partitions[k - j] for j in range(k + 1))
+            for k in range(n + 1)
+        ]
+    return counts[n]
 
 
 def semisimplicity_report(

@@ -47,6 +47,7 @@ def _clear_enumeration_caches():
     orbits_module._class_set_cokernel.cache_clear()
     orbits_module._summand_vector.cache_clear()
     orbits_module._component_candidates.cache_clear()
+    orbits_module._component_classes.cache_clear()
     partitions_module.partitions_of.cache_clear()
 
 

@@ -249,6 +249,17 @@ class TestExitCodeContract:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "character", [["--chi", "1/2,1/3"], ["--kappa", "k00=1/3,k=1/4,-1/4"]]
+    )
+    def test_selftest_rejects_a_given_character(self, character):
+        code, out, err = invoke(
+            ["semisimple", "-n", "1", "-l", "2", "--selftest", "2"] + character
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_too_many_components_is_input_error(self):
         code, out, err = invoke(["orbits", "-n", "0", "-l", "1500"])
         assert code == 2

@@ -8,7 +8,9 @@ non-trivial pi1 and a mixed monodromic column.  The (3, 3) table has 2,090
 labels over far fewer distinct string-class sets, so most of its pi1 column
 comes from the per-process pi1 cache rather than a fresh cokernel.  Its
 JSON form with a character pins the per-orbit records and totals that the
-CLI builds from the report's typed rows.
+CLI builds from the report's typed rows.  The (4, 4) verdict at a character
+pins the counting criterion's simple-object count, which is read off the
+string-class table without listing the 256,966 labels.
 """
 
 import hashlib
@@ -48,6 +50,7 @@ GOLDEN = [
     ("orbits -n 3 -l 2 --chi 1/2,1/3", "tsv", 0, "8573e18bbf98908f67db22b9d2535be68d7c484453ca8d044baaacf40eb2e3db"),
     ("orbits -n 3 -l 3", "tsv", 0, "46b930971d2014d67aae7c8987f8699b4f90b9068af38d4154a86d851805e026"),
     ("orbits -n 3 -l 3 --chi 1/2,1/3,1/5", "json", 0, "e423e8fb77b3eb9198ba0e25746b89f02847b85ca73584084d046a03bd6751da"),
+    ("semisimple -n 4 -l 4 --chi 1/5,1/7,2/3,-1/2", "json", 0, "c63bf7add53d123632edb259840b7b5476ef4b1dba978c82de375491c646d688"),
 ]
 
 

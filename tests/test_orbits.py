@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -224,6 +225,31 @@ class TestMonodromy:
                 assert admits_monodromic_local_system(lab, chi) == expected
 
 
+class TestStringClassTable:
+    @pytest.mark.parametrize(
+        "n, ell", [(n, ell) for n in range(5) for ell in range(1, 5)]
+    )
+    def test_groups_equal_the_listing(self, n, ell):
+        # Per label, the set of its string vectors, scanned from the boxes.
+        listed = Counter(
+            frozenset(string_vectors_scan(tuple(c.parts for c in lab.nu), ell))
+            for lab in enumerate_orbits(n, ell)
+        )
+        vectors, bits, groups = orbits_module._string_class_table(n, ell)
+        counted = Counter()
+        for mask, count in groups:
+            counted[
+                frozenset(v for k, v in enumerate(vectors) if mask >> k & 1)
+            ] += count
+        assert counted == listed
+        assert len(groups) == len(listed)
+        assert len(set(vectors)) == len(vectors)
+        assert all(
+            vectors[bit.bit_length() - 1] == orbits_module._string_coords(*cls, ell)
+            for cls, bit in bits.items()
+        )
+
+
 class TestQChi:
     def test_integral_keeps_everything(self):
         assert len(enumerate_Q_chi(2, 2, chi_of(0, 0))) == 41
@@ -240,14 +266,18 @@ class TestQChi:
         ] == [((2,), ((),)), ((1, 1), ((),)), ((), ((2,),))]
 
     def test_count_agrees_with_list(self):
+        # The table's count against listing plus per-label flags, on every
+        # (n, ell) up to (4, 4); small denominators mix the verdicts.
         rng = random.Random(13)
-        for _ in range(60):
-            n = rng.randint(0, 3)
-            ell = rng.randint(1, 3)
-            chi = RationalCharacter(
-                tuple(random_fraction(rng) for _ in range(ell))
-            )
-            assert count_Q_chi(n, ell, chi) == len(enumerate_Q_chi(n, ell, chi))
+        for n in range(5):
+            for ell in range(1, 5):
+                for _ in range(4):
+                    chi = RationalCharacter(
+                        tuple(random_fraction(rng, max_den=4) for _ in range(ell))
+                    )
+                    assert count_Q_chi(n, ell, chi) == len(
+                        enumerate_Q_chi(n, ell, chi)
+                    )
 
     def test_counting_dichotomy(self):
         rng = random.Random(17)

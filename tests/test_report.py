@@ -3,14 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+import cyclocone.orbits as orbits_module
+import cyclocone.partitions as partitions_module
+import cyclocone.report as report_module
 from cyclocone.abelian import FGAbelianGroup
 from cyclocone.orbits import (
     admits_monodromic_local_system,
+    count_Q_chi,
     decompose,
     enumerate_orbits,
     enumerate_Q_chi,
 )
 from cyclocone.params import RationalCharacter
+from cyclocone.partitions import enumerate_multipartitions
 from cyclocone.report import (
     CriteriaDisagreement,
     OrbitRow,
@@ -20,7 +25,7 @@ from cyclocone.report import (
     semisimplicity_report,
 )
 
-from oracles import random_fraction
+from oracles import multipartition_count, random_fraction
 
 
 def chi_of(*vals):
@@ -191,3 +196,78 @@ class TestMultipartitionCount:
         assert count_multipartitions(2, 2) == 5
         assert count_multipartitions(0, 4) == 1
         assert count_multipartitions(2, 1) == 2
+
+    @pytest.mark.parametrize(
+        "n, ell", [(n, ell) for n in range(5) for ell in range(1, 5)]
+    )
+    def test_agrees_with_listing(self, n, ell):
+        assert count_multipartitions(n, ell) == sum(
+            1 for _ in enumerate_multipartitions(n, ell)
+        )
+
+    def test_agrees_with_convolution_oracle(self):
+        for n in range(9):
+            for ell in range(1, 6):
+                assert count_multipartitions(n, ell) == multipartition_count(n, ell)
+
+
+class TestCountingWithoutListing:
+    def test_report_lists_no_orbit_and_no_multipartition(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the counting criterion listed")
+
+        for cache in (
+            orbits_module.enumerate_orbits,
+            orbits_module._string_class_table,
+            orbits_module._component_candidates,
+            orbits_module._component_classes,
+            count_multipartitions,
+        ):
+            cache.cache_clear()
+        monkeypatch.setattr(orbits_module, "enumerate_orbits", refuse)
+        monkeypatch.setattr(report_module, "enumerate_orbits", refuse)
+        monkeypatch.setattr(partitions_module, "enumerate_multipartitions", refuse)
+        # The counts were taken from the listing before counting stopped
+        # listing.
+        for values, semisimple, simple_count in [
+            (("1/5", "1/7", "2/3", "-1/2"), True, 105),
+            (("1/2", "1/2", "1/3", "-1/3"), False, 1344),
+            (("0", "1/2", "0", "1/3"), False, 188),
+        ]:
+            rep = semisimplicity_report(4, 4, chi_of(*values))
+            assert (rep.semisimple, rep.simple_count, rep.pell_count) == (
+                semisimple,
+                simple_count,
+                105,
+            )
+
+    # Per size: the number of labels, then (semisimple, simple_count) of each
+    # seeded character below, all taken from the listing before counting
+    # stopped listing (it takes seconds at these sizes, so the suite does not
+    # list them).
+    FRONTIER = {
+        (6, 3): (311_455, [(True, 221)] * 8 + [(False, 272)] * 2 + [(True, 221)] * 2),
+        (2, 6): (
+            50_332,
+            [(False, 33)] * 3
+            + [(False, 57), (False, 33), (True, 27), (True, 27), (False, 40)]
+            + [(False, 33), (False, 37), (False, 33), (True, 27)],
+        ),
+    }
+
+    @pytest.mark.parametrize("n, ell", sorted(FRONTIER))
+    def test_criteria_agree_beyond_the_listed_sizes(self, n, ell):
+        # Roots and Hecke parameters do not use the string-class table, so
+        # semisimplicity_report raising no CriteriaDisagreement checks the
+        # table's verdict; the pinned counts check the table itself.
+        labels, expected = self.FRONTIER[n, ell]
+        assert count_Q_chi(n, ell, RationalCharacter((0,) * ell)) == labels
+        rng = random.Random(97 * n + ell)
+        got = []
+        for _ in expected:
+            chi = RationalCharacter(
+                tuple(random_fraction(rng, max_den=2 * n * ell) for _ in range(ell))
+            )
+            report = semisimplicity_report(n, ell, chi)
+            got.append((report.semisimple, report.simple_count))
+        assert got == expected
