@@ -59,50 +59,3 @@ from .rootlattice import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Box",
-    "CircleElement",
-    "CriteriaDisagreement",
-    "DimVector",
-    "FGAbelianGroup",
-    "IntMatrix",
-    "KappaParams",
-    "MultiPartition",
-    "OrbitLabel",
-    "OrbitRow",
-    "Partition",
-    "RationalCharacter",
-    "RootSet",
-    "SemisimplicityReport",
-    "StringSummand",
-    "SummandDecomposition",
-    "admits_monodromic_local_system",
-    "ariki_product_nonzero",
-    "cherednik_semisimple",
-    "chi_to_kappa",
-    "circle",
-    "cokernel",
-    "content",
-    "count_multipartitions",
-    "decompose",
-    "delta",
-    "enumerate_Q_chi",
-    "enumerate_multipartitions",
-    "enumerate_orbits",
-    "enumerate_partitions",
-    "epsilon",
-    "fundamental_group",
-    "generate_Rn",
-    "hecke_params",
-    "hecke_q",
-    "hyperplane_listing",
-    "is_integral_pairing",
-    "kappa_to_chi",
-    "orbit_report",
-    "pair",
-    "residue",
-    "semisimplicity_report",
-    "shifted_residue",
-    "smith_normal_form",
-]

@@ -195,10 +195,6 @@ class FGAbelianGroup(Frozen):
         self._assign(int(free_rank), factors)
 
     @classmethod
-    def free(cls, rank: int) -> FGAbelianGroup:
-        return cls(rank)
-
-    @classmethod
     def cyclic(cls, order: int) -> FGAbelianGroup:
         """Z/order, with Z/0 = Z and Z/1 trivial."""
         order = abs(order)

@@ -156,16 +156,25 @@ def _cell(value) -> str:
 def _cmd_orbits(args, out) -> int:
     chi = _resolve_chi(args, args.ell, required=False)
     rows = orbit_report(args.n, args.ell, chi)
-    monodromic = None if chi is None else sum(row.monodromic for row in rows)
-    multipartitions = count_multipartitions(args.n, args.ell)
+    # Pull the first row before writing, so a refused input prints nothing.
+    rows = chain([next(rows)], rows)
     header = ["lambda", "nu", "pi1", "summands"]
     if chi is not None:
         header.append("monodromic")
+    totals = {"orbits": 0, "monodromic": None if chi is None else 0}
+    pi1_texts = {}  # one text per distinct group
+
+    def counted():
+        for row in rows:
+            totals["orbits"] += 1
+            if chi is not None:
+                totals["monodromic"] += row.monodromic
+            yield row
 
     def as_json(row) -> dict:
         entry = {
-            "lambda": str(row.label.lam),
-            "nu": str(row.label.nu),
+            "lambda": str(row.lam),
+            "nu": ";".join(comp.text for comp in row.components),
             "summands": [
                 {"start": s.start, "row": s.row, "dim_vector": str(s.vector)}
                 for s in row.strings
@@ -180,19 +189,21 @@ def _cmd_orbits(args, out) -> int:
         return {
             "n": args.n,
             "ell": args.ell,
-            "chi": [str(v) for v in chi.values] if chi is not None else None,
-            "orbits": [as_json(row) for row in rows],
-            "totals": {
-                "orbits": len(rows),
-                "monodromic": monodromic,
-                "multipartitions": multipartitions,
-            },
+            "chi": chi.to_json() if chi is not None else None,
+            "orbits": [as_json(row) for row in counted()],
+            "totals": dict(
+                totals, multipartitions=count_multipartitions(args.n, args.ell)
+            ),
         }
 
-    def cells():
+    def cells(rows):
         for row in rows:
-            summands = " ".join(f"{s.start}:{s.row}:{s.vector}" for s in row.strings)
-            line = [str(row.label.lam), str(row.label.nu), str(row.pi1)]
+            pi1 = pi1_texts.get(row.pi1)
+            if pi1 is None:
+                pi1 = pi1_texts[row.pi1] = str(row.pi1)
+            components = row.components
+            summands = " ".join(comp.summands for comp in components if comp.summands)
+            line = [str(row.lam), ";".join(comp.text for comp in components), pi1]
             line.append(summands or "-")
             if chi is not None:
                 line.append(_cell(row.monodromic))
@@ -200,13 +211,14 @@ def _cmd_orbits(args, out) -> int:
 
     def pretty():
         yield f"orbit labels for n={args.n}, ell={args.ell}"
-        yield from ("  " + "  ".join(line) for line in cells())
-        totals = f"totals: orbits={len(rows)} multipartitions={multipartitions}"
-        if monodromic is not None:
-            totals += f" monodromic={monodromic}"
-        yield totals
+        yield from ("  " + "  ".join(line) for line in cells(counted()))
+        multipartitions = count_multipartitions(args.n, args.ell)
+        line = f"totals: orbits={totals['orbits']} multipartitions={multipartitions}"
+        if chi is not None:
+            line += f" monodromic={totals['monodromic']}"
+        yield line
 
-    _render(out, args.format, obj, header, cells, pretty)
+    _render(out, args.format, obj, header, lambda: cells(rows), pretty)
     return EXIT_OK
 
 
@@ -248,7 +260,7 @@ def _cmd_simples(args, out) -> int:
         lambda: {
             "n": args.n,
             "ell": args.ell,
-            "chi": [str(v) for v in chi.values],
+            "chi": chi.to_json(),
             "count": len(labels),
             "labels": [
                 {"lambda": str(lab.lam), "nu": str(lab.nu)} for lab in labels
@@ -274,6 +286,8 @@ def _random_character(rng: random.Random, ell: int) -> RationalCharacter:
 
 
 def _cmd_semisimple(args, out) -> int:
+    if args.seed is not None and args.selftest is None:
+        raise InputError("--seed only applies to --selftest")
     if args.selftest is not None:
         if args.selftest < 1:
             raise InputError("--selftest COUNT must be positive")
@@ -369,7 +383,7 @@ def _cmd_translate(args, out) -> int:
         args.format,
         lambda: {
             "ell": args.ell,
-            "chi": [str(v) for v in chi.values],
+            "chi": chi.to_json(),
             "kappa": kp.to_json(),
             "hecke": {
                 "q0": str(q0),

@@ -5,20 +5,22 @@ residues add up to n*delta.  Each row of each nu component contributes one
 string summand; the framed summand absorbs lambda.  Row j >= 1 of component
 i >= 0, of length l, is fixed up to isomorphism by its string class
 
-    (top, length) = (i + j - 1 mod ell, l),
+    (top, length) = (i + j - 1 mod ell, l).
 
-and `_string_classes` is the one place that derives it.  The class is the
-key of both the fundamental group (the cokernel of one column per distinct
-class) and the string-class counting table.  A character admits a
-monodromic local system on the orbit exactly when it pairs integrally with
-every string summand.
+A label needs of a nu component only what the placed component (ell, i,
+parts) determines, so the cached `PlacedComponent` record is where its
+classes, its class-bit mask and its texts are derived.  The fundamental
+group is the cokernel of one column per bit of a label's mask (the OR of
+its components'), and a character admits a monodromic local system on the
+orbit exactly when it pairs integrally with every vector of that mask.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import compress
+from functools import lru_cache, reduce
+from itertools import chain
 from math import lcm
+from operator import or_, sub
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
@@ -93,16 +95,6 @@ def _component_classes(
     )
 
 
-def _string_classes(label: OrbitLabel) -> Iterator[tuple[int, int, int, int]]:
-    """(component, row, top, length) for every row of every nu component."""
-    ell = label.ell
-    for i, comp in enumerate(label.nu):
-        for j, (top, length) in enumerate(
-            _component_classes(ell, i, comp.parts), start=1
-        ):
-            yield i, j, top, length
-
-
 @lru_cache(maxsize=None)
 def _string_coords(top: int, length: int, ell: int) -> Coords:
     coords = [0] * ell
@@ -111,42 +103,83 @@ def _string_coords(top: int, length: int, ell: int) -> Coords:
     return tuple(coords)
 
 
+def _mask_vectors(ell: int, mask: int) -> list[Coords]:
+    """The string vector of every bit of a mask (see _placed), in bit order."""
+    bits = [k for k in range(mask.bit_length()) if mask >> k & 1]
+    return [_string_coords(k % ell, k // ell + 1, ell) for k in bits]
+
+
+class PlacedComponent(NamedTuple):
+    """A partition placed as a nu component, with what a table row needs of it."""
+
+    partition: Partition
+    shifted: Coords  # its residue rotated by the component index
+    strings: tuple[StringSummand, ...]
+    mask: int  # the class bits of its rows
+    text: str  # str(partition)
+    summands: str  # "i:j:(v)" per string summand, space-separated
+
+
+Components = tuple[PlacedComponent, ...]
+
+
 @lru_cache(maxsize=None)
-def _summand_vector(top: int, length: int, ell: int) -> DimVector:
-    # DimVector is immutable, so every row of a class shares one instance.
-    return DimVector(_string_coords(top, length, ell))
+def _placed(ell: int, index: int, parts: tuple[int, ...]) -> PlacedComponent:
+    partition = _interned_partition(parts)
+    strings, mask = [], 0
+    for j, (top, length) in enumerate(_component_classes(ell, index, parts), 1):
+        vector = DimVector(_string_coords(top, length, ell))
+        strings.append(StringSummand(index, j, vector))
+        # Bit (length - 1) * ell + top, one per string vector: a length that
+        # ell divides gives a multiple of delta whatever the top.
+        mask |= 1 << ((length - 1) * ell + (top if length % ell else 0))
+    return PlacedComponent(
+        partition,
+        residue(partition, ell).rotated(index).coords,
+        tuple(strings),
+        mask,
+        str(partition),
+        " ".join(f"{index}:{s.row}:{s.vector}" for s in strings),
+    )
+
+
+@lru_cache(maxsize=None)
+def _placed_of_size(ell: int, index: int, size: int) -> Components:
+    return tuple(_placed(ell, index, parts) for parts in partitions_of(size))
+
+
+def _placed_nu(label: OrbitLabel) -> Components:
+    return tuple(_placed(label.ell, i, comp.parts) for i, comp in enumerate(label.nu))
+
+
+def _strings(components: Components) -> tuple[StringSummand, ...]:
+    return tuple(chain.from_iterable(comp.strings for comp in components))
+
+
+def _orbit_label(lam: Partition, components: Components, n: int) -> OrbitLabel:
+    nu = MultiPartition(comp.partition for comp in components)
+    return OrbitLabel._trusted(lam, nu, n, len(components))
 
 
 def decompose(label: OrbitLabel) -> SummandDecomposition:
     """Framed summand plus one string summand per row of each nu component."""
-    ell = label.ell
-    strings = tuple(
-        StringSummand(i, j, _summand_vector(top, length, ell))
-        for i, j, top, length in _string_classes(label)
-    )
-    framed = DimVector(residue(label.lam, ell).coords, framing=1)
-    return SummandDecomposition(framed, strings)
+    framed = DimVector(residue(label.lam, label.ell).coords, framing=1)
+    return SummandDecomposition(framed, _strings(_placed_nu(label)))
 
 
 def fundamental_group(label: OrbitLabel) -> FGAbelianGroup:
     """Cokernel of the matrix of string summand classes inside Z^ell.
 
     The framed summand is dropped, and there is one column per distinct
-    string class; repeated columns would not change the cokernel anyway.
-    Neither does column order, so the group is computed once per distinct
-    set of classes.
+    string vector, in any order, so the group is computed once per mask.
     """
-    classes = frozenset(
-        (top, length) for _, _, top, length in _string_classes(label)
-    )
-    return _class_set_cokernel(label.ell, classes)
+    mask = reduce(or_, (comp.mask for comp in _placed_nu(label)), 0)
+    return _class_set_cokernel(label.ell, mask)
 
 
 @lru_cache(maxsize=None)
-def _class_set_cokernel(
-    ell: int, classes: frozenset[tuple[int, int]]
-) -> FGAbelianGroup:
-    columns = [_string_coords(top, length, ell) for top, length in sorted(classes)]
+def _class_set_cokernel(ell: int, mask: int) -> FGAbelianGroup:
+    columns = _mask_vectors(ell, mask)
     return cokernel(IntMatrix.from_columns(columns, rows=ell))
 
 
@@ -159,10 +192,7 @@ def admits_monodromic_local_system(
             f"character has {chi.ell} entries, label lives on a cycle "
             f"of length {label.ell}"
         )
-    vectors = tuple(
-        _string_coords(top, length, chi.ell)
-        for _, _, top, length in _string_classes(label)
-    )
+    vectors = [s.vector.coords for s in _strings(_placed_nu(label))]
     return not _non_integral_mask(vectors, chi)
 
 
@@ -183,24 +213,57 @@ def _component_candidates(
     return tuple(out)
 
 
-def _fill_components(
-    ell: int, index: int, remaining: tuple[int, ...]
-) -> Iterator[tuple[Partition, ...]]:
-    budget = sum(remaining)
+@lru_cache(maxsize=None)
+def _closing(ell: int, remaining: Coords) -> Components:
+    # The last component must take up the remaining residue exactly.
+    comps = _placed_of_size(ell, ell - 1, sum(remaining))
+    return tuple(comp for comp in comps if comp.shifted == remaining)
+
+
+def _fill(
+    ell: int, index: int, remaining: Coords, mask: int, head: Components
+) -> Iterator[tuple[Components, int]]:
+    # One level per component, so a long cycle runs out of stack.
     if index == ell - 1:
-        # Last component must hit the remaining residue exactly.
-        for parts, shifted in _component_candidates(ell, index, budget):
-            if shifted == remaining:
-                yield (_interned_partition(parts),)
+        for comp in _closing(ell, remaining):
+            yield head + (comp,), mask | comp.mask
         return
-    for size in range(budget + 1):
-        for parts, shifted in _component_candidates(ell, index, size):
-            rest = tuple(r - s for r, s in zip(remaining, shifted))
-            if min(rest) < 0:
+    for size in range(sum(remaining) + 1):
+        for comp in _placed_of_size(ell, index, size):
+            rest = tuple(map(sub, remaining, comp.shifted))
+            if min(rest) >= 0:
+                yield from _fill(
+                    ell, index + 1, rest, mask | comp.mask, head + (comp,)
+                )
+
+
+def _fill_labels(
+    n: int, ell: int, chi: RationalCharacter | None = None
+) -> Iterator[tuple[Partition, Components, int, bool | None]]:
+    """(lambda, nu components, class mask, chi-monodromic flag or None) per
+    label of enumerate_orbits; the flag is computed once per mask."""
+    if ell < 1:
+        raise ValueError("cycle length must be positive")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if chi is not None and chi.ell != ell:
+        raise ValueError(f"character has {chi.ell} entries, expected {ell}")
+    flags: dict[int, bool] = {}
+    target = n * delta(ell)
+    for lam_size in range(n * ell, -1, -1):
+        for lam_parts in partitions_of(lam_size):
+            lam = _interned_partition(lam_parts)
+            rest = target - residue(lam, ell)
+            if not rest.is_nonnegative():
                 continue
-            head = _interned_partition(parts)
-            for tail in _fill_components(ell, index + 1, rest):
-                yield (head,) + tail
+            for components, mask in _fill(ell, 0, rest.coords, 0, ()):
+                flag = None
+                if chi is not None:
+                    flag = flags.get(mask)
+                    if flag is None:
+                        vectors = _mask_vectors(ell, mask)
+                        flag = flags[mask] = not _non_integral_mask(vectors, chi)
+                yield lam, components, mask, flag
 
 
 @lru_cache(maxsize=None)
@@ -212,23 +275,8 @@ def enumerate_orbits(n: int, ell: int) -> tuple[OrbitLabel, ...]:
     left to right against the complementary residue.  The labels with empty
     nu therefore come first.
     """
-    if ell < 1:
-        raise ValueError("cycle length must be positive")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    target = n * delta(ell)
-    out = []
-    for lam_size in range(n * ell, -1, -1):
-        for lam_parts in partitions_of(lam_size):
-            lam = _interned_partition(lam_parts)
-            rest = target - residue(lam, ell)
-            if not rest.is_nonnegative():
-                continue
-            for combo in _fill_components(ell, 0, rest.coords):
-                out.append(
-                    OrbitLabel._trusted(lam, MultiPartition(combo), n, ell)
-                )
-    return tuple(out)
+    labels = _fill_labels(n, ell)
+    return tuple(_orbit_label(lam, comps, n) for lam, comps, _, _ in labels)
 
 
 @lru_cache(maxsize=None)
@@ -325,39 +373,16 @@ def _non_integral_mask(vectors: tuple[Coords, ...], chi: RationalCharacter) -> i
     return mask
 
 
-def _monodromic_flags(n: int, ell: int, chi: RationalCharacter) -> list[bool]:
-    """Per label of enumerate_orbits(n, ell): does it admit a chi-monodromic system?"""
-    if chi.ell != ell:
-        raise ValueError(f"character has {chi.ell} entries, expected {ell}")
-    vectors, bits, _ = _string_class_table(n, ell)
-    bad = _non_integral_mask(vectors, chi)
-    masks: dict[tuple[int, tuple[int, ...]], int] = {}  # per placed component
-    flags = []
-    for label in enumerate_orbits(n, ell):
-        mask = 0
-        for index, comp in enumerate(label.nu.components):
-            key = index, comp.parts
-            part_mask = masks.get(key)
-            if part_mask is None:
-                part_mask = 0
-                for cls in _component_classes(ell, index, comp.parts):
-                    part_mask |= bits[cls]
-                masks[key] = part_mask
-            mask |= part_mask
-        flags.append(not mask & bad)
-    return flags
-
-
 def enumerate_Q_chi(
     n: int, ell: int, chi: RationalCharacter
 ) -> list[OrbitLabel]:
     """The labels admitting a chi-monodromic local system.
 
     Its length is the number of simple objects of the admissible category
-    at the character chi.
+    at the character chi.  Only those labels are built.
     """
-    flags = _monodromic_flags(n, ell, chi)
-    return list(compress(enumerate_orbits(n, ell), flags))
+    rows = _fill_labels(n, ell, chi)
+    return [_orbit_label(lam, comps, n) for lam, comps, _, flag in rows if flag]
 
 
 def count_Q_chi(n: int, ell: int, chi: RationalCharacter) -> int:

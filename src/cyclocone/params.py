@@ -68,6 +68,9 @@ class RationalCharacter(Frozen):
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.values)
 
+    def to_json(self) -> list[str]:
+        return [str(v) for v in self.values]
+
 
 class KappaParams(Frozen):
     """Kappa coordinates (k00, k01, kappa) with k00+k01 = 0 and sum(kappa) = 0."""

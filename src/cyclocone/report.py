@@ -12,18 +12,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .abelian import FGAbelianGroup
 from .orbits import (
     OrbitLabel,
+    PlacedComponent,
     StringSummand,
-    _monodromic_flags,
+    _class_set_cokernel,
+    _fill_labels,
+    _orbit_label,
+    _strings,
     count_Q_chi,
-    decompose,
-    enumerate_orbits,
-    fundamental_group,
 )
 from .params import (
     CircleElement,
@@ -34,7 +34,7 @@ from .params import (
     hecke_params,
     hecke_q,
 )
-from .partitions import partitions_of
+from .partitions import Partition, partitions_of
 from .rootlattice import DimVector, generate_Rn, pair
 
 
@@ -82,7 +82,7 @@ class SemisimplicityReport(NamedTuple):
         return {
             "n": self.n,
             "ell": self.ell,
-            "chi": [str(v) for v in self.chi.values],
+            "chi": self.chi.to_json(),
             "verdict_roots": self.verdict_roots,
             "verdict_hecke": self.verdict_hecke,
             "verdict_counting": self.verdict_counting,
@@ -195,21 +195,29 @@ def hyperplane_listing(n: int, ell: int) -> list[tuple[DimVector, str]]:
 
 
 class OrbitRow(NamedTuple):
-    """An orbit label, its string summands, its pi1 and whether it admits a
-    chi-monodromic local system (None when no chi is given)."""
+    """An orbit label as lambda and its placed nu components, its pi1 and
+    whether it admits a chi-monodromic local system (None without chi).
+    `label` and `strings` are built from the components on access."""
 
-    label: OrbitLabel
-    strings: tuple[StringSummand, ...]
+    lam: Partition
+    components: tuple[PlacedComponent, ...]
     pi1: FGAbelianGroup
     monodromic: bool | None
+
+    @property
+    def label(self) -> OrbitLabel:
+        size = self.lam.size + sum(comp.partition.size for comp in self.components)
+        return _orbit_label(self.lam, self.components, size // len(self.components))
+
+    @property
+    def strings(self) -> tuple[StringSummand, ...]:
+        return _strings(self.components)
 
 
 def orbit_report(
     n: int, ell: int, chi: RationalCharacter | None = None
-) -> list[OrbitRow]:
-    """One OrbitRow per orbit label, in enumeration order."""
-    flags = repeat(None) if chi is None else _monodromic_flags(n, ell, chi)
-    return [
-        OrbitRow(label, decompose(label).strings, fundamental_group(label), flag)
-        for label, flag in zip(enumerate_orbits(n, ell), flags)
-    ]
+) -> Iterator[OrbitRow]:
+    """One OrbitRow per orbit label, in enumeration order, built as it is
+    read; pi1 depends only on the label's class mask and is cached per mask."""
+    for lam, components, mask, flag in _fill_labels(n, ell, chi):
+        yield OrbitRow(lam, components, _class_set_cokernel(ell, mask), flag)

@@ -45,7 +45,9 @@ def _clear_enumeration_caches():
     orbits_module.enumerate_orbits.cache_clear()
     orbits_module._string_class_table.cache_clear()
     orbits_module._class_set_cokernel.cache_clear()
-    orbits_module._summand_vector.cache_clear()
+    orbits_module._placed.cache_clear()
+    orbits_module._placed_of_size.cache_clear()
+    orbits_module._closing.cache_clear()
     orbits_module._component_candidates.cache_clear()
     orbits_module._component_classes.cache_clear()
     partitions_module.partitions_of.cache_clear()

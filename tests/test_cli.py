@@ -260,6 +260,14 @@ class TestExitCodeContract:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    def test_seed_without_selftest_is_input_error(self):
+        code, out, err = invoke(
+            ["semisimple", "-n", "1", "-l", "2", "--chi", "1/5,1/7", "--seed", "3"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_too_many_components_is_input_error(self):
         code, out, err = invoke(["orbits", "-n", "0", "-l", "1500"])
         assert code == 2

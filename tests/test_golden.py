@@ -10,7 +10,9 @@ comes from the per-process pi1 cache rather than a fresh cokernel.  Its
 JSON form with a character pins the per-orbit records and totals that the
 CLI builds from the report's typed rows.  The (4, 4) verdict at a character
 pins the counting criterion's simple-object count, which is read off the
-string-class table without listing the 256,966 labels.
+string-class table without listing the 256,966 labels.  The (3, 4) table
+with a character has mixed flags over 23,682 rows, and the simple objects at
+that character are a filtered fill.
 """
 
 import hashlib
@@ -18,7 +20,12 @@ import io
 
 import pytest
 
+import cyclocone
+import cyclocone.cli as cli_module
+import cyclocone.orbits as orbits_module
+import cyclocone.report as report_module
 from cyclocone.cli import run
+from cyclocone.orbits import OrbitLabel
 
 GOLDEN = [
     ("orbits -n 2 -l 2", "pretty", 0, "8940e55f4534a71b460051930a9a1c9eddb7254b50dbf05b09049d5d6b631d86"),
@@ -51,6 +58,8 @@ GOLDEN = [
     ("orbits -n 3 -l 3", "tsv", 0, "46b930971d2014d67aae7c8987f8699b4f90b9068af38d4154a86d851805e026"),
     ("orbits -n 3 -l 3 --chi 1/2,1/3,1/5", "json", 0, "e423e8fb77b3eb9198ba0e25746b89f02847b85ca73584084d046a03bd6751da"),
     ("semisimple -n 4 -l 4 --chi 1/5,1/7,2/3,-1/2", "json", 0, "c63bf7add53d123632edb259840b7b5476ef4b1dba978c82de375491c646d688"),
+    ("orbits -n 3 -l 4 --chi 1/2,1/4,0,1/3", "tsv", 0, "3bf5f7765026f59d9af78d8376a01c1957b7b3fbd9fd2a23f098c16478206c48"),
+    ("simples -n 3 -l 4 --chi 1/2,1/4,0,1/3", "pretty", 0, "36217f163da210d24e8200d93123ff77197507890c70c2e7760a70fdb26fb792"),
 ]
 
 
@@ -65,4 +74,21 @@ def test_stdout_and_exit_code(command, fmt, code, digest):
     assert (got, hashlib.sha256(out.getvalue().encode()).hexdigest()) == (
         code,
         digest,
+    )
+
+
+def test_orbit_table_builds_no_label(monkeypatch):
+    # The table streams rows from the placed-component records; it must
+    # neither list labels nor go through the per-label functions.
+    def refuse(*args):
+        raise AssertionError("the orbit table built a label")
+
+    for module in (cyclocone, orbits_module, report_module, cli_module):
+        for name in ("enumerate_orbits", "decompose", "fundamental_group"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(OrbitLabel, "_trusted", refuse)
+    monkeypatch.setattr(OrbitLabel, "__init__", refuse)
+    test_stdout_and_exit_code(
+        *next(g for g in GOLDEN if g[:2] == ("orbits -n 3 -l 3", "tsv"))
     )

@@ -42,6 +42,11 @@ class TestParsing:
         assert chi.values == (Fraction(1, 5), Fraction(1, 7))
         assert str(chi) == "1/5,1/7"
 
+    def test_character_json(self):
+        # The one JSON form of chi: every command prints it this way.
+        chi = RationalCharacter.parse("-1/2,3,0,2/4")
+        assert chi.to_json() == ["-1/2", "3", "0", "1/2"]
+
     def test_kappa_string(self):
         kp = KappaParams.parse("k00=1/3,k=1/4,-1/4", ell=2)
         assert kp.k00 == Fraction(1, 3)

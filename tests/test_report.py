@@ -25,7 +25,13 @@ from cyclocone.report import (
     semisimplicity_report,
 )
 
-from oracles import multipartition_count, random_fraction
+from oracles import (
+    brute_force_orbit_pairs,
+    cokernel_by_minors,
+    multipartition_count,
+    random_fraction,
+    string_vectors_scan,
+)
 
 
 def chi_of(*vals):
@@ -141,6 +147,8 @@ class TestHyperplaneListing:
 class TestOrbitReport:
     def test_pi1_column(self):
         rows = orbit_report(2, 1)
+        assert iter(rows) is rows  # rows are built as they are read
+        rows = list(rows)
         assert all(isinstance(row, OrbitRow) for row in rows)
         assert [row.label for row in rows] == list(enumerate_orbits(2, 1))
         assert [row.pi1 for row in rows] == [
@@ -155,17 +163,17 @@ class TestOrbitReport:
         assert count_multipartitions(2, 1) == 2
 
     def test_half_integral_flags(self):
-        rows = orbit_report(2, 1, chi_of("1/2"))
+        rows = list(orbit_report(2, 1, chi_of("1/2")))
         flags = [row.monodromic for row in rows]
         assert flags == [True, True, False, True, False]
         assert sum(flags) == 3
 
     def test_integral_flags(self):
-        rows = orbit_report(2, 1, chi_of(0))
+        rows = list(orbit_report(2, 1, chi_of(0)))
         assert [row.monodromic for row in rows] == [True] * 5
 
     def test_record_fields(self):
-        rows = orbit_report(1, 2, chi_of(0, "1/2"))
+        rows = list(orbit_report(1, 2, chi_of(0, "1/2")))
         row = next(r for r in rows if str(r.label.nu) == "[];[2]")
         assert str(row.label.lam) == "[]"
         assert [(s.start, s.row, s.vector.coords) for s in row.strings] == [
@@ -182,13 +190,44 @@ class TestOrbitReport:
             chi = RationalCharacter(
                 tuple(random_fraction(rng, max_den=4) for _ in range(ell))
             )
-            rows = orbit_report(n, ell, chi)
+            rows = list(orbit_report(n, ell, chi))
             assert [row.monodromic for row in rows] == [
                 admits_monodromic_local_system(row.label, chi) for row in rows
             ]
             assert [row.label for row in rows if row.monodromic] == (
                 enumerate_Q_chi(n, ell, chi)
             )
+
+
+class TestOrbitRowsAgainstOracles:
+    """Every row of the table against the oracles, which share no code path
+    with the fill: labels by a double loop, string vectors by a box scan,
+    pi1 by determinantal divisors and the flag by exact pairings."""
+
+    @pytest.mark.parametrize(
+        "n, ell", [(n, ell) for n in range(4) for ell in range(1, 4)] + [(2, 4)]
+    )
+    def test_rows(self, n, ell):
+        rng = random.Random(41 * n + ell)
+        chi = RationalCharacter(
+            tuple(random_fraction(rng, max_den=3) for _ in range(ell))
+        )
+        rows = list(orbit_report(n, ell, chi))
+        labels = [row.label for row in rows]
+        assert labels == list(enumerate_orbits(n, ell))
+        pairs = [(lab.lam.parts, tuple(c.parts for c in lab.nu)) for lab in labels]
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == brute_force_orbit_pairs(n, ell)
+        for row, (_, nu) in zip(rows, pairs):
+            vectors = string_vectors_scan(nu, ell)
+            assert [s.vector.coords for s in row.strings] == vectors
+            assert row.pi1 == FGAbelianGroup(*cokernel_by_minors(vectors, ell))
+            integral = all(
+                sum(x * c for x, c in zip(chi.values, v)).denominator == 1
+                for v in vectors
+            )
+            assert row.monodromic == integral
+            assert row.monodromic == admits_monodromic_local_system(row.label, chi)
 
 
 class TestMultipartitionCount:
@@ -225,7 +264,7 @@ class TestCountingWithoutListing:
         ):
             cache.cache_clear()
         monkeypatch.setattr(orbits_module, "enumerate_orbits", refuse)
-        monkeypatch.setattr(report_module, "enumerate_orbits", refuse)
+        monkeypatch.setattr(orbits_module, "_fill_labels", refuse)
         monkeypatch.setattr(partitions_module, "enumerate_multipartitions", refuse)
         # The counts were taken from the listing before counting stopped
         # listing.
