@@ -162,7 +162,7 @@ def _cmd_orbits(args, out) -> int:
     if chi is not None:
         header.append("monodromic")
     totals = {"orbits": 0, "monodromic": None if chi is None else 0}
-    pi1_texts = {}  # one text per distinct group
+    pi1_texts = {}  # one text per group, keyed by its data (no Frozen hash)
 
     def counted():
         for row in rows:
@@ -198,9 +198,10 @@ def _cmd_orbits(args, out) -> int:
 
     def cells(rows):
         for row in rows:
-            pi1 = pi1_texts.get(row.pi1)
+            key = row.pi1.free_rank, row.pi1.invariant_factors
+            pi1 = pi1_texts.get(key)
             if pi1 is None:
-                pi1 = pi1_texts[row.pi1] = str(row.pi1)
+                pi1 = pi1_texts[key] = str(row.pi1)
             components = row.components
             summands = " ".join(comp.summands for comp in components if comp.summands)
             line = [str(row.lam), ";".join(comp.text for comp in components), pi1]

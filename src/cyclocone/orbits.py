@@ -7,12 +7,13 @@ i >= 0, of length l, is fixed up to isomorphism by its string class
 
     (top, length) = (i + j - 1 mod ell, l).
 
-A label needs of a nu component only what the placed component (ell, i,
-parts) determines, so the cached `PlacedComponent` record is where its
-classes, its class-bit mask and its texts are derived.  The fundamental
-group is the cokernel of one column per bit of a label's mask (the OR of
-its components'), and a character admits a monodromic local system on the
-orbit exactly when it pairs integrally with every vector of that mask.
+String class (top, length) is bit (length - 1) * ell + top of a class mask,
+top read as 0 when ell divides the length: one bit per string vector.  The
+cached `PlacedComponent` records, the table that counts labels per mask, the
+pi1 cache and the pairing test all share this numbering.  The fundamental
+group is the cokernel of one column per bit of a label's mask (the OR of its
+components'), and a character admits a monodromic local system on the orbit
+exactly when it pairs integrally with every vector of that mask.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from functools import lru_cache, reduce
 from itertools import chain
 from math import lcm
 from operator import or_, sub
-from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, NamedTuple
 
 from ._frozen import Frozen
 from .abelian import FGAbelianGroup, IntMatrix, cokernel
@@ -103,10 +103,22 @@ def _string_coords(top: int, length: int, ell: int) -> Coords:
     return tuple(coords)
 
 
+def _class_bit(top: int, length: int, ell: int) -> int:
+    """The mask bit of the string class (top, length); a length that ell
+    divides gives a multiple of delta whatever the top, so top is dropped."""
+    return 1 << ((length - 1) * ell + (top if length % ell else 0))
+
+
+def _mask_bits(ell: int, mask: int) -> Iterator[tuple[int, Coords]]:
+    """(bit, string vector) of every bit set in a class mask, in bit order."""
+    for k in range(mask.bit_length()):
+        if mask >> k & 1:
+            yield 1 << k, _string_coords(k % ell, k // ell + 1, ell)
+
+
 def _mask_vectors(ell: int, mask: int) -> list[Coords]:
-    """The string vector of every bit of a mask (see _placed), in bit order."""
-    bits = [k for k in range(mask.bit_length()) if mask >> k & 1]
-    return [_string_coords(k % ell, k // ell + 1, ell) for k in bits]
+    """The string vector of every bit of a class mask, in bit order."""
+    return [coords for _, coords in _mask_bits(ell, mask)]
 
 
 class PlacedComponent(NamedTuple):
@@ -130,9 +142,7 @@ def _placed(ell: int, index: int, parts: tuple[int, ...]) -> PlacedComponent:
     for j, (top, length) in enumerate(_component_classes(ell, index, parts), 1):
         vector = DimVector(_string_coords(top, length, ell))
         strings.append(StringSummand(index, j, vector))
-        # Bit (length - 1) * ell + top, one per string vector: a length that
-        # ell divides gives a multiple of delta whatever the top.
-        mask |= 1 << ((length - 1) * ell + (top if length % ell else 0))
+        mask |= _class_bit(top, length, ell)
     return PlacedComponent(
         partition,
         residue(partition, ell).rotated(index).coords,
@@ -167,14 +177,17 @@ def decompose(label: OrbitLabel) -> SummandDecomposition:
     return SummandDecomposition(framed, _strings(_placed_nu(label)))
 
 
+def _label_mask(label: OrbitLabel) -> int:
+    return reduce(or_, (comp.mask for comp in _placed_nu(label)), 0)
+
+
 def fundamental_group(label: OrbitLabel) -> FGAbelianGroup:
     """Cokernel of the matrix of string summand classes inside Z^ell.
 
     The framed summand is dropped, and there is one column per distinct
     string vector, in any order, so the group is computed once per mask.
     """
-    mask = reduce(or_, (comp.mask for comp in _placed_nu(label)), 0)
-    return _class_set_cokernel(label.ell, mask)
+    return _class_set_cokernel(label.ell, _label_mask(label))
 
 
 @lru_cache(maxsize=None)
@@ -192,8 +205,7 @@ def admits_monodromic_local_system(
             f"character has {chi.ell} entries, label lives on a cycle "
             f"of length {label.ell}"
         )
-    vectors = [s.vector.coords for s in _strings(_placed_nu(label))]
-    return not _non_integral_mask(vectors, chi)
+    return not _non_integral_mask(label.ell, _label_mask(label), chi)
 
 
 @lru_cache(maxsize=None)
@@ -204,12 +216,16 @@ def _interned_partition(parts: tuple[int, ...]) -> Partition:
 @lru_cache(maxsize=None)
 def _component_candidates(
     ell: int, index: int, size: int
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    # (parts, rotated residue coords) for every partition of the given size.
+) -> tuple[tuple[Coords, int], ...]:
+    # (rotated residue, class mask) of every partition of the given size
+    # placed as component `index`: what the counting table needs of a
+    # PlacedComponent, without its summands and texts.
     out = []
     for parts in partitions_of(size):
-        shifted = residue(_interned_partition(parts), ell).rotated(index)
-        out.append((parts, shifted.coords))
+        shifted = residue(_interned_partition(parts), ell).rotated(index).coords
+        classes = _component_classes(ell, index, parts)
+        mask = reduce(or_, (_class_bit(*c, ell) for c in classes), 0)
+        out.append((shifted, mask))
     return tuple(out)
 
 
@@ -261,8 +277,7 @@ def _fill_labels(
                 if chi is not None:
                     flag = flags.get(mask)
                     if flag is None:
-                        vectors = _mask_vectors(ell, mask)
-                        flag = flags[mask] = not _non_integral_mask(vectors, chi)
+                        flag = flags[mask] = not _non_integral_mask(ell, mask, chi)
                 yield lam, components, mask, flag
 
 
@@ -280,16 +295,15 @@ def enumerate_orbits(n: int, ell: int) -> tuple[OrbitLabel, ...]:
 
 
 @lru_cache(maxsize=None)
-def _string_class_table(n: int, ell: int) -> tuple[
-    tuple[Coords, ...], Mapping[tuple[int, int], int], tuple[tuple[int, int], ...]
-]:
-    """The labels of (n, ell) counted per set of distinct string vectors.
+def _string_class_table(
+    n: int, ell: int
+) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """The labels of (n, ell) counted per class mask.
 
-    Returns (vectors, {(top, length): bit}, ((mask, count), ...)).  Bit
-    1 << k stands for vectors[k], and every string class with that vector
-    maps to it; a group counts the labels whose string vectors are exactly
-    the bits of its mask.  Per character only the vectors need a pairing
-    test, and counting walks the groups instead of the labels.
+    Returns (ell, union of the masks, ((mask, count), ...)).  A group counts
+    the labels whose string vectors are exactly the bits of its mask, in the
+    numbering of _class_bit, so per character only the bits of the union
+    need a pairing test, and counting walks the groups instead of the labels.
 
     No label is built.  A dynamic program fills the nu components in the
     order enumerate_orbits does, keeping (remaining residue, mask) -> number
@@ -300,27 +314,6 @@ def _string_class_table(n: int, ell: int) -> tuple[
         raise ValueError("cycle length must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    bits: dict[tuple[int, int], int] = {}
-    vectors: dict[Coords, int] = {}
-    built: dict[tuple[int, int], list[tuple[Coords, int]]] = {}
-
-    def candidates(index: int, size: int) -> list[tuple[Coords, int]]:
-        # (rotated residue, mask) per partition, built on first use.
-        out = built.get((index, size))
-        if out is None:
-            out = built[index, size] = []
-            for parts, shifted in _component_candidates(ell, index, size):
-                mask = 0
-                for top, length in _component_classes(ell, index, parts):
-                    bit = bits.get((top, length))
-                    if bit is None:
-                        coords = _string_coords(top, length, ell)
-                        bit = vectors.setdefault(coords, 1 << len(vectors))
-                        bits[top, length] = bit
-                    mask |= bit
-                out.append((shifted, mask))
-        return out
-
     # remaining residue -> mask -> number of partial labels
     states: dict[Coords, dict[int, int]] = {}
     target = n * delta(ell)
@@ -334,7 +327,7 @@ def _string_class_table(n: int, ell: int) -> tuple[
         folded: dict[Coords, dict[int, int]] = {}
         for remaining, masks in states.items():
             for size in range(sum(remaining) + 1):
-                for shifted, part_mask in candidates(index, size):
+                for shifted, part_mask in _component_candidates(ell, index, size):
                     rest = tuple(r - s for r, s in zip(remaining, shifted))
                     if min(rest) < 0:
                         continue
@@ -350,27 +343,28 @@ def _string_class_table(n: int, ell: int) -> tuple[
         by_residue = closing.get(size)
         if by_residue is None:
             by_residue = closing[size] = {}
-            for shifted, part_mask in candidates(ell - 1, size):
+            for shifted, part_mask in _component_candidates(ell, ell - 1, size):
                 by_residue.setdefault(shifted, []).append(part_mask)
         for part_mask in by_residue.get(remaining, ()):
             for mask, count in masks.items():
                 mask |= part_mask
                 groups[mask] = groups.get(mask, 0) + count
-    # Cached and shared by every caller, so the class bits are read-only.
-    return tuple(vectors), MappingProxyType(bits), tuple(groups.items())
+    return ell, reduce(or_, groups, 0), tuple(groups.items())
 
 
-def _non_integral_mask(vectors: tuple[Coords, ...], chi: RationalCharacter) -> int:
-    """Bit k set exactly when chi pairs non-integrally with vectors[k]."""
+def _non_integral_mask(ell: int, mask: int, chi: RationalCharacter) -> int:
+    """The bits of a class mask whose string vectors chi pairs with
+    non-integrally: chi admits a monodromic local system on a label's orbit
+    exactly when this is 0 for the label's mask."""
     # Over the common denominator d of chi the pairing is integral iff the
     # integer pairing with d*chi is divisible by d.
     d = lcm(*(v.denominator for v in chi.values))
     scaled = [v.numerator * (d // v.denominator) for v in chi.values]
-    mask = 0
-    for k, coords in enumerate(vectors):
-        if sum(a * c for a, c in zip(scaled, coords)) % d:
-            mask |= 1 << k
-    return mask
+    return sum(
+        bit
+        for bit, coords in _mask_bits(ell, mask)
+        if sum(a * c for a, c in zip(scaled, coords)) % d
+    )
 
 
 def enumerate_Q_chi(
@@ -389,6 +383,6 @@ def count_Q_chi(n: int, ell: int, chi: RationalCharacter) -> int:
     """len(enumerate_Q_chi(...)), from the string-class table, listing no label."""
     if chi.ell != ell:
         raise ValueError(f"character has {chi.ell} entries, expected {ell}")
-    vectors, _, groups = _string_class_table(n, ell)
-    bad = _non_integral_mask(vectors, chi)
+    _, union, groups = _string_class_table(n, ell)
+    bad = _non_integral_mask(ell, union, chi)
     return sum(count for mask, count in groups if not mask & bad)

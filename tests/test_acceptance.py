@@ -50,6 +50,8 @@ def _clear_enumeration_caches():
     orbits_module._closing.cache_clear()
     orbits_module._component_candidates.cache_clear()
     orbits_module._component_classes.cache_clear()
+    orbits_module._string_coords.cache_clear()
+    orbits_module._interned_partition.cache_clear()
     partitions_module.partitions_of.cache_clear()
 
 

@@ -235,19 +235,27 @@ class TestStringClassTable:
             frozenset(string_vectors_scan(tuple(c.parts for c in lab.nu), ell))
             for lab in enumerate_orbits(n, ell)
         )
-        vectors, bits, groups = orbits_module._string_class_table(n, ell)
+        _, union, groups = orbits_module._string_class_table(n, ell)
         counted = Counter()
         for mask, count in groups:
-            counted[
-                frozenset(v for k, v in enumerate(vectors) if mask >> k & 1)
-            ] += count
+            counted[frozenset(orbits_module._mask_vectors(ell, mask))] += count
         assert counted == listed
         assert len(groups) == len(listed)
-        assert len(set(vectors)) == len(vectors)
-        assert all(
-            vectors[bit.bit_length() - 1] == orbits_module._string_coords(*cls, ell)
-            for cls, bit in bits.items()
+        # One bit per string vector.
+        vectors = orbits_module._mask_vectors(ell, union)
+        assert len(set(vectors)) == union.bit_count()
+
+    @pytest.mark.parametrize(
+        "n, ell", [(n, ell) for n in range(5) for ell in range(1, 5)]
+    )
+    def test_groups_equal_the_fill_masks(self, n, ell):
+        # The table and the record fill share one class-bit numbering, so
+        # their masks compare directly.
+        groups = orbits_module._string_class_table(n, ell)[2]
+        filled = Counter(
+            mask for _, _, mask, _ in orbits_module._fill_labels(n, ell)
         )
+        assert dict(groups) == filled
 
 
 class TestQChi:

@@ -260,6 +260,8 @@ class TestCountingWithoutListing:
             orbits_module._string_class_table,
             orbits_module._component_candidates,
             orbits_module._component_classes,
+            orbits_module._string_coords,
+            orbits_module._interned_partition,
             count_multipartitions,
         ):
             cache.cache_clear()
