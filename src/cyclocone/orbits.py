@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import chain
-from math import lcm
 from operator import or_, sub
 from typing import Iterator, NamedTuple
 
@@ -295,15 +294,14 @@ def enumerate_orbits(n: int, ell: int) -> tuple[OrbitLabel, ...]:
 
 
 @lru_cache(maxsize=None)
-def _string_class_table(
-    n: int, ell: int
-) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+def _string_class_table(n: int, ell: int) -> tuple[int, int, dict[int, int]]:
     """The labels of (n, ell) counted per class mask.
 
-    Returns (ell, union of the masks, ((mask, count), ...)).  A group counts
-    the labels whose string vectors are exactly the bits of its mask, in the
-    numbering of _class_bit, so per character only the bits of the union
-    need a pairing test, and counting walks the groups instead of the labels.
+    Returns (ell, union of the masks, {mask: count}); the dict is shared by
+    every caller and must not be changed.  A group counts the labels whose
+    string vectors are exactly the bits of its mask, in the numbering of
+    _class_bit, so per character only the bits of the union need a pairing
+    test, and counting reads the groups instead of the labels.
 
     No label is built.  A dynamic program fills the nu components in the
     order enumerate_orbits does, keeping (remaining residue, mask) -> number
@@ -349,17 +347,14 @@ def _string_class_table(
             for mask, count in masks.items():
                 mask |= part_mask
                 groups[mask] = groups.get(mask, 0) + count
-    return ell, reduce(or_, groups, 0), tuple(groups.items())
+    return ell, reduce(or_, groups, 0), groups
 
 
 def _non_integral_mask(ell: int, mask: int, chi: RationalCharacter) -> int:
     """The bits of a class mask whose string vectors chi pairs with
     non-integrally: chi admits a monodromic local system on a label's orbit
     exactly when this is 0 for the label's mask."""
-    # Over the common denominator d of chi the pairing is integral iff the
-    # integer pairing with d*chi is divisible by d.
-    d = lcm(*(v.denominator for v in chi.values))
-    scaled = [v.numerator * (d // v.denominator) for v in chi.values]
+    d, scaled = chi.common_denominator()
     return sum(
         bit
         for bit, coords in _mask_bits(ell, mask)
@@ -380,9 +375,32 @@ def enumerate_Q_chi(
 
 
 def count_Q_chi(n: int, ell: int, chi: RationalCharacter) -> int:
-    """len(enumerate_Q_chi(...)), from the string-class table, listing no label."""
+    """len(enumerate_Q_chi(...)), from the string-class table, listing no label.
+
+    A group counts iff its mask lies inside the good bits, those of the
+    union that chi pairs with integrally.  With few good bits the counts of
+    their submasks are summed, otherwise the groups are walked.
+    """
     if chi.ell != ell:
         raise ValueError(f"character has {chi.ell} entries, expected {ell}")
     _, union, groups = _string_class_table(n, ell)
-    bad = _non_integral_mask(ell, union, chi)
-    return sum(count for mask, count in groups if not mask & bad)
+    good = union & ~_non_integral_mask(ell, union, chi)
+    if 1 << good.bit_count() < len(groups):
+        return _count_submasks(groups, good)
+    return _count_walk(groups, good)
+
+
+def _count_submasks(groups: dict[int, int], good: int) -> int:
+    """The counts of the groups whose mask lies inside good, looked up for
+    each of the 2**good.bit_count() submasks of good."""
+    total, sub = 0, good
+    while True:
+        total += groups.get(sub, 0)
+        if not sub:
+            return total
+        sub = (sub - 1) & good
+
+
+def _count_walk(groups: dict[int, int], good: int) -> int:
+    """The counts of the groups whose mask lies inside good, group by group."""
+    return sum(count for mask, count in groups.items() if not mask & ~good)

@@ -11,7 +11,7 @@ on the unit circle.  Circle numbers are handled additively in Q/Z, so every
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from ._frozen import Frozen
@@ -51,6 +51,14 @@ class RationalCharacter(Frozen):
 
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for v in self.values)
+
+    def common_denominator(self) -> tuple[int, tuple[int, ...]]:
+        """(d, d*chi): the least common denominator d of the entries and the
+        integer numerators over it.  The pairing of chi with an integer
+        vector is integral iff the integer pairing with d*chi is divisible
+        by d, and then equals that pairing divided by d."""
+        d = lcm(*(v.denominator for v in self.values))
+        return d, tuple(v.numerator * (d // v.denominator) for v in self.values)
 
     def delta_pairing(self) -> Fraction:
         """The pairing with the all-ones vector, i.e. the coordinate sum."""
@@ -240,22 +248,25 @@ def ariki_product_nonzero(
     """Whether (1 - q^m) and (u_i - q^d u_j) all stay away from zero.
 
     The first family runs over 1 <= m <= n; the second over ordered pairs
-    i != j and exponents -n < d < n.  Both are decided exactly in Q/Z.
+    i != j and exponents -n < d < n.  Both are decided exactly in Q/Z, over
+    the integers modulo the common denominator D of q and the u_i: with
+    Q = D*q and U_i = D*u_i, q^m = 1 iff m*Q = 0 mod D, and u_i = q^d u_j
+    iff U_i - U_j = d*Q mod D.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    for m in range(1, n + 1):
-        if (q ** m).is_one():
-            return False
-    ell = len(u)
-    for i in range(ell):
-        for j in range(ell):
-            if i == j:
-                continue
-            for d in range(-n + 1, n):
-                if (u[i] * u[j].inverse() * q ** (-d)).is_one():
-                    return False
-    return True
+    D = lcm(q.t.denominator, *(x.t.denominator for x in u))
+    Q = q.t.numerator * (D // q.t.denominator)
+    if any(m * Q % D == 0 for m in range(1, n + 1)):
+        return False
+    powers = {d * Q % D for d in range(-n + 1, n)}
+    U = [x.t.numerator * (D // x.t.denominator) for x in u]
+    return not any(
+        (a - b) % D in powers
+        for i, a in enumerate(U)
+        for j, b in enumerate(U)
+        if i != j
+    )
 
 
 def cherednik_semisimple(kp: KappaParams, n: int, ell: int) -> bool:

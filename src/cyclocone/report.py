@@ -6,6 +6,12 @@ root side, the product criterion on the Hecke side, and the counting
 criterion comparing the number of simple objects with the number of
 multipartitions.  The three verdicts provably agree; a disagreement would
 falsify the implementation, so it raises instead of being reconciled.
+
+Per character all three run on integers over a common denominator: the
+roots pair with chi scaled to integer numerators, the Hecke product is
+decided modulo the common denominator of its circle numbers, and counting
+tests integer pairings with the string vectors of the string-class table.
+What depends only on (n, ell), the roots and the table, is built once.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .params import (
     hecke_q,
 )
 from .partitions import Partition, partitions_of
-from .rootlattice import DimVector, generate_Rn, pair
+from .rootlattice import DimVector, RootSet, generate_Rn
 
 
 class CriteriaDisagreement(RuntimeError):
@@ -123,10 +129,22 @@ def count_multipartitions(n: int, ell: int) -> int:
     return counts[n]
 
 
+@lru_cache(maxsize=None)
+def _roots(n: int, ell: int) -> RootSet:
+    return generate_Rn(n, ell)
+
+
 def semisimplicity_report(
     n: int, ell: int, chi: RationalCharacter
 ) -> SemisimplicityReport:
     """Run all three criteria and package the evidence.
+
+    A root alpha is violated iff the integer pairing of alpha with d*chi,
+    d the common denominator of chi, is divisible by d; only the violated
+    roots get a Fraction, the pairing divided by d.  Counting sums the
+    table's counts over the submasks of the bits chi pairs with integrally
+    when there are fewer of those than table groups, and walks the groups
+    otherwise.
 
     Raises CriteriaDisagreement if the verdicts differ; this is the
     falsification signal and is never swallowed.
@@ -138,11 +156,12 @@ def semisimplicity_report(
     if chi.ell != ell:
         raise ValueError(f"character has {chi.ell} entries, expected {ell}")
 
-    violated = tuple(
-        (alpha, value)
-        for alpha in generate_Rn(n, ell)
-        if (value := pair(chi, alpha)).denominator == 1
-    )
+    d, scaled = chi.common_denominator()
+    violated = []
+    for alpha in _roots(n, ell):
+        s = sum(a * c for a, c in zip(scaled, alpha.coords))
+        if s % d == 0:
+            violated.append((alpha, Fraction(s // d)))
     verdict_roots = not violated
 
     kappa = chi_to_kappa(chi)
@@ -165,7 +184,7 @@ def semisimplicity_report(
         verdict_roots=verdict_roots,
         verdict_hecke=verdict_hecke,
         verdict_counting=verdict_counting,
-        violated_roots=violated,
+        violated_roots=tuple(violated),
         simple_count=simple_count,
         pell_count=pell_count,
         chi_integral=chi.is_integral(),

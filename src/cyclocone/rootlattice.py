@@ -31,6 +31,13 @@ class DimVector(Frozen):
             raise ValueError("framing multiplicity must be nonnegative")
         self._assign(coords, int(framing))
 
+    @classmethod
+    def _trusted(cls, coords: tuple[int, ...]) -> DimVector:
+        # An unframed vector from a nonempty tuple of ints, not re-validated.
+        vector = object.__new__(cls)
+        vector._assign(coords, 0)
+        return vector
+
     @property
     def ell(self) -> int:
         return len(self.coords)
@@ -140,36 +147,29 @@ class RootSet(Frozen):
         return f"RootSet(n={self.n}, ell={self.ell}, size={len(self.roots)})"
 
 
-def _interval(i: int, j: int, ell: int) -> DimVector:
-    # epsilon_i + ... + epsilon_j for 1 <= i <= j <= ell-1
-    return DimVector(tuple(1 if i <= r <= j else 0 for r in range(ell)))
-
-
 def generate_Rn(n: int, ell: int) -> RootSet:
     """All positive roots with vertex-0 coefficient below n, plus n*delta.
 
     Generated from the closed-form union of three families: the imaginary
     multiples m*delta (1 <= m <= n), and m*delta plus/minus an interval of
     finite simple roots.  The vertex-0 coefficient of every member of the
-    interval families equals m, which realizes the bound.
+    interval families equals m, which realizes the bound; the families are
+    pairwise disjoint, and each root is built once from its coordinates.
     """
     if n < 1:
         raise ValueError("bound n must be positive")
     if ell < 1:
         raise ValueError("cycle length must be positive")
-    d = delta(ell)
-    roots: list[DimVector] = [m * d for m in range(1, n + 1)]
-    for m in range(0, n):
+    coords = [(m,) * ell for m in range(1, n + 1)]
+    # m*delta +/- (epsilon_i + ... + epsilon_j) for 1 <= i <= j <= ell-1:
+    # coordinates i..j read m +/- 1, all others m.
+    families = [(m, m + 1) for m in range(n)] + [(m, m - 1) for m in range(1, n)]
+    for m, inside in families:
         for i in range(1, ell):
+            head = (m,) * i
             for j in range(i, ell):
-                roots.append(m * d + _interval(i, j, ell))
-    for m in range(1, n):
-        for i in range(1, ell):
-            for j in range(i, ell):
-                roots.append(m * d - _interval(i, j, ell))
-    # The three families are pairwise disjoint; dedupe defensively anyway.
-    roots = list(dict.fromkeys(roots))
-    return RootSet(roots, n, ell)
+                coords.append(head + (inside,) * (j - i + 1) + (m,) * (ell - 1 - j))
+    return RootSet([DimVector._trusted(c) for c in coords], n, ell)
 
 
 def pair(chi: "RationalCharacter", alpha: DimVector) -> Fraction:

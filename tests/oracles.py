@@ -4,7 +4,8 @@ Everything here is deliberately written from first principles, separate from
 the library code paths it checks: determinants via fraction-free elimination,
 partition counts via the bounded-part recurrence, the root set via the
 abstract positive-root filter, residues and string vectors via a plain box
-scan, and cokernels via determinantal divisors.
+scan, cokernels via determinantal divisors, and the Hecke product via a
+scan of its factors in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -173,6 +174,21 @@ def cokernel_by_minors(
     rank = len(divisors) - 1
     factors = tuple(divisors[i] // divisors[i - 1] for i in range(1, rank + 1))
     return rows - rank, tuple(f for f in factors if f >= 2)
+
+
+def ariki_nonzero_scan(q: Fraction, u: list[Fraction], n: int) -> bool:
+    """Whether every factor 1 - q^m and u_i - q^d u_j is nonzero, with each
+    circle number exp(2 pi i t) given by its angle t; a factor vanishes
+    exactly when the difference of its two angles is an integer."""
+    for m in range(1, n + 1):
+        if (m * q).denominator == 1:
+            return False
+    for i, ui in enumerate(u):
+        for j, uj in enumerate(u):
+            for d in range(-n + 1, n):
+                if i != j and (ui - (d * q + uj)).denominator == 1:
+                    return False
+    return True
 
 
 def random_fraction(rng, max_den: int = 12, max_num: int = 24) -> Fraction:

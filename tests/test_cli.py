@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cyclocone.cli as cli_module
 import cyclocone.report as report_module
@@ -301,6 +303,71 @@ class TestExitCodeContract:
         err = child.stderr.read().decode()
         assert child.wait(timeout=60) == 4
         assert "Traceback" not in err
+
+
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+BAD_RATIONALS = st.sampled_from(["1/0", "ham", "", "1//2", "--1", "/", "1/2/3"])
+
+
+@st.composite
+def cli_argvs(draw):
+    """Subcommand lines at n, ell <= 3.  Each value is well-formed except
+    for one draw in eight, so that most lines get past the parser."""
+
+    def pick(good, bad):
+        return draw(bad if draw(st.integers(0, 7)) == 0 else good)
+
+    def rationals(size):
+        good = st.lists(FRACTIONS.map(str), min_size=size, max_size=size)
+        return pick(good, st.lists(FRACTIONS.map(str) | BAD_RATIONALS, max_size=4))
+
+    sub = pick(
+        st.sampled_from(
+            ["orbits", "pi1", "simples", "semisimple", "hyperplanes", "translate"]
+        ),
+        st.just("frobnicate"),
+    )
+    ell = draw(st.integers(1, 3))
+    argv = [sub, "-l", pick(st.just(str(ell)), st.sampled_from(["0", "-1", "x"]))]
+    if sub != "translate" and (sub != "pi1" or draw(st.booleans())):
+        argv += ["-n", pick(st.integers(1, 3).map(str), st.sampled_from(["0", "-1"]))]
+    if draw(st.booleans()):
+        formats = st.sampled_from(["pretty", "json", "tsv"])
+        argv += ["--format", pick(formats, st.just("xml"))]
+    if sub == "pi1":
+        parts = st.sampled_from(["[]", "[1]", "[2]", "[1,1]", "[2,1]"])
+        nu = ";".join(draw(st.lists(parts, min_size=ell, max_size=ell)))
+        argv += ["--lambda", pick(parts, st.sampled_from(["(2)", "[1,2]", "[a]"]))]
+        argv += ["--nu", pick(st.just(nu), st.sampled_from(["bad", "[];[];[];[]"]))]
+    if sub in ("orbits", "simples", "semisimple", "translate"):
+        given_as = draw(st.sampled_from(["--chi", "--kappa", "both", "neither"]))
+        if given_as in ("--chi", "both"):
+            argv += ["--chi", ",".join(rationals(ell))]
+        if given_as in ("--kappa", "both"):
+            # kappa entries sum to zero when well-formed.
+            head = [draw(FRACTIONS) for _ in range(ell - 1)]
+            kappa = [str(-sum(head))] + list(map(str, head))
+            kappa = pick(st.just(kappa), st.just(["1"]))
+            k00 = pick(FRACTIONS.map(str), BAD_RATIONALS)
+            argv += ["--kappa", f"k00={k00},k=" + ",".join(kappa)]
+    if sub == "semisimple" and draw(st.booleans()):
+        count = pick(st.integers(1, 3).map(str), st.sampled_from(["0", "x"]))
+        argv += ["--selftest", count]
+        if draw(st.booleans()):
+            argv += ["--seed", pick(st.integers(0, 9).map(str), st.just("s"))]
+    return argv
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(cli_argvs())
+    def test_every_input_exits_with_a_contract_code(self, argv):
+        # argparse reports usage errors on sys.stderr itself.
+        stray = io.StringIO()
+        with contextlib.redirect_stderr(stray):
+            code, _, err = invoke(argv)
+        assert code in (0, 1, 2, 3, 4), argv
+        assert "Traceback" not in err + stray.getvalue(), argv
 
 
 class TestDisagreementReproducer:

@@ -237,7 +237,7 @@ class TestStringClassTable:
         )
         _, union, groups = orbits_module._string_class_table(n, ell)
         counted = Counter()
-        for mask, count in groups:
+        for mask, count in groups.items():
             counted[frozenset(orbits_module._mask_vectors(ell, mask))] += count
         assert counted == listed
         assert len(groups) == len(listed)
@@ -256,6 +256,79 @@ class TestStringClassTable:
             mask for _, _, mask, _ in orbits_module._fill_labels(n, ell)
         )
         assert dict(groups) == filled
+
+
+class TestCountPaths:
+    """count_Q_chi sums the table's counts over the submasks of the good
+    bits (those of the union that chi pairs with integrally) when there are
+    few of them, and walks the groups otherwise; both paths are run here,
+    whichever count_Q_chi would pick, the submask sum up to 16 good bits."""
+
+    @staticmethod
+    def good_bits(n, ell, chi):
+        _, union, _ = orbits_module._string_class_table(n, ell)
+        return union & ~orbits_module._non_integral_mask(ell, union, chi)
+
+    def characters(self, n, ell):
+        """{number of good bits: character} for none, one, a few and all."""
+        width = orbits_module._string_class_table(n, ell)[1].bit_count()
+        rng = random.Random(31 * n + ell)
+        # Only the string of length n, or only epsilon_0, pairs integrally.
+        if ell == 1:
+            one = (Fraction(1, max(n, 1)),)
+        else:
+            one = (1,) + (Fraction(1, 97),) * (ell - 1)
+        pool = [(Fraction(1, 97),) * ell, one] + [
+            tuple(random_fraction(rng, max_den=4) for _ in range(ell))
+            for _ in range(60)
+        ]
+        found = {}
+        for values in pool:
+            chi = RationalCharacter(values)
+            found.setdefault(self.good_bits(n, ell, chi).bit_count(), chi)
+        picked = {width: RationalCharacter.zero(ell)}
+        for k in (0, 1):
+            if k < width:
+                picked[k] = found[k]
+        few = [k for k in found if 1 < k < width]
+        assert few or width <= 3
+        if few:
+            for k in (min(few), max(few)):
+                picked[k] = found[k]
+        return picked
+
+    @pytest.mark.parametrize(
+        "n, ell", [(n, ell) for n in range(5) for ell in range(1, 5)]
+    )
+    def test_submask_sum_and_walk_agree_with_the_listing(self, n, ell):
+        groups = orbits_module._string_class_table(n, ell)[2]
+        for k, chi in self.characters(n, ell).items():
+            good = self.good_bits(n, ell, chi)
+            assert good.bit_count() == k
+            if any(chi.values):
+                listed = len(enumerate_Q_chi(n, ell, chi))
+            else:  # chi = 0 keeps every label
+                listed = len(enumerate_orbits(n, ell))
+            walked = orbits_module._count_walk(groups, good)
+            assert walked == listed == count_Q_chi(n, ell, chi)
+            if k <= 16:  # beyond, 2**k submasks take too long
+                assert orbits_module._count_submasks(groups, good) == walked
+
+    def test_the_cheaper_path_is_taken(self, monkeypatch):
+        taken = []
+        for name in ("_count_submasks", "_count_walk"):
+            original = getattr(orbits_module, name)
+
+            def record(groups, good, name=name, original=original):
+                taken.append(name)
+                return original(groups, good)
+
+            monkeypatch.setattr(orbits_module, name, record)
+        # 6,090 groups at (4,4): 2**12 submasks are fewer, 2**13 are not.
+        count_Q_chi(4, 4, chi_of("1/97", "1/97", "1/97", "1/97"))  # 0 good bits
+        count_Q_chi(4, 4, chi_of("1/2", "1/2", "1/3", "-1/3"))  # 12
+        count_Q_chi(4, 4, chi_of(0, 0, 0, 0))  # 52
+        assert taken == ["_count_submasks", "_count_submasks", "_count_walk"]
 
 
 class TestQChi:

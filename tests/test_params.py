@@ -19,7 +19,7 @@ from cyclocone.params import (
 )
 from cyclocone.rootlattice import generate_Rn, pair
 
-from oracles import random_fraction
+from oracles import ariki_nonzero_scan, random_fraction
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
@@ -58,6 +58,20 @@ class TestParsing:
             KappaParams(1, 1, (0,))
         with pytest.raises(ValueError):
             KappaParams(1, -1, (Fraction(1, 2),))
+
+
+class TestCommonDenominator:
+    def test_example(self):
+        chi = RationalCharacter.parse("1/2,-2/3,5")
+        assert chi.common_denominator() == (6, (3, -4, 30))
+
+    @given(st.lists(fracs, min_size=1, max_size=3))
+    def test_least_denominator_and_numerators(self, values):
+        d, numerators = RationalCharacter(values).common_denominator()
+        assert [Fraction(a, d) for a in numerators] == values
+        assert not any(
+            all((k * v).denominator == 1 for v in values) for k in range(1, d)
+        )
 
 
 class TestCircle:
@@ -176,6 +190,38 @@ class TestAriki:
 
     def test_fifth_rotation_passes_at_n_two(self):
         assert ariki_product_nonzero(circle(Fraction(1, 5)), (circle(0),), 2)
+
+    @pytest.mark.parametrize(
+        "q, u, n",
+        [
+            ("1/2", ["0"], 2),
+            ("1/2", ["1/5", "1/3"], 2),
+            ("1/2", ["1/3", "1/3"], 1),
+            ("1/7", ["2/5", "2/5", "0"], 3),
+            ("0", ["1/3", "2/3"], 1),
+            ("0", ["0"], 4),
+        ],
+    )
+    def test_edge_cases_match_the_scan(self, q, u, n):
+        u = [Fraction(x) for x in u]
+        assert ariki_product_nonzero(
+            circle(q), tuple(map(circle, u)), n
+        ) == ariki_nonzero_scan(Fraction(q), u, n)
+
+    def test_matches_the_scan(self):
+        # Angles with denominators up to 12, so that vanishing factors are
+        # common; the scan works on the angles, the library on the circle.
+        rng = random.Random(23)
+        verdicts = set()
+        for _ in range(2400):
+            ell = rng.randint(1, 4)
+            n = rng.randint(1, 5)
+            q = random_fraction(rng)
+            u = [random_fraction(rng) for _ in range(ell)]
+            got = ariki_product_nonzero(circle(q), tuple(map(circle, u)), n)
+            assert got == ariki_nonzero_scan(q, u, n), (q, u, n)
+            verdicts.add(got)
+        assert verdicts == {True, False}
 
     def test_equal_u_values_fail(self):
         u = (circle(Fraction(1, 3)), circle(Fraction(1, 3)))

@@ -24,6 +24,7 @@ from cyclocone.report import (
     orbit_report,
     semisimplicity_report,
 )
+from cyclocone.rootlattice import generate_Rn, pair
 
 from oracles import (
     brute_force_orbit_pairs,
@@ -114,6 +115,30 @@ class TestSemisimplicityReport:
             rep = semisimplicity_report(n, ell, chi)
             assert rep.simple_count >= rep.pell_count
             assert rep.verdict_counting == (rep.simple_count == rep.pell_count)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("ell", range(1, 5))
+    def test_violated_roots_match_the_pairing_scan(self, n, ell):
+        # The report pairs over chi's common denominator in integers; pair()
+        # scans in Fraction arithmetic.  Denominators up to 3 or up to 12
+        # mix the verdicts.
+        rng = random.Random(41 * n + ell)
+        verdicts = set()
+        for i in range(30):
+            den = 3 if i % 2 else 12
+            chi = RationalCharacter(
+                tuple(random_fraction(rng, max_den=den) for _ in range(ell))
+            )
+            expected = tuple(
+                (alpha, value)
+                for alpha in generate_Rn(n, ell)
+                if (value := pair(chi, alpha)).denominator == 1
+            )
+            got = semisimplicity_report(n, ell, chi).violated_roots
+            assert got == expected
+            assert all(type(value) is Fraction for _, value in got)
+            verdicts.add(not got)
+        assert verdicts == {True, False}
 
 
 class TestHyperplaneListing:

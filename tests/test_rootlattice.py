@@ -88,6 +88,22 @@ class TestGenerateRn:
         assert len(rs) == expected_size
         assert set(a.coords for a in rs) == brute_force_Rn(n, ell)
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("ell", range(1, 6))
+    def test_family_order(self, n, ell):
+        # m*delta for m = 1..n, then m*delta + interval for m = 0..n-1, then
+        # m*delta - interval for m = 1..n-1; the intervals
+        # epsilon_i + ... + epsilon_j run over i, then j, in 1 <= i <= j < ell.
+        intervals = [
+            sum((epsilon(r, ell) for r in range(i + 1, j + 1)), epsilon(i, ell))
+            for i in range(1, ell)
+            for j in range(i, ell)
+        ]
+        expected = [m * delta(ell) for m in range(1, n + 1)]
+        expected += [m * delta(ell) + iv for m in range(n) for iv in intervals]
+        expected += [m * delta(ell) - iv for m in range(1, n) for iv in intervals]
+        assert list(generate_Rn(n, ell)) == expected
+
     def test_deterministic_order(self):
         first = [a.coords for a in generate_Rn(3, 3)]
         second = [a.coords for a in generate_Rn(3, 3)]
