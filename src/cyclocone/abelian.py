@@ -1,8 +1,9 @@
 """Integer matrices, Smith normal form and finitely generated abelian groups.
 
-All arithmetic is exact arbitrary-precision integer arithmetic.  The Smith
-normal form routine keeps explicit unimodular transforms, picking pivots of
-minimal absolute value to limit entry growth.
+All arithmetic is exact arbitrary-precision integer arithmetic.  One
+elimination routine picks pivots of minimal absolute value to limit entry
+growth.  `smith_normal_form` has it carry explicit unimodular transforms
+along; `cokernel` keeps no transforms, only the diagonal.
 """
 
 from __future__ import annotations
@@ -86,38 +87,26 @@ class IntMatrix(Frozen):
         return f"IntMatrix.from_rows({self.row_lists()!r}, cols={self.cols})"
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return unimodular (U, D, V) with U*M*V = D diagonal, d1 | d2 | ... >= 0."""
-    nr, nc = m.rows, m.cols
-    a = m.row_lists()
-    u = IntMatrix.identity(nr).row_lists()
-    v = IntMatrix.identity(nc).row_lists()
+def _diagonalize(a: list[list[int]], u=None, v=None) -> None:
+    """Bring the row lists `a` to Smith normal form in place.
 
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
+    Every row operation is also applied to the row lists `u`, and every
+    column operation to the row lists `v`, when they are given.
+    """
+    nr, nc = len(a), len(a[0]) if a else 0
+    left = (a,) if u is None else (a, u)
+    right = (a,) if v is None else (a, v)
 
     def add_row(i, k, q):
         # row i -= q * row k
-        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+        for m in left:
+            m[i] = [x - q * y for x, y in zip(m[i], m[k])]
 
     def add_col(j, k, q):
         # col j -= q * col k
-        for row in a:
-            row[j] -= q * row[k]
-        for row in v:
-            row[j] -= q * row[k]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        for m in right:
+            for row in m:
+                row[j] -= q * row[k]
 
     for t in range(min(nr, nc)):
         while True:
@@ -131,11 +120,14 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                         pivot, best = (i, j), abs(e)
             if pivot is None:
                 break
-            if pivot != (t, t):
-                if pivot[0] != t:
-                    swap_rows(t, pivot[0])
-                if pivot[1] != t:
-                    swap_cols(t, pivot[1])
+            p, q = pivot
+            if p != t:
+                for m in left:
+                    m[t], m[p] = m[p], m[t]
+            if q != t:
+                for m in right:
+                    for row in m:
+                        row[t], row[q] = row[q], row[t]
             # Clear row and column t; restart if a smaller remainder shows up.
             dirty = False
             for i in range(t + 1, nr):
@@ -152,24 +144,32 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 continue
             # Pivot must divide every remaining entry, otherwise pull the
             # offending row up and run another euclidean round.
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next(
+                (
+                    i
+                    for i in range(t + 1, nr)
+                    if any(a[i][j] % a[t][t] for j in range(t + 1, nc))
+                ),
+                None,
+            )
             if offender is None:
                 break
             add_row(t, offender, -1)
-        if t < min(nr, nc) and a[t][t] < 0:
-            negate_row(t)
+        if a[t][t] < 0:
+            for m in left:
+                m[t] = [-x for x in m[t]]
 
+
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return unimodular (U, D, V) with U*M*V = D diagonal, d1 | d2 | ... >= 0."""
+    a = m.row_lists()
+    u = IntMatrix.identity(m.rows).row_lists()
+    v = IntMatrix.identity(m.cols).row_lists()
+    _diagonalize(a, u, v)
     return (
-        IntMatrix.from_rows(u, cols=nr),
-        IntMatrix.from_rows(a, cols=nc),
-        IntMatrix.from_rows(v, cols=nc),
+        IntMatrix.from_rows(u, cols=m.rows),
+        IntMatrix.from_rows(a, cols=m.cols),
+        IntMatrix.from_rows(v, cols=m.cols),
     )
 
 
@@ -235,10 +235,21 @@ class FGAbelianGroup(Frozen):
 def cokernel(m: IntMatrix) -> FGAbelianGroup:
     """Cokernel of Z^cols -> Z^rows, in invariant factor form.
 
-    Zero columns of the diagonal become free rank, unit factors are dropped.
     A matrix with no columns has trivial image, so the cokernel is Z^rows.
     """
-    _, d, _ = smith_normal_form(m)
-    diag = d.diagonal()
-    rank = sum(1 for e in diag if e != 0)
-    return FGAbelianGroup(m.rows - rank, tuple(e for e in diag if e >= 2))
+    return _cokernel_rows(m.rows, m.row_lists())
+
+
+def _cokernel_rows(dim: int, rows: list[list[int]]) -> FGAbelianGroup:
+    """Cokernel of a matrix into Z^dim, given by its row lists or by those
+    of its transpose (one generator of the image per row): both have the
+    same Smith diagonal.
+
+    `rows` is reduced in place, with no transforms.  Zeros of the diagonal
+    become free rank, unit factors are dropped.
+    """
+    _diagonalize(rows)
+    diag = [row[i] for i, row in enumerate(rows) if i < len(row)]
+    return FGAbelianGroup(
+        dim - sum(1 for e in diag if e), tuple(e for e in diag if e >= 2)
+    )

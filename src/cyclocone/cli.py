@@ -153,6 +153,34 @@ def _cell(value) -> str:
     return str(value).lower() if isinstance(value, bool) else str(value)
 
 
+def _nested_json(value, depth: int) -> str:
+    """json.dumps(value, indent=2) as it reads `depth` levels deep inside a
+    larger indent=2 document: the same text with every line indented."""
+    text = json.dumps(value, ensure_ascii=False, indent=2)
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _once(cache: dict, obj, render) -> str:
+    """render(obj), computed once per object.  The cache is keyed by id and
+    holds obj, so no other object can take over the id while it lives."""
+    hit = cache.get(id(obj))
+    if hit is None:
+        hit = cache[id(obj)] = obj, render(obj)
+    return hit[1]
+
+
+def _summands_json(comp) -> str:
+    """A placed record's summand objects as they read inside an orbits
+    entry's "summands" list (depth 3), without the list's brackets."""
+    if not comp.strings:
+        return ""
+    items = [
+        {"start": s.start, "row": s.row, "dim_vector": str(s.vector)}
+        for s in comp.strings
+    ]
+    return _nested_json(items, 3)[1 : -len("\n      ]")]
+
+
 def _cmd_orbits(args, out) -> int:
     chi = _resolve_chi(args, args.ell, required=False)
     rows = orbit_report(args.n, args.ell, chi)
@@ -162,7 +190,10 @@ def _cmd_orbits(args, out) -> int:
     if chi is not None:
         header.append("monodromic")
     totals = {"orbits": 0, "monodromic": None if chi is None else 0}
-    pi1_texts = {}  # one text per group, keyed by its data (no Frozen hash)
+    # Texts are made once per lambda (rows come grouped by it), per placed
+    # record and per pi1 group; records and groups are interned.
+    pi1_texts: dict[int, tuple] = {}
+    summand_texts: dict[int, tuple] = {}
 
     def counted():
         for row in rows:
@@ -171,44 +202,51 @@ def _cmd_orbits(args, out) -> int:
                 totals["monodromic"] += row.monodromic
             yield row
 
-    def as_json(row) -> dict:
-        entry = {
-            "lambda": str(row.lam),
-            "nu": ";".join(comp.text for comp in row.components),
-            "summands": [
-                {"start": s.start, "row": s.row, "dim_vector": str(s.vector)}
-                for s in row.strings
-            ],
-            "pi1": row.pi1.to_json(),
-        }
-        if chi is not None:
-            entry["monodromic_for_chi"] = row.monodromic
-        return entry
-
-    def obj() -> dict:
-        return {
-            "n": args.n,
-            "ell": args.ell,
-            "chi": chi.to_json() if chi is not None else None,
-            "orbits": [as_json(row) for row in counted()],
-            "totals": dict(
-                totals, multipartitions=count_multipartitions(args.n, args.ell)
-            ),
-        }
-
     def cells(rows):
+        lam = lam_text = None
         for row in rows:
-            key = row.pi1.free_rank, row.pi1.invariant_factors
-            pi1 = pi1_texts.get(key)
-            if pi1 is None:
-                pi1 = pi1_texts[key] = str(row.pi1)
+            if row.lam is not lam:
+                lam, lam_text = row.lam, str(row.lam)
             components = row.components
-            summands = " ".join(comp.summands for comp in components if comp.summands)
-            line = [str(row.lam), ";".join(comp.text for comp in components), pi1]
-            line.append(summands or "-")
+            summands = " ".join([comp.summands for comp in components if comp.summands])
+            line = [
+                lam_text,
+                ";".join([comp.text for comp in components]),
+                _once(pi1_texts, row.pi1, str),
+                summands or "-",
+            ]
             if chi is not None:
                 line.append(_cell(row.monodromic))
             yield line
+
+    def json_text():
+        # The json.dumps(indent=2) text of {n, ell, chi, orbits, totals},
+        # written entry by entry.  Partition texts need no JSON escapes.
+        chi_json = None if chi is None else chi.to_json()
+        yield (
+            f'{{\n  "n": {args.n},\n  "ell": {args.ell},\n'
+            f'  "chi": {_nested_json(chi_json, 1)},\n  "orbits": ['
+        )
+        sep, lam = "\n    ", None
+        for row in counted():
+            if row.lam is not lam:
+                lam, lam_text = row.lam, _nested_json(str(row.lam), 0)
+            components = row.components
+            items = [_once(summand_texts, comp, _summands_json) for comp in components]
+            items = [text for text in items if text]
+            summands = f"[{','.join(items)}\n      ]" if items else "[]"
+            pi1 = _once(pi1_texts, row.pi1, lambda g: _nested_json(g.to_json(), 3))
+            flag = ""
+            if chi is not None:
+                flag = f',\n      "monodromic_for_chi": {_cell(row.monodromic)}'
+            yield (
+                f'{sep}{{\n      "lambda": {lam_text},\n'
+                f'      "nu": "{";".join([comp.text for comp in components])}",\n'
+                f'      "summands": {summands},\n      "pi1": {pi1}{flag}\n    }}'
+            )
+            sep = ",\n    "
+        totals["multipartitions"] = count_multipartitions(args.n, args.ell)
+        yield f'\n  ],\n  "totals": {_nested_json(totals, 1)}\n}}\n'
 
     def pretty():
         yield f"orbit labels for n={args.n}, ell={args.ell}"
@@ -219,7 +257,10 @@ def _cmd_orbits(args, out) -> int:
             line += f" monodromic={totals['monodromic']}"
         yield line
 
-    _render(out, args.format, obj, header, lambda: cells(rows), pretty)
+    if args.format == "json":
+        out.writelines(json_text())
+    else:
+        _render(out, args.format, None, header, lambda: cells(rows), pretty)
     return EXIT_OK
 
 
@@ -449,11 +490,6 @@ def run(argv: list[str], out=None, err=None) -> int:
     except CriteriaDisagreement as exc:
         print(f"internal error: {exc}", file=err)
         return EXIT_DISAGREEMENT
-    except RecursionError:
-        # Enumeration recurses once per nu component, so a long cycle
-        # (orbits -n 0 -l 1500) runs out of stack.
-        print("error: input too large", file=err)
-        return EXIT_INPUT
     except BrokenPipeError:
         raise  # a closed stdout is not an internal error; main() handles it
     except Exception as exc:

@@ -24,7 +24,7 @@ from operator import or_, sub
 from typing import Iterator, NamedTuple
 
 from ._frozen import Frozen
-from .abelian import FGAbelianGroup, IntMatrix, cokernel
+from .abelian import FGAbelianGroup, _cokernel_rows
 from .params import RationalCharacter
 from .partitions import (
     MultiPartition,
@@ -139,7 +139,7 @@ def _placed(ell: int, index: int, parts: tuple[int, ...]) -> PlacedComponent:
     partition = _interned_partition(parts)
     strings, mask = [], 0
     for j, (top, length) in enumerate(_component_classes(ell, index, parts), 1):
-        vector = DimVector(_string_coords(top, length, ell))
+        vector = DimVector._trusted(_string_coords(top, length, ell))
         strings.append(StringSummand(index, j, vector))
         mask |= _class_bit(top, length, ell)
     return PlacedComponent(
@@ -191,8 +191,9 @@ def fundamental_group(label: OrbitLabel) -> FGAbelianGroup:
 
 @lru_cache(maxsize=None)
 def _class_set_cokernel(ell: int, mask: int) -> FGAbelianGroup:
-    columns = _mask_vectors(ell, mask)
-    return cokernel(IntMatrix.from_columns(columns, rows=ell))
+    # The string vectors go in as rows: the transpose has the same cokernel
+    # invariants, so no column matrix is built.
+    return _cokernel_rows(ell, [list(v) for v in _mask_vectors(ell, mask)])
 
 
 def admits_monodromic_local_system(
@@ -228,28 +229,68 @@ def _component_candidates(
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _closing(ell: int, remaining: Coords) -> Components:
-    # The last component must take up the remaining residue exactly.
-    comps = _placed_of_size(ell, ell - 1, sum(remaining))
-    return tuple(comp for comp in comps if comp.shifted == remaining)
-
-
 def _fill(
-    ell: int, index: int, remaining: Coords, mask: int, head: Components
+    ell: int, remaining: Coords, memo: dict
 ) -> Iterator[tuple[Components, int]]:
-    # One level per component, so a long cycle runs out of stack.
-    if index == ell - 1:
-        for comp in _closing(ell, remaining):
-            yield head + (comp,), mask | comp.mask
+    """(nu components, class mask) of every way to take up `remaining`, in
+    enumeration order: a depth-first walk over an explicit stack of
+    _steps, memoized in `memo` for one walk."""
+    if ell == 1:
+        for comp in _steps(ell, 0, remaining, memo):
+            yield (comp,), comp.mask
         return
-    for size in range(sum(remaining) + 1):
-        for comp in _placed_of_size(ell, index, size):
-            rest = tuple(map(sub, remaining, comp.shifted))
-            if min(rest) >= 0:
-                yield from _fill(
-                    ell, index + 1, rest, mask | comp.mask, head + (comp,)
-                )
+    head: list[PlacedComponent] = []
+    masks = [0]
+    stack = [iter(_steps(ell, 0, remaining, memo))]
+    while stack:
+        for comp, rest in stack[-1]:
+            mask = masks[-1] | comp.mask
+            if len(stack) < ell - 1:
+                head.append(comp)
+                masks.append(mask)
+                stack.append(iter(_steps(ell, len(stack), rest, memo)))
+                break
+            prefix = (*head, comp)
+            for closing in rest:
+                yield (*prefix, closing), mask | closing.mask
+        else:
+            stack.pop()
+            if head:
+                head.pop()
+                masks.pop()
+
+
+def _steps(ell: int, index: int, remaining: Coords, memo: dict) -> tuple:
+    """What component `index` can be, given the residue `remaining`,
+    memoized by (index, remaining).
+
+    The last component must take up `remaining` exactly: a tuple of
+    components.  Any other is a (component, rest) pair per component that
+    fits, rest the residue left over; for component ell-2, rest is the
+    (nonempty) _steps of the last component, so dead ends are dropped.
+    """
+    key = index, remaining
+    found = memo.get(key)
+    if found is not None:
+        return found
+    if index == ell - 1:
+        comps = _placed_of_size(ell, index, sum(remaining))
+        found = tuple(comp for comp in comps if comp.shifted == remaining)
+    else:
+        found = []
+        for size in range(sum(remaining) + 1):
+            for comp in _placed_of_size(ell, index, size):
+                rest = tuple(map(sub, remaining, comp.shifted))
+                if min(rest) < 0:
+                    continue
+                if index == ell - 2:
+                    rest = _steps(ell, ell - 1, rest, memo)
+                    if not rest:
+                        continue
+                found.append((comp, rest))
+        found = tuple(found)
+    memo[key] = found
+    return found
 
 
 def _fill_labels(
@@ -264,6 +305,7 @@ def _fill_labels(
     if chi is not None and chi.ell != ell:
         raise ValueError(f"character has {chi.ell} entries, expected {ell}")
     flags: dict[int, bool] = {}
+    memo: dict = {}
     target = n * delta(ell)
     for lam_size in range(n * ell, -1, -1):
         for lam_parts in partitions_of(lam_size):
@@ -271,7 +313,7 @@ def _fill_labels(
             rest = target - residue(lam, ell)
             if not rest.is_nonnegative():
                 continue
-            for components, mask in _fill(ell, 0, rest.coords, 0, ()):
+            for components, mask in _fill(ell, rest.coords, memo):
                 flag = None
                 if chi is not None:
                     flag = flags.get(mask)

@@ -161,13 +161,20 @@ def cokernel_by_minors(
 
     D_i is the gcd of all i x i minors; the rank r is the largest i with
     D_i != 0, and the invariant factors are d_i = D_i / D_{i-1}, i <= r.
+    A gcd that reaches 1 stays 1, so the scan of a size stops there.
     """
     divisors = [1]
     for size in range(1, min(rows, len(columns)) + 1):
         d = 0
-        for rs in combinations(range(rows), size):
-            for cs in combinations(columns, size):
-                d = gcd(d, det_int([[c[r] for c in cs] for r in rs]))
+        minors = (
+            det_int([[c[r] for c in cs] for r in rs])
+            for rs in combinations(range(rows), size)
+            for cs in combinations(columns, size)
+        )
+        for minor in minors:
+            d = gcd(d, minor)
+            if d == 1:
+                break
         if d == 0:
             break
         divisors.append(d)

@@ -10,7 +10,9 @@ from cyclocone.abelian import (
     smith_normal_form,
 )
 
-from oracles import det_int
+from cyclocone.orbits import _class_set_cokernel, _mask_vectors, _string_class_table
+
+from oracles import cokernel_by_minors, det_int
 
 
 def check_decomposition(m: IntMatrix):
@@ -161,3 +163,28 @@ class TestCokernel:
             assert grp.free_rank == 0
             assert grp.torsion_order() == abs(det)
             checked += 1
+
+    def test_agrees_with_minors_on_random_matrices(self):
+        rng = random.Random(4242)
+        for _ in range(300):
+            rows = rng.randint(1, 5)
+            cols = rng.randint(0, 8)
+            columns = [
+                tuple(rng.randint(-9, 9) for _ in range(rows)) for _ in range(cols)
+            ]
+            grp = cokernel(IntMatrix.from_columns(columns, rows))
+            assert (grp.free_rank, grp.invariant_factors) == cokernel_by_minors(
+                columns, rows
+            )
+
+    def test_agrees_with_minors_on_every_string_class_mask(self):
+        # Every class mask of the (4, 4) counting table, through the public
+        # matrix entry and through the pi1 cache, which feeds the string
+        # vectors in as rows.
+        ell, _, groups = _string_class_table(4, 4)
+        for mask in groups:
+            columns = _mask_vectors(ell, mask)
+            expected = cokernel_by_minors(columns, ell)
+            grp = cokernel(IntMatrix.from_columns(columns, ell))
+            assert (grp.free_rank, grp.invariant_factors) == expected
+            assert _class_set_cokernel(ell, mask) == grp

@@ -47,7 +47,6 @@ def _clear_enumeration_caches():
     orbits_module._class_set_cokernel.cache_clear()
     orbits_module._placed.cache_clear()
     orbits_module._placed_of_size.cache_clear()
-    orbits_module._closing.cache_clear()
     orbits_module._component_candidates.cache_clear()
     orbits_module._component_classes.cache_clear()
     orbits_module._string_coords.cache_clear()

@@ -12,8 +12,16 @@ from hypothesis import given, settings, strategies as st
 import cyclocone.cli as cli_module
 import cyclocone.report as report_module
 from cyclocone.cli import _build_parser, run
+from cyclocone.orbits import (
+    admits_monodromic_local_system,
+    decompose,
+    enumerate_orbits,
+    fundamental_group,
+)
 from cyclocone.params import RationalCharacter
 from cyclocone.report import CriteriaDisagreement
+
+from oracles import multipartition_count, random_fraction
 
 
 def invoke(argv):
@@ -56,6 +64,58 @@ class TestOrbitsCommand:
     def test_byte_identical_runs(self):
         args = ["orbits", "-n", "2", "-l", "2", "--format", "json"]
         assert invoke(args) == invoke(args)
+
+
+def orbits_json_oracle(n, ell, chi):
+    """The `orbits --format json` document, from the per-label functions."""
+    entries = []
+    for lab in enumerate_orbits(n, ell):
+        entry = {
+            "lambda": str(lab.lam),
+            "nu": str(lab.nu),
+            "summands": [
+                {"start": s.start, "row": s.row, "dim_vector": str(s.vector)}
+                for s in decompose(lab).strings
+            ],
+            "pi1": fundamental_group(lab).to_json(),
+        }
+        if chi is not None:
+            entry["monodromic_for_chi"] = admits_monodromic_local_system(lab, chi)
+        entries.append(entry)
+    monodromic = None
+    if chi is not None:
+        monodromic = sum(entry["monodromic_for_chi"] for entry in entries)
+    return {
+        "n": n,
+        "ell": ell,
+        "chi": None if chi is None else chi.to_json(),
+        "orbits": entries,
+        "totals": {
+            "orbits": len(entries),
+            "monodromic": monodromic,
+            "multipartitions": multipartition_count(n, ell),
+        },
+    }
+
+
+class TestStreamedOrbitsJson:
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("ell", range(1, 4))
+    def test_equals_one_dump_of_the_whole_document(self, n, ell):
+        rng = random.Random(100 * n + ell)
+        chis = [None] + [
+            RationalCharacter([random_fraction(rng) for _ in range(ell)])
+            for _ in range(2)
+        ]
+        for chi in chis:
+            argv = ["orbits", "-n", str(n), "-l", str(ell), "--format", "json"]
+            if chi is not None:
+                argv.append(f"--chi={chi}")
+            code, out, _ = invoke(argv)
+            expected = json.dumps(
+                orbits_json_oracle(n, ell, chi), ensure_ascii=False, indent=2
+            )
+            assert (code, out) == (0, expected + "\n")
 
 
 class TestPi1Command:
@@ -270,11 +330,14 @@ class TestExitCodeContract:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
-    def test_too_many_components_is_input_error(self):
-        code, out, err = invoke(["orbits", "-n", "0", "-l", "1500"])
-        assert code == 2
-        assert out == ""
-        assert err == "error: input too large\n"
+    def test_long_cycle_answers_its_one_label(self):
+        # The fill walks an explicit stack, not one frame per nu component,
+        # so a cycle of 1500 vertices no longer runs out of stack.
+        code, out, err = invoke(["orbits", "-n", "0", "-l", "1500", "--format", "tsv"])
+        assert (code, err) == (0, "")
+        header, row = out.splitlines()
+        assert header == "lambda\tnu\tpi1\tsummands"
+        assert row.split("\t") == ["[]", ";".join(["[]"] * 1500), "Z^1500", "-"]
 
     def test_unexpected_exception_is_exit_four(self, monkeypatch):
         def crash(*args):

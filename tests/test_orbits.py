@@ -87,6 +87,29 @@ class TestEnumeration:
         }
         assert ours == brute_force_orbit_pairs(n, ell)
 
+    @pytest.mark.parametrize("n,ell", [(4, 3), (3, 4)])
+    def test_walk_yields_the_documented_order(self, n, ell):
+        # Larger lambda first, then each size's partitions in descending
+        # lexicographic order; nu components compare left to right by size,
+        # then the same way.  Sorting the brute-force set by that key gives
+        # the order independently of the walk.
+        def key(pair):
+            lam, comps = pair
+            return (-sum(lam), [-p for p in lam]), [
+                (sum(c), [-p for p in c]) for c in comps
+            ]
+
+        expected = sorted(brute_force_orbit_pairs(n, ell), key=key)
+        walked = [
+            (lam.parts, tuple(comp.partition.parts for comp in comps))
+            for lam, comps, _, _ in orbits_module._fill_labels(n, ell)
+        ]
+        assert walked == expected
+        assert [
+            (lab.lam.parts, tuple(c.parts for c in lab.nu))
+            for lab in enumerate_orbits(n, ell)
+        ] == expected
+
     def test_sizes_add_up(self):
         for lab in enumerate_orbits(2, 3):
             assert lab.lam.size + lab.nu.size == 6
