@@ -22,6 +22,7 @@ from .params import (
     KappaParams,
     RationalCharacter,
     chi_to_kappa,
+    hecke_json,
     hecke_params,
     hecke_q,
     kappa_to_chi,
@@ -335,6 +336,8 @@ def _cmd_semisimple(args, out) -> int:
             raise InputError("--selftest COUNT must be positive")
         if args.chi or args.kappa:
             raise InputError("--selftest draws its own characters; drop --chi/--kappa")
+        if args.format != "pretty":
+            raise InputError("--selftest prints one plain line; drop --format")
         rng = random.Random(args.seed)
         for _ in range(args.selftest):
             chi = _random_character(rng, args.ell)
@@ -427,12 +430,7 @@ def _cmd_translate(args, out) -> int:
             "ell": args.ell,
             "chi": chi.to_json(),
             "kappa": kp.to_json(),
-            "hecke": {
-                "q0": str(q0),
-                "q1": str(q1),
-                "q": str(q),
-                "u": [str(x) for x in u],
-            },
+            "hecke": hecke_json(q0, q1, u, q),
         },
         ["chi", "k00", "k01", "kappa", "q0", "q1", "q", "u"],
         lambda: [

@@ -19,7 +19,7 @@ exactly when it pairs integrally with every vector of that mask.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import accumulate, chain
 from operator import or_, sub
 from typing import Iterator, NamedTuple
 
@@ -108,16 +108,14 @@ def _class_bit(top: int, length: int, ell: int) -> int:
     return 1 << ((length - 1) * ell + (top if length % ell else 0))
 
 
-def _mask_bits(ell: int, mask: int) -> Iterator[tuple[int, Coords]]:
-    """(bit, string vector) of every bit set in a class mask, in bit order."""
-    for k in range(mask.bit_length()):
-        if mask >> k & 1:
-            yield 1 << k, _string_coords(k % ell, k // ell + 1, ell)
-
-
 def _mask_vectors(ell: int, mask: int) -> list[Coords]:
-    """The string vector of every bit of a class mask, in bit order."""
-    return [coords for _, coords in _mask_bits(ell, mask)]
+    """The string vector of every bit of a class mask, in bit order; bit k
+    is the string class (k % ell, k // ell + 1)."""
+    return [
+        _string_coords(k % ell, k // ell + 1, ell)
+        for k in range(mask.bit_length())
+        if mask >> k & 1
+    ]
 
 
 class PlacedComponent(NamedTuple):
@@ -395,13 +393,26 @@ def _string_class_table(n: int, ell: int) -> tuple[int, int, dict[int, int]]:
 def _non_integral_mask(ell: int, mask: int, chi: RationalCharacter) -> int:
     """The bits of a class mask whose string vectors chi pairs with
     non-integrally: chi admits a monodromic local system on a label's orbit
-    exactly when this is 0 for the label's mask."""
+    exactly when this is 0 for the label's mask.
+
+    Over the common denominator d of chi, with c = d*chi and S = sum(c), the
+    string (top, length) of bit k pairs with c as (length // ell)*S plus the
+    cyclic window of length % ell entries of c ending at top.  Prefix sums
+    over c written twice give every such window as one difference.
+    """
     d, scaled = chi.common_denominator()
-    return sum(
-        bit
-        for bit, coords in _mask_bits(ell, mask)
-        if sum(a * c for a, c in zip(scaled, coords)) % d
-    )
+    prefix = [0, *accumulate(scaled * 2)]
+    total = prefix[ell]
+    out = 0
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        k = bit.bit_length() - 1
+        laps, width = divmod(k // ell + 1, ell)
+        end = k % ell + ell + 1
+        if (laps * total + prefix[end] - prefix[end - width]) % d:
+            out |= bit
+    return out
 
 
 def enumerate_Q_chi(
@@ -445,4 +456,5 @@ def _count_submasks(groups: dict[int, int], good: int) -> int:
 
 def _count_walk(groups: dict[int, int], good: int) -> int:
     """The counts of the groups whose mask lies inside good, group by group."""
-    return sum(count for mask, count in groups.items() if not mask & ~good)
+    bad = ~good
+    return sum([count for mask, count in groups.items() if not mask & bad])

@@ -6,6 +6,14 @@ characters chi = (chi_0, ..., chi_{ell-1}), the kappa coordinates
 sum(kappa) = 0, and the multiplicative parameters (q0, q1, u_0, ..., u_{ell-1})
 on the unit circle.  Circle numbers are handled additively in Q/Z, so every
 "lies in Z" test is an exact rational congruence.
+
+The translations run on integers.  chi_to_kappa works on chi over its
+common denominator d (`RationalCharacter.common_denominator`), the integer
+numerators d*chi, and builds one Fraction per kappa entry.  hecke_params and
+hecke_q take the numerator and denominator of each angle, reduce the
+numerator modulo the denominator and build each circle element once
+(`CircleElement.from_ratio`); ariki_product_nonzero decides the product
+modulo the common denominator of its circle numbers.
 """
 
 from __future__ import annotations
@@ -15,6 +23,11 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from ._frozen import Frozen
+
+
+def _fraction(value: Fraction | int | str) -> Fraction:
+    """Fraction(value), with a Fraction passed through as it is."""
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -91,13 +104,16 @@ class KappaParams(Frozen):
         k01: Fraction | int,
         kappa: Sequence[Fraction | int],
     ):
-        k00, k01 = Fraction(k00), Fraction(k01)
-        kappa = tuple(Fraction(v) for v in kappa)
+        k00, k01 = _fraction(k00), _fraction(k01)
+        kappa = tuple(map(_fraction, kappa))
         if not kappa:
             raise ValueError("kappa vector needs at least one entry")
-        if k00 + k01 != 0:
+        # Both checks on integers: fractions are kept in lowest terms, and
+        # the kappa entries are summed over their common denominator.
+        if (k00.numerator, k00.denominator) != (-k01.numerator, k01.denominator):
             raise ValueError(f"k00 + k01 must vanish, got {k00 + k01}")
-        if sum(kappa, Fraction(0)) != 0:
+        den = lcm(*(v.denominator for v in kappa))
+        if sum(v.numerator * (den // v.denominator) for v in kappa):
             raise ValueError(f"kappa entries must sum to zero: {kappa!r}")
         self._assign(k00, k01, kappa)
 
@@ -156,6 +172,14 @@ class CircleElement(Frozen):
     def __init__(self, t: Fraction | int):
         self._assign(Fraction(t) % 1)
 
+    @classmethod
+    def from_ratio(cls, num: int, den: int) -> CircleElement:
+        """exp(2*pi*i*num/den) for integers num and den > 0: num is reduced
+        modulo den first, so the one Fraction built is already canonical."""
+        element = object.__new__(cls)
+        element._assign(Fraction(num % den, den))
+        return element
+
     def __mul__(self, other: CircleElement) -> CircleElement:
         if not isinstance(other, CircleElement):
             return NotImplemented
@@ -201,22 +225,25 @@ def kappa_to_chi(kp: KappaParams, ell: int) -> RationalCharacter:
 def chi_to_kappa(chi: RationalCharacter) -> KappaParams:
     """The unique kappa coordinates translating back to the given character.
 
-    Solves the defining linear system directly: the cyclic differences
+    Solves the defining linear system: the cyclic differences
     kappa_i - kappa_{i+1} = chi_i - 1/ell for i >= 1, the normalization
-    sum(kappa) = 0, and k00 = -k01 = (coordinate sum of chi)/2.
+    sum(kappa) = 0, and k00 = -k01 = (coordinate sum of chi)/2.  On the
+    integers c = d*chi over the common denominator d, with S = sum(c): the
+    solution anchored at kappa_1 = 0, times d*ell, is
+    p_{i+1 mod ell} = i*d - ell*(c_1 + ... + c_i) for 0 <= i < ell, so
+    k00 = S/(2d) and kappa_r = (ell*p_r - sum(p)) / (d*ell^2).
     """
-    ell = chi.ell
-    k00 = chi.delta_pairing() / 2
-    if ell == 1:
-        return KappaParams(k00, -k00, (Fraction(0),))
-    inv_ell = Fraction(1, ell)
-    provisional = [Fraction(0)] * ell  # anchored at kappa_1 = 0
-    cur = Fraction(0)
+    d, scaled = chi.common_denominator()
+    ell = len(scaled)
+    k00 = Fraction(sum(scaled), 2 * d)
+    anchored = [0] * ell
+    partial = 0
     for i in range(1, ell):
-        cur = cur - (chi.values[i] - inv_ell)
-        provisional[(i + 1) % ell] = cur
-    shift = -sum(provisional, Fraction(0)) / ell
-    return KappaParams(k00, -k00, tuple(v + shift for v in provisional))
+        partial += scaled[i]
+        anchored[(i + 1) % ell] = i * d - ell * partial
+    shift, den = sum(anchored), d * ell * ell
+    kappa = tuple(Fraction(ell * p - shift, den) for p in anchored)
+    return KappaParams(k00, -k00, kappa)
 
 
 def hecke_params(
@@ -226,20 +253,42 @@ def hecke_params(
 
     q0 = circle(k00), q1 = -exp(2*pi*i*k01) with the sign absorbed as a half
     rotation, and u_r = zeta^{-r} exp(2*pi*i*kappa_r) = circle(kappa_r - r/ell).
+    Each angle is formed as an integer ratio and reduced modulo one there.
     """
     if kp.ell != ell:
         raise ValueError(f"expected {ell} kappa entries, got {kp.ell}")
-    q0 = CircleElement(kp.k00)
-    q1 = CircleElement(kp.k01 + Fraction(1, 2))
+    ratio = CircleElement.from_ratio
+    k00, k01 = kp.k00, kp.k01
+    q0 = ratio(k00.numerator, k00.denominator)
+    q1 = ratio(2 * k01.numerator + k01.denominator, 2 * k01.denominator)
     u = tuple(
-        CircleElement(kp.kappa[r] - Fraction(r, ell)) for r in range(ell)
+        ratio(v.numerator * ell - r * v.denominator, v.denominator * ell)
+        for r, v in enumerate(kp.kappa)
     )
     return q0, q1, u
 
 
 def hecke_q(q0: CircleElement, q1: CircleElement) -> CircleElement:
-    """The deformation parameter q = -q0 * q1^{-1}, another half rotation."""
-    return CircleElement(Fraction(1, 2)) * q0 * q1.inverse()
+    """The deformation parameter q = -q0 * q1^{-1}, another half rotation:
+    the angle 1/2 + t0 - t1 over the denominator 2*b0*b1."""
+    a0, b0 = q0.t.numerator, q0.t.denominator
+    a1, b1 = q1.t.numerator, q1.t.denominator
+    return CircleElement.from_ratio(b0 * b1 + 2 * (a0 * b1 - a1 * b0), 2 * b0 * b1)
+
+
+def hecke_json(
+    q0: CircleElement,
+    q1: CircleElement,
+    u: Sequence[CircleElement],
+    q: CircleElement | None = None,
+) -> dict:
+    """The one JSON form of Hecke parameters: {q0, q1, u}, with q between
+    q1 and u when given."""
+    out = {"q0": str(q0), "q1": str(q1)}
+    if q is not None:
+        out["q"] = str(q)
+    out["u"] = [str(x) for x in u]
+    return out
 
 
 def ariki_product_nonzero(

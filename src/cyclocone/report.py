@@ -7,17 +7,22 @@ criterion comparing the number of simple objects with the number of
 multipartitions.  The three verdicts provably agree; a disagreement would
 falsify the implementation, so it raises instead of being reconciled.
 
-Per character all three run on integers over a common denominator: the
-roots pair with chi scaled to integer numerators, the Hecke product is
-decided modulo the common denominator of its circle numbers, and counting
-tests integer pairings with the string vectors of the string-class table.
-What depends only on (n, ell), the roots and the table, is built once.
+Per character all three run on integers over the common denominator d of
+chi, with c = d*chi and its prefix sums P[k] = c_0 + ... + c_{k-1}.  Every
+root is m*delta + sign*(eps_lo + ... + eps_{hi-1}), so its pairing with c is
+m*P[ell] + sign*(P[hi] - P[lo]); kappa and the Hecke parameters come from c
+as integer ratios, and the Hecke product is decided modulo the common
+denominator of its circle numbers; counting pairs c with the string vectors
+of the string-class table by cyclic windows of prefix sums.  A Fraction is
+built only for a value the report returns.  What depends only on (n, ell),
+the roots in closed form and the table, is built once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .abelian import FGAbelianGroup
@@ -37,11 +42,12 @@ from .params import (
     RationalCharacter,
     ariki_product_nonzero,
     chi_to_kappa,
+    hecke_json,
     hecke_params,
     hecke_q,
 )
 from .partitions import Partition, partitions_of
-from .rootlattice import DimVector, RootSet, generate_Rn
+from .rootlattice import DimVector, generate_Rn
 
 
 class CriteriaDisagreement(RuntimeError):
@@ -84,7 +90,6 @@ class SemisimplicityReport(NamedTuple):
         return self.verdict_roots
 
     def to_json(self) -> dict:
-        q0, q1, u = self.hecke
         return {
             "n": self.n,
             "ell": self.ell,
@@ -100,11 +105,7 @@ class SemisimplicityReport(NamedTuple):
             "pell_count": self.pell_count,
             "chi_integral": self.chi_integral,
             "kappa": self.kappa.to_json(),
-            "hecke": {
-                "q0": str(q0),
-                "q1": str(q1),
-                "u": [str(x) for x in u],
-            },
+            "hecke": hecke_json(*self.hecke),
         }
 
 
@@ -130,8 +131,22 @@ def count_multipartitions(n: int, ell: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _roots(n: int, ell: int) -> RootSet:
-    return generate_Rn(n, ell)
+def _roots(n: int, ell: int) -> tuple[tuple[DimVector, int, int, int, int], ...]:
+    """(alpha, m, sign, lo, hi) per root of generate_Rn(n, ell), in its order:
+    alpha = m*delta + sign*(eps_lo + ... + eps_{hi-1}), read off the
+    coordinates (m the vertex-0 coefficient, lo..hi-1 the vertices where
+    alpha leaves m; sign = lo = hi = 0 for m*delta itself)."""
+    out = []
+    for alpha in generate_Rn(n, ell):
+        coords = alpha.coords
+        m = coords[0]
+        off = [r for r, c in enumerate(coords) if c != m]
+        if off:
+            lo, hi = off[0], off[-1] + 1
+            out.append((alpha, m, coords[lo] - m, lo, hi))
+        else:
+            out.append((alpha, m, 0, 0, 0))
+    return tuple(out)
 
 
 def semisimplicity_report(
@@ -140,8 +155,9 @@ def semisimplicity_report(
     """Run all three criteria and package the evidence.
 
     A root alpha is violated iff the integer pairing of alpha with d*chi,
-    d the common denominator of chi, is divisible by d; only the violated
-    roots get a Fraction, the pairing divided by d.  Counting sums the
+    d the common denominator of chi, is divisible by d; the pairing is read
+    from the prefix sums of d*chi, and only the violated roots get a
+    Fraction, the pairing divided by d.  Counting sums the
     table's counts over the submasks of the bits chi pairs with integrally
     when there are fewer of those than table groups, and walks the groups
     otherwise.
@@ -157,9 +173,11 @@ def semisimplicity_report(
         raise ValueError(f"character has {chi.ell} entries, expected {ell}")
 
     d, scaled = chi.common_denominator()
+    prefix = [0, *accumulate(scaled)]
+    total = prefix[ell]
     violated = []
-    for alpha in _roots(n, ell):
-        s = sum(a * c for a, c in zip(scaled, alpha.coords))
+    for alpha, m, sign, lo, hi in _roots(n, ell):
+        s = m * total + sign * (prefix[hi] - prefix[lo])
         if s % d == 0:
             violated.append((alpha, Fraction(s // d)))
     verdict_roots = not violated

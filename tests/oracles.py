@@ -5,7 +5,9 @@ the library code paths it checks: determinants via fraction-free elimination,
 partition counts via the bounded-part recurrence, the root set via the
 abstract positive-root filter, residues and string vectors via a plain box
 scan, cokernels via determinantal divisors, and the Hecke product via a
-scan of its factors in Fraction arithmetic.
+scan of its factors in Fraction arithmetic.  The chi -> kappa -> Hecke
+translations are kept here in Fraction arithmetic, as they read before the
+library moved them onto integers over common denominators.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+
+from cyclocone.params import CircleElement, KappaParams, RationalCharacter
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -200,3 +204,47 @@ def ariki_nonzero_scan(q: Fraction, u: list[Fraction], n: int) -> bool:
 
 def random_fraction(rng, max_den: int = 12, max_num: int = 24) -> Fraction:
     return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+
+
+def chi_to_kappa(chi: RationalCharacter) -> KappaParams:
+    """The unique kappa coordinates translating back to the given character.
+
+    Solves the defining linear system directly: the cyclic differences
+    kappa_i - kappa_{i+1} = chi_i - 1/ell for i >= 1, the normalization
+    sum(kappa) = 0, and k00 = -k01 = (coordinate sum of chi)/2.
+    """
+    ell = chi.ell
+    k00 = chi.delta_pairing() / 2
+    if ell == 1:
+        return KappaParams(k00, -k00, (Fraction(0),))
+    inv_ell = Fraction(1, ell)
+    provisional = [Fraction(0)] * ell  # anchored at kappa_1 = 0
+    cur = Fraction(0)
+    for i in range(1, ell):
+        cur = cur - (chi.values[i] - inv_ell)
+        provisional[(i + 1) % ell] = cur
+    shift = -sum(provisional, Fraction(0)) / ell
+    return KappaParams(k00, -k00, tuple(v + shift for v in provisional))
+
+
+def hecke_params(
+    kp: KappaParams, ell: int
+) -> tuple[CircleElement, CircleElement, tuple[CircleElement, ...]]:
+    """Unit-circle parameters (q0, q1, u) attached to kappa coordinates.
+
+    q0 = circle(k00), q1 = -exp(2*pi*i*k01) with the sign absorbed as a half
+    rotation, and u_r = zeta^{-r} exp(2*pi*i*kappa_r) = circle(kappa_r - r/ell).
+    """
+    if kp.ell != ell:
+        raise ValueError(f"expected {ell} kappa entries, got {kp.ell}")
+    q0 = CircleElement(kp.k00)
+    q1 = CircleElement(kp.k01 + Fraction(1, 2))
+    u = tuple(
+        CircleElement(kp.kappa[r] - Fraction(r, ell)) for r in range(ell)
+    )
+    return q0, q1, u
+
+
+def hecke_q(q0: CircleElement, q1: CircleElement) -> CircleElement:
+    """The deformation parameter q = -q0 * q1^{-1}, another half rotation."""
+    return CircleElement(Fraction(1, 2)) * q0 * q1.inverse()

@@ -280,6 +280,17 @@ class TestTranslateCommand:
         }
         assert data["hecke"]["q"] == "2/3"
 
+    def test_hecke_json_is_the_reports_with_q(self):
+        # One JSON form of the Hecke parameters: translate adds q between
+        # q1 and u, and is otherwise what the semisimple report prints.
+        tail = ["-l", "3", "--chi", "1/5,-7/3,2", "--format", "json"]
+        _, out, _ = invoke(["translate"] + tail)
+        hecke = json.loads(out)["hecke"]
+        _, out, _ = invoke(["semisimple", "-n", "2"] + tail)
+        assert list(hecke) == ["q0", "q1", "q", "u"]
+        del hecke["q"]
+        assert json.loads(out)["hecke"] == hecke
+
     def test_requires_exactly_one(self):
         code, _, err = invoke(["translate", "-l", "1"])
         assert code == 2
@@ -321,6 +332,22 @@ class TestExitCodeContract:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_selftest_refuses_a_structured_format(self, fmt):
+        # The self-test prints one plain line; a json or tsv request must
+        # not silently get that line instead.
+        code, out, err = invoke(
+            ["semisimple", "-n", "3", "-l", "2", "--selftest", "5", "--format", fmt]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_selftest_accepts_the_default_format_by_name(self):
+        argv = ["semisimple", "-n", "3", "-l", "2", "--selftest", "5", "--seed", "1"]
+        assert invoke(argv + ["--format", "pretty"]) == invoke(argv)
+        assert invoke(argv)[0] == 0
 
     def test_seed_without_selftest_is_input_error(self):
         code, out, err = invoke(

@@ -415,3 +415,52 @@ class TestQChi:
                 )
             full = count_Q_chi(n, ell, chi) == len(enumerate_orbits(n, ell))
             assert full == chi.is_integral()
+
+
+class TestNonIntegralMask:
+    """The prefix-sum windows of _non_integral_mask against a pair() scan
+    of every bit's string vector in Fraction arithmetic."""
+
+    @staticmethod
+    def scan(ell, mask, chi):
+        out = 0
+        for k in range(mask.bit_length()):
+            if mask >> k & 1:
+                coords = orbits_module._string_coords(k % ell, k // ell + 1, ell)
+                if pair(chi, DimVector(coords)).denominator != 1:
+                    out |= 1 << k
+        return out
+
+    @pytest.mark.parametrize(
+        "n, ell", [(n, ell) for n in range(5) for ell in range(1, 5)] + [(3, 6)]
+    )
+    def test_union_matches_the_pairing_scan(self, n, ell):
+        union = orbits_module._string_class_table(n, ell)[1]
+        rng = random.Random(53 * n + ell)
+        seen = set()
+        for i in range(40):
+            den = 2 if i % 2 else 12
+            chi = RationalCharacter(
+                tuple(random_fraction(rng, max_den=den) for _ in range(ell))
+            )
+            got = orbits_module._non_integral_mask(ell, union, chi)
+            assert got == self.scan(ell, union, chi)
+            seen.add(got)
+        if union:
+            assert len(seen) > 1
+
+    @pytest.mark.parametrize("ell", range(1, 8))
+    def test_windows_wrap_around_the_cycle(self, ell):
+        # Strings up to five laps long, so that the window of length % ell
+        # entries ending at the top wraps past vertex 0 and whole laps add
+        # multiples of the coordinate sum.
+        rng = random.Random(ell)
+        width = 5 * ell * ell
+        for _ in range(60):
+            mask = rng.getrandbits(width) | 1 << (width - 1)
+            chi = RationalCharacter(
+                tuple(random_fraction(rng, max_den=6) for _ in range(ell))
+            )
+            assert orbits_module._non_integral_mask(ell, mask, chi) == self.scan(
+                ell, mask, chi
+            )

@@ -19,6 +19,7 @@ from cyclocone.params import (
 )
 from cyclocone.rootlattice import generate_Rn, pair
 
+import oracles
 from oracles import ariki_nonzero_scan, random_fraction
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -58,6 +59,20 @@ class TestParsing:
             KappaParams(1, 1, (0,))
         with pytest.raises(ValueError):
             KappaParams(1, -1, (Fraction(1, 2),))
+
+    def test_kappa_invariants_on_integers(self):
+        # The checks compare numerators over common denominators; fractions
+        # given as strings, ints and Fractions all count the same.
+        kp = KappaParams("-2/6", Fraction(1, 3), ("1/4", Fraction(-3, 8), 0, "1/8"))
+        assert (kp.k00, kp.k01) == (Fraction(-1, 3), Fraction(1, 3))
+        assert kp.kappa == (Fraction(1, 4), Fraction(-3, 8), 0, Fraction(1, 8))
+        assert all(type(v) is Fraction for v in (kp.k00, kp.k01, *kp.kappa))
+        with pytest.raises(ValueError):
+            KappaParams(Fraction(1, 3), Fraction(1, 3), (0,))
+        with pytest.raises(ValueError):
+            KappaParams("1/3", Fraction(-2, 6), (Fraction(1, 6), Fraction(-1, 3)))
+        with pytest.raises(ValueError):
+            KappaParams(0, 0, ())
 
 
 class TestCommonDenominator:
@@ -182,6 +197,62 @@ class TestHeckeParams:
         q0, q1, _ = hecke_params(kp, 1)
         assert hecke_q(q0, q1) == circle(1)
         assert hecke_q(q0, q1).is_one()
+
+
+class TestIntegerPathAgainstFractionOracles:
+    """chi_to_kappa, hecke_params and hecke_q work on integer numerators over
+    common denominators; tests/oracles.py keeps their Fraction versions.
+    Cycles of 1 to 7 vertices, denominators up to 60, numerators of both
+    signs."""
+
+    @staticmethod
+    def characters(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            ell = rng.randint(1, 7)
+            values = [random_fraction(rng, max_den=60, max_num=150) for _ in range(ell)]
+            yield ell, RationalCharacter(values)
+
+    @staticmethod
+    def assert_circles_equal(got, want):
+        assert type(got) is CircleElement and got == want
+        assert type(got.t) is Fraction and 0 <= got.t < 1
+
+    def test_kappa_and_hecke_field_by_field(self):
+        for ell, chi in self.characters(71, 1200):
+            kp, want = chi_to_kappa(chi), oracles.chi_to_kappa(chi)
+            fields = (kp.k00, kp.k01, *kp.kappa)
+            assert fields == (want.k00, want.k01, *want.kappa)
+            assert all(type(v) is Fraction for v in fields)
+            (q0, q1, u), (w0, w1, wu) = (
+                hecke_params(kp, ell),
+                oracles.hecke_params(want, ell),
+            )
+            assert type(u) is tuple and len(u) == len(wu) == ell
+            for got, ref in zip((q0, q1, *u), (w0, w1, *wu)):
+                self.assert_circles_equal(got, ref)
+            self.assert_circles_equal(hecke_q(q0, q1), oracles.hecke_q(w0, w1))
+
+    def test_hecke_of_arbitrary_kappa(self):
+        # Kappa vectors drawn directly rather than from a character, with
+        # k00 often an integer, a negative half or zero.
+        rng = random.Random(72)
+        for _ in range(300):
+            ell = rng.randint(1, 7)
+            kappa = [random_fraction(rng, max_den=60) for _ in range(ell - 1)]
+            kappa.append(-sum(kappa, Fraction(0)))
+            k00 = rng.choice([Fraction(0), Fraction(-1, 2), Fraction(3)])
+            k00 = rng.choice([k00, random_fraction(rng, max_den=60)])
+            kp = KappaParams(k00, -k00, tuple(kappa))
+            got, want = hecke_params(kp, ell), oracles.hecke_params(kp, ell)
+            assert got == want
+            self.assert_circles_equal(hecke_q(*got[:2]), oracles.hecke_q(*want[:2]))
+
+    def test_from_ratio_reduces_modulo_one(self):
+        assert CircleElement.from_ratio(7, 4) == circle(Fraction(3, 4))
+        assert CircleElement.from_ratio(-1, 3).t == Fraction(2, 3)
+        assert CircleElement.from_ratio(-6, 3).t == 0
+        assert CircleElement.from_ratio(10, 4).t == Fraction(1, 2)
 
 
 class TestAriki:

@@ -116,16 +116,21 @@ class TestSemisimplicityReport:
             assert rep.simple_count >= rep.pell_count
             assert rep.verdict_counting == (rep.simple_count == rep.pell_count)
 
-    @pytest.mark.parametrize("n", range(1, 5))
-    @pytest.mark.parametrize("ell", range(1, 5))
+    @pytest.mark.parametrize(
+        "ell, n",
+        [(ell, n) for ell in range(1, 5) for n in range(1, 5)]
+        + [(ell, n) for ell in range(5, 8) for n in (1, 2)],
+    )
     def test_violated_roots_match_the_pairing_scan(self, n, ell):
-        # The report pairs over chi's common denominator in integers; pair()
-        # scans in Fraction arithmetic.  Denominators up to 3 or up to 12
-        # mix the verdicts.
+        # The report pairs each root's closed form with the prefix sums of
+        # chi over its common denominator, in integers; pair() scans the
+        # coordinates in Fraction arithmetic.  Denominators up to 3 or up
+        # to 12 mix the verdicts; cycles of 5 or more vertices have so many
+        # roots that up to 60 is needed for a semi-simple character.
         rng = random.Random(41 * n + ell)
         verdicts = set()
         for i in range(30):
-            den = 3 if i % 2 else 12
+            den = 3 if i % 2 else 12 if ell < 5 else 60
             chi = RationalCharacter(
                 tuple(random_fraction(rng, max_den=den) for _ in range(ell))
             )
@@ -139,6 +144,23 @@ class TestSemisimplicityReport:
             assert all(type(value) is Fraction for _, value in got)
             verdicts.add(not got)
         assert verdicts == {True, False}
+
+
+class TestRootClosedForms:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_every_root_is_rebuilt_from_its_closed_form(self, n):
+        # alpha = m*delta + sign*(eps_lo + ... + eps_{hi-1}), in the order of
+        # generate_Rn, for every cycle up to length 7.
+        for ell in range(1, 8):
+            stored = report_module._roots(n, ell)
+            assert [entry[0] for entry in stored] == list(generate_Rn(n, ell))
+            for alpha, m, sign, lo, hi in stored:
+                assert sign in (-1, 0, 1)
+                assert (sign == 0) == (lo == hi) and 0 <= lo <= hi <= ell
+                coords = [m] * ell
+                for r in range(lo, hi):
+                    coords[r] += sign
+                assert tuple(coords) == alpha.coords
 
 
 class TestHyperplaneListing:
