@@ -18,6 +18,7 @@ exactly when it pairs integrally with every vector of that mask.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache, reduce
 from itertools import accumulate, chain
 from operator import or_, sub
@@ -81,7 +82,6 @@ class SummandDecomposition(NamedTuple):
     strings: tuple[StringSummand, ...]
 
 
-@lru_cache(maxsize=None)
 def _component_classes(
     ell: int, index: int, parts: tuple[int, ...]
 ) -> tuple[tuple[int, int], ...]:
@@ -116,6 +116,13 @@ def _mask_vectors(ell: int, mask: int) -> list[Coords]:
         for k in range(mask.bit_length())
         if mask >> k & 1
     ]
+
+
+class Candidate(NamedTuple):
+    """What the counting table needs of a PlacedComponent."""
+
+    shifted: Coords
+    mask: int
 
 
 class PlacedComponent(NamedTuple):
@@ -212,19 +219,61 @@ def _interned_partition(parts: tuple[int, ...]) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _component_candidates(
-    ell: int, index: int, size: int
-) -> tuple[tuple[Coords, int], ...]:
-    # (rotated residue, class mask) of every partition of the given size
-    # placed as component `index`: what the counting table needs of a
-    # PlacedComponent, without its summands and texts.
+def _component_candidates(ell: int, index: int, size: int) -> tuple[Candidate, ...]:
+    # The Candidate of every partition of the given size placed as component
+    # `index`: a PlacedComponent without its strings and texts.
     out = []
     for parts in partitions_of(size):
         shifted = residue(_interned_partition(parts), ell).rotated(index).coords
         classes = _component_classes(ell, index, parts)
         mask = reduce(or_, (_class_bit(*c, ell) for c in classes), 0)
-        out.append((shifted, mask))
+        out.append(Candidate(shifted, mask))
     return tuple(out)
+
+
+def _steps(supply, ell: int, index: int, remaining: Coords, memo: dict) -> tuple:
+    """What nu component `index` can be, given the residue `remaining`: a
+    (component, rest) pair per component that fits, rest the residue left
+    over, memoized in `memo` by (index, remaining) for one walk.
+
+    It is the only code that places a component: the label walk and the
+    counting table both fold over it.  `supply(ell, index, size)` gives the
+    components of a size, each with its `.shifted` residue and `.mask`:
+    PlacedComponent records for the walk, Candidates for the table.  The
+    last component must take up `remaining` exactly, so its rest is zero.
+    For component ell-2, rest is instead the (nonempty) _steps of the last
+    component, so dead ends are dropped.
+    """
+    key = index, remaining
+    found = memo.get(key)
+    if found is not None:
+        return found
+    total = sum(remaining)
+    found = []
+    for size in range(total if index == ell - 1 else 0, total + 1):
+        for comp in supply(ell, index, size):
+            rest = tuple(map(sub, remaining, comp.shifted))
+            if min(rest) < 0:
+                continue
+            if index == ell - 2:
+                rest = _steps(supply, ell, ell - 1, rest, memo)
+                if not rest:
+                    continue
+            found.append((comp, rest))
+    found = memo[key] = tuple(found)
+    return found
+
+
+def _lambda_seeds(n: int, ell: int) -> Iterator[tuple[Partition, Coords]]:
+    """(lambda, residue left for nu) per partition lambda whose residue fits
+    under n*delta, in the order of enumerate_orbits."""
+    target = n * delta(ell)
+    for lam_size in range(n * ell, -1, -1):
+        for lam_parts in partitions_of(lam_size):
+            lam = _interned_partition(lam_parts)
+            rest = target - residue(lam, ell)
+            if rest.is_nonnegative():
+                yield lam, rest.coords
 
 
 def _fill(
@@ -232,63 +281,31 @@ def _fill(
 ) -> Iterator[tuple[Components, int]]:
     """(nu components, class mask) of every way to take up `remaining`, in
     enumeration order: a depth-first walk over an explicit stack of
-    _steps, memoized in `memo` for one walk."""
+    _steps on PlacedComponent records, memoized in `memo` for one walk."""
     if ell == 1:
-        for comp in _steps(ell, 0, remaining, memo):
+        for comp, _ in _steps(_placed_of_size, ell, 0, remaining, memo):
             yield (comp,), comp.mask
         return
     head: list[PlacedComponent] = []
     masks = [0]
-    stack = [iter(_steps(ell, 0, remaining, memo))]
+    stack = [iter(_steps(_placed_of_size, ell, 0, remaining, memo))]
     while stack:
         for comp, rest in stack[-1]:
             mask = masks[-1] | comp.mask
             if len(stack) < ell - 1:
                 head.append(comp)
                 masks.append(mask)
-                stack.append(iter(_steps(ell, len(stack), rest, memo)))
+                steps = _steps(_placed_of_size, ell, len(stack), rest, memo)
+                stack.append(iter(steps))
                 break
             prefix = (*head, comp)
-            for closing in rest:
+            for closing, _ in rest:
                 yield (*prefix, closing), mask | closing.mask
         else:
             stack.pop()
             if head:
                 head.pop()
                 masks.pop()
-
-
-def _steps(ell: int, index: int, remaining: Coords, memo: dict) -> tuple:
-    """What component `index` can be, given the residue `remaining`,
-    memoized by (index, remaining).
-
-    The last component must take up `remaining` exactly: a tuple of
-    components.  Any other is a (component, rest) pair per component that
-    fits, rest the residue left over; for component ell-2, rest is the
-    (nonempty) _steps of the last component, so dead ends are dropped.
-    """
-    key = index, remaining
-    found = memo.get(key)
-    if found is not None:
-        return found
-    if index == ell - 1:
-        comps = _placed_of_size(ell, index, sum(remaining))
-        found = tuple(comp for comp in comps if comp.shifted == remaining)
-    else:
-        found = []
-        for size in range(sum(remaining) + 1):
-            for comp in _placed_of_size(ell, index, size):
-                rest = tuple(map(sub, remaining, comp.shifted))
-                if min(rest) < 0:
-                    continue
-                if index == ell - 2:
-                    rest = _steps(ell, ell - 1, rest, memo)
-                    if not rest:
-                        continue
-                found.append((comp, rest))
-        found = tuple(found)
-    memo[key] = found
-    return found
 
 
 def _fill_labels(
@@ -304,20 +321,14 @@ def _fill_labels(
         raise ValueError(f"character has {chi.ell} entries, expected {ell}")
     flags: dict[int, bool] = {}
     memo: dict = {}
-    target = n * delta(ell)
-    for lam_size in range(n * ell, -1, -1):
-        for lam_parts in partitions_of(lam_size):
-            lam = _interned_partition(lam_parts)
-            rest = target - residue(lam, ell)
-            if not rest.is_nonnegative():
-                continue
-            for components, mask in _fill(ell, rest.coords, memo):
-                flag = None
-                if chi is not None:
-                    flag = flags.get(mask)
-                    if flag is None:
-                        flag = flags[mask] = not _non_integral_mask(ell, mask, chi)
-                yield lam, components, mask, flag
+    for lam, rest in _lambda_seeds(n, ell):
+        for components, mask in _fill(ell, rest, memo):
+            flag = None
+            if chi is not None:
+                flag = flags.get(mask)
+                if flag is None:
+                    flag = flags[mask] = not _non_integral_mask(ell, mask, chi)
+            yield lam, components, mask, flag
 
 
 @lru_cache(maxsize=None)
@@ -343,50 +354,34 @@ def _string_class_table(n: int, ell: int) -> tuple[int, int, dict[int, int]]:
     _class_bit, so per character only the bits of the union need a pairing
     test, and counting reads the groups instead of the labels.
 
-    No label is built.  A dynamic program fills the nu components in the
-    order enumerate_orbits does, keeping (remaining residue, mask) -> number
-    of partial labels: lambda seeds it, components 0 .. ell-2 fold in, and
-    the last component must take up the remaining residue exactly.
+    No label is built.  The table folds over the label walk's component
+    steps (_steps, on Candidates), keeping (remaining residue, mask) ->
+    number of partial labels: the lambda seeds start it, and each nu
+    component in turn moves every state to the rests of its steps, until
+    only the zero residue is left.
     """
     if ell < 1:
         raise ValueError("cycle length must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # remaining residue -> mask -> number of partial labels
-    states: dict[Coords, dict[int, int]] = {}
-    target = n * delta(ell)
-    for lam_size in range(n * ell + 1):
-        for parts in partitions_of(lam_size):
-            rest = target - residue(_interned_partition(parts), ell)
-            if rest.is_nonnegative():
-                masks = states.setdefault(rest.coords, {0: 0})
-                masks[0] += 1
-    for index in range(ell - 1):
+    seeds = Counter(rest for _, rest in _lambda_seeds(n, ell))
+    states = {rest: {0: count} for rest, count in seeds.items()}
+    memo: dict = {}
+    for index in range(ell):
         folded: dict[Coords, dict[int, int]] = {}
         for remaining, masks in states.items():
-            for size in range(sum(remaining) + 1):
-                for shifted, part_mask in _component_candidates(ell, index, size):
-                    rest = tuple(r - s for r, s in zip(remaining, shifted))
-                    if min(rest) < 0:
-                        continue
-                    into = folded.setdefault(rest, {})
-                    for mask, count in masks.items():
-                        mask |= part_mask
-                        into[mask] = into.get(mask, 0) + count
+            steps = _steps(_component_candidates, ell, index, remaining, memo)
+            for comp, rest in steps:
+                if index == ell - 2:
+                    # rest is the last component's steps; key the state by
+                    # the residue that each of them takes up.
+                    rest = rest[0][0].shifted
+                into = folded.setdefault(rest, {})
+                for mask, count in masks.items():
+                    mask |= comp.mask
+                    into[mask] = into.get(mask, 0) + count
         states = folded
-    closing: dict[int, dict[Coords, list[int]]] = {}
-    groups: dict[int, int] = {}
-    for remaining, masks in states.items():
-        size = sum(remaining)
-        by_residue = closing.get(size)
-        if by_residue is None:
-            by_residue = closing[size] = {}
-            for shifted, part_mask in _component_candidates(ell, ell - 1, size):
-                by_residue.setdefault(shifted, []).append(part_mask)
-        for part_mask in by_residue.get(remaining, ()):
-            for mask, count in masks.items():
-                mask |= part_mask
-                groups[mask] = groups.get(mask, 0) + count
+    groups = states.get((0,) * ell, {})
     return ell, reduce(or_, groups, 0), groups
 
 

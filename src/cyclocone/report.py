@@ -47,7 +47,7 @@ from .params import (
     hecke_q,
 )
 from .partitions import Partition, partitions_of
-from .rootlattice import DimVector, generate_Rn
+from .rootlattice import DimVector, _root_forms, generate_Rn
 
 
 class CriteriaDisagreement(RuntimeError):
@@ -133,20 +133,10 @@ def count_multipartitions(n: int, ell: int) -> int:
 @lru_cache(maxsize=None)
 def _roots(n: int, ell: int) -> tuple[tuple[DimVector, int, int, int, int], ...]:
     """(alpha, m, sign, lo, hi) per root of generate_Rn(n, ell), in its order:
-    alpha = m*delta + sign*(eps_lo + ... + eps_{hi-1}), read off the
-    coordinates (m the vertex-0 coefficient, lo..hi-1 the vertices where
-    alpha leaves m; sign = lo = hi = 0 for m*delta itself)."""
-    out = []
-    for alpha in generate_Rn(n, ell):
-        coords = alpha.coords
-        m = coords[0]
-        off = [r for r, c in enumerate(coords) if c != m]
-        if off:
-            lo, hi = off[0], off[-1] + 1
-            out.append((alpha, m, coords[lo] - m, lo, hi))
-        else:
-            out.append((alpha, m, 0, 0, 0))
-    return tuple(out)
+    alpha = m*delta + sign*(eps_lo + ... + eps_{hi-1}), the closed form it
+    was built from (sign = lo = hi = 0 for m*delta itself)."""
+    roots = generate_Rn(n, ell)
+    return tuple((alpha, *form) for alpha, form in zip(roots, _root_forms(n, ell)))
 
 
 def semisimplicity_report(

@@ -154,22 +154,30 @@ def generate_Rn(n: int, ell: int) -> RootSet:
     multiples m*delta (1 <= m <= n), and m*delta plus/minus an interval of
     finite simple roots.  The vertex-0 coefficient of every member of the
     interval families equals m, which realizes the bound; the families are
-    pairwise disjoint, and each root is built once from its coordinates.
+    pairwise disjoint, and each root is built once from its closed form
+    (_root_forms).
     """
     if n < 1:
         raise ValueError("bound n must be positive")
     if ell < 1:
         raise ValueError("cycle length must be positive")
-    coords = [(m,) * ell for m in range(1, n + 1)]
-    # m*delta +/- (epsilon_i + ... + epsilon_j) for 1 <= i <= j <= ell-1:
-    # coordinates i..j read m +/- 1, all others m.
-    families = [(m, m + 1) for m in range(n)] + [(m, m - 1) for m in range(1, n)]
-    for m, inside in families:
-        for i in range(1, ell):
-            head = (m,) * i
-            for j in range(i, ell):
-                coords.append(head + (inside,) * (j - i + 1) + (m,) * (ell - 1 - j))
-    return RootSet([DimVector._trusted(c) for c in coords], n, ell)
+    roots = [
+        DimVector._trusted((m,) * lo + (m + sign,) * (hi - lo) + (m,) * (ell - hi))
+        for m, sign, lo, hi in _root_forms(n, ell)
+    ]
+    return RootSet(roots, n, ell)
+
+
+def _root_forms(n: int, ell: int) -> Iterator[tuple[int, int, int, int]]:
+    """(m, sign, lo, hi) per root of generate_Rn(n, ell), in its order: the
+    root m*delta + sign*(eps_lo + ... + eps_{hi-1}), with 1 <= lo < hi <= ell,
+    or m*delta itself when sign = lo = hi = 0."""
+    for m in range(1, n + 1):
+        yield m, 0, 0, 0
+    for m, sign in [(m, 1) for m in range(n)] + [(m, -1) for m in range(1, n)]:
+        for lo in range(1, ell):
+            for hi in range(lo + 1, ell + 1):
+                yield m, sign, lo, hi
 
 
 def pair(chi: "RationalCharacter", alpha: DimVector) -> Fraction:

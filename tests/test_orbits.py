@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -248,6 +249,21 @@ class TestMonodromy:
                 assert admits_monodromic_local_system(lab, chi) == expected
 
 
+def table_vector_sets(n, ell):
+    """The string-class table as a Counter of frozensets of string vectors."""
+    counted = Counter()
+    for mask, count in orbits_module._string_class_table(n, ell)[2].items():
+        counted[frozenset(orbits_module._mask_vectors(ell, mask))] += count
+    return counted
+
+
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
 class TestStringClassTable:
     @pytest.mark.parametrize(
         "n, ell", [(n, ell) for n in range(5) for ell in range(1, 5)]
@@ -259,10 +275,7 @@ class TestStringClassTable:
             for lab in enumerate_orbits(n, ell)
         )
         _, union, groups = orbits_module._string_class_table(n, ell)
-        counted = Counter()
-        for mask, count in groups.items():
-            counted[frozenset(orbits_module._mask_vectors(ell, mask))] += count
-        assert counted == listed
+        assert table_vector_sets(n, ell) == listed
         assert len(groups) == len(listed)
         # One bit per string vector.
         vectors = orbits_module._mask_vectors(ell, union)
@@ -273,12 +286,64 @@ class TestStringClassTable:
     )
     def test_groups_equal_the_fill_masks(self, n, ell):
         # The table and the record fill share one class-bit numbering, so
-        # their masks compare directly.
+        # their masks compare directly.  Both walk _steps, so this checks
+        # the fold, not the placing; the brute-force test below checks that.
         groups = orbits_module._string_class_table(n, ell)[2]
         filled = Counter(
             mask for _, _, mask, _ in orbits_module._fill_labels(n, ell)
         )
         assert dict(groups) == filled
+
+    @pytest.mark.parametrize(
+        "n,ell",
+        [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3), (2, 3), (4, 3), (3, 4)],
+    )
+    def test_groups_equal_the_brute_force_pairs(self, n, ell):
+        # The table and the label walk share _steps; the double loop of the
+        # oracle shares no code path with either.
+        expected = Counter(
+            frozenset(string_vectors_scan(nu, ell))
+            for _, nu in brute_force_orbit_pairs(n, ell)
+        )
+        assert table_vector_sets(n, ell) == expected
+
+    def test_ell_one_counts_the_bipartitions(self):
+        # At ell = 1 the orbits of the enhanced nilpotent cone correspond to
+        # the bipartitions of n (Achar-Henderson).
+        for n in range(13):
+            groups = orbits_module._string_class_table(n, 1)[2]
+            assert sum(groups.values()) == count_multipartitions(n, 2)
+
+    def test_n_one_total_is_the_observed_fibonacci_sequence(self):
+        # |Q(1, ell)| = 2*F(2*ell + 1) - 2 (2, 8, 24, 66, ...): an observed
+        # sequence, checked up to ell = 15, not taken from a paper or proved.
+        for ell in range(1, 10):
+            groups = orbits_module._string_class_table(1, ell)[2]
+            assert sum(groups.values()) == 2 * fibonacci(2 * ell + 1) - 2
+
+    # (groups, labels, union bits, sha256 of repr(sorted(groups.items()))),
+    # recorded before the table folded over the label walk's _steps.
+    PINS = {
+        (5, 4): (
+            24_056,
+            2_241_108,
+            65,
+            "5b1decef9a8da61c5c3eaf0d2d0983ca675fc264812cf19b054f847af0dd48a4",
+        ),
+        (3, 6): (
+            55_501,
+            2_644_200,
+            93,
+            "9287f99b43493bf2176e36203155f3e591438da8b2ec062182d9e7ebc455a2d8",
+        ),
+    }
+
+    @pytest.mark.parametrize("n, ell", sorted(PINS))
+    def test_pinned_tables(self, n, ell):
+        _, union, groups = orbits_module._string_class_table(n, ell)
+        digest = hashlib.sha256(repr(sorted(groups.items())).encode()).hexdigest()
+        got = (len(groups), sum(groups.values()), union.bit_count(), digest)
+        assert got == self.PINS[n, ell]
 
 
 class TestCountPaths:

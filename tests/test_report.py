@@ -306,7 +306,8 @@ class TestCountingWithoutListing:
             orbits_module.enumerate_orbits,
             orbits_module._string_class_table,
             orbits_module._component_candidates,
-            orbits_module._component_classes,
+            orbits_module._placed,
+            orbits_module._placed_of_size,
             orbits_module._string_coords,
             orbits_module._interned_partition,
             count_multipartitions,
@@ -328,6 +329,9 @@ class TestCountingWithoutListing:
                 simple_count,
                 105,
             )
+        # The table walks light candidates: no label's record was built.
+        assert orbits_module._placed.cache_info().currsize == 0
+        assert orbits_module._placed_of_size.cache_info().currsize == 0
 
     # Per size: the number of labels, then (semisimple, simple_count) of each
     # seeded character below, all taken from the listing before counting
