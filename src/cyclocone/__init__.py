@@ -1,9 +1,10 @@
 """Exact-arithmetic toolkit for the enhanced cyclic nilpotent cone.
 
 Enumerates orbit labels (pairs of a partition and a multipartition matched
-through cyclic residues), computes orbit fundamental groups via Smith normal
-form, counts simple admissible modules, and decides semi-simplicity of the
-admissible category by three independent, provably equivalent criteria.
+through cyclic residues), computes orbit fundamental groups in closed form
+(cross-checked against the Smith normal form), counts simple admissible
+modules, and decides semi-simplicity of the admissible category by three
+independent, provably equivalent criteria.
 """
 
 from .abelian import FGAbelianGroup, IntMatrix, cokernel, smith_normal_form
@@ -42,6 +43,7 @@ from .partitions import (
 from .report import (
     CriteriaDisagreement,
     OrbitRow,
+    Pi1Disagreement,
     SemisimplicityReport,
     count_multipartitions,
     hyperplane_listing,

@@ -4,6 +4,11 @@ All arithmetic is exact arbitrary-precision integer arithmetic.  One
 elimination routine picks pivots of minimal absolute value to limit entry
 growth.  `smith_normal_form` has it carry explicit unimodular transforms
 along; `cokernel` keeps no transforms, only the diagonal.
+
+Fundamental groups of orbits are computed in closed form from a voltage
+graph (`cyclocone.orbits`), not here.  The Smith normal form is the
+reference they are checked against: the `pi1` command computes both and
+exits 3 if they differ, and the tests compare them mask by mask.
 """
 
 from __future__ import annotations
@@ -236,20 +241,12 @@ def cokernel(m: IntMatrix) -> FGAbelianGroup:
     """Cokernel of Z^cols -> Z^rows, in invariant factor form.
 
     A matrix with no columns has trivial image, so the cokernel is Z^rows.
+    The diagonal is computed with no transforms; its zeros become free
+    rank, and its unit entries are dropped.
     """
-    return _cokernel_rows(m.rows, m.row_lists())
-
-
-def _cokernel_rows(dim: int, rows: list[list[int]]) -> FGAbelianGroup:
-    """Cokernel of a matrix into Z^dim, given by its row lists or by those
-    of its transpose (one generator of the image per row): both have the
-    same Smith diagonal.
-
-    `rows` is reduced in place, with no transforms.  Zeros of the diagonal
-    become free rank, unit factors are dropped.
-    """
-    _diagonalize(rows)
-    diag = [row[i] for i, row in enumerate(rows) if i < len(row)]
+    a = m.row_lists()
+    _diagonalize(a)
+    diag = [row[i] for i, row in enumerate(a) if i < len(row)]
     return FGAbelianGroup(
-        dim - sum(1 for e in diag if e), tuple(e for e in diag if e >= 2)
+        m.rows - sum(1 for e in diag if e), tuple(e for e in diag if e >= 2)
     )

@@ -3,8 +3,9 @@
 Subcommands: orbits, pi1, simples, semisimple, hyperplanes, translate.
 Output is deterministic for a fixed invocation.  Exit codes: 0 = success
 (for `semisimple`: the category is semi-simple), 1 = not semi-simple,
-2 = input error, 3 = internal criteria disagreement, 4 = run aborted (stdout
-closed early, or an unexpected internal error).
+2 = input error, 3 = internal criteria disagreement (for `pi1`: the closed
+form differs from the Smith normal form), 4 = run aborted (stdout closed
+early, or an unexpected internal error).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import sys
 from fractions import Fraction
 from itertools import chain
 
-from .orbits import OrbitLabel, enumerate_Q_chi, fundamental_group
+from .abelian import IntMatrix, cokernel
+from .orbits import OrbitLabel, decompose, enumerate_Q_chi, fundamental_group
 from .params import (
     KappaParams,
     RationalCharacter,
@@ -30,6 +32,7 @@ from .params import (
 from .partitions import MultiPartition, Partition
 from .report import (
     CriteriaDisagreement,
+    Pi1Disagreement,
     count_multipartitions,
     hyperplane_listing,
     orbit_report,
@@ -276,6 +279,12 @@ def _cmd_pi1(args, out) -> int:
     n = args.n if args.n is not None else total // args.ell
     label = OrbitLabel(lam, nu, n, args.ell)
     group = fundamental_group(label)
+    # Cross-check the closed form against the Smith normal form of the
+    # matrix with one column per string summand.
+    columns = [s.vector.coords for s in decompose(label).strings]
+    smith = cokernel(IntMatrix.from_columns(columns, args.ell))
+    if group != smith:
+        raise Pi1Disagreement(label, group, smith)
     _render(
         out,
         args.format,
@@ -485,7 +494,7 @@ def run(argv: list[str], out=None, err=None) -> int:
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INPUT
-    except CriteriaDisagreement as exc:
+    except (CriteriaDisagreement, Pi1Disagreement) as exc:
         print(f"internal error: {exc}", file=err)
         return EXIT_DISAGREEMENT
     except BrokenPipeError:

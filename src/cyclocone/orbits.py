@@ -11,9 +11,33 @@ String class (top, length) is bit (length - 1) * ell + top of a class mask,
 top read as 0 when ell divides the length: one bit per string vector.  The
 cached `PlacedComponent` records, the table that counts labels per mask, the
 pi1 cache and the pairing test all share this numbering.  The fundamental
-group is the cokernel of one column per bit of a label's mask (the OR of its
-components'), and a character admits a monodromic local system on the orbit
-exactly when it pairs integrally with every vector of that mask.
+group is the cokernel Z^ell / L of the lattice L spanned by the string
+vectors of a label's mask (the OR of its components'), and a character
+admits a monodromic local system on the orbit exactly when it pairs
+integrally with every vector of that mask.
+
+The cokernel has a closed form.  This lemma is derived in this package (the
+paper's own statement is not reproduced here); the tests check it against
+the Smith normal form and against determinantal divisors.
+
+    Z^ell / L = Z^(c-1) + Z/g, with Z/0 = Z,
+
+where c and g are read off a graph on the vertices Z/ell.  Use the prefix
+basis f_k = e_0 + ... + e_(k-1) of Z^ell, with f_0 = 0 and f_ell = delta,
+extended to all integers k by f_(k+ell) = f_k + delta.  The string
+(top, length) covers the vertices top, top-1, ..., top-length+1, so with
+b = top + 1 and a = b - length its vector is f_b - f_a.  Writing
+f_k = f_(k mod ell) + (k // ell)*delta, that is an edge from a mod ell to
+b mod ell with voltage b // ell - a // ell.  Z^ell has the basis
+f_1, ..., f_(ell-1), delta; give vertex v the generator f_v (f_0 = 0).
+Each edge identifies its end with its start up to a multiple of delta, so
+every vertex equals the root of its component plus a potential times delta,
+and each cycle leaves its total voltage times delta in L.  What remains is
+one generator per component, of which vertex 0's is zero, plus delta modulo
+g, the gcd of the cycle voltages.  So c is the number of components and g
+that gcd; at ell = 1 every string is a loop of voltage its length, giving
+Z/gcd(nu), and with no string it is Z^ell.  A union-find with potentials
+reads c and g off the bits of a mask in one pass.
 """
 
 from __future__ import annotations
@@ -21,11 +45,12 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache, reduce
 from itertools import accumulate, chain
-from operator import or_, sub
+from math import gcd
+from operator import add, or_, sub
 from typing import Iterator, NamedTuple
 
 from ._frozen import Frozen
-from .abelian import FGAbelianGroup, _cokernel_rows
+from .abelian import FGAbelianGroup
 from .params import RationalCharacter
 from .partitions import (
     MultiPartition,
@@ -108,14 +133,13 @@ def _class_bit(top: int, length: int, ell: int) -> int:
     return 1 << ((length - 1) * ell + (top if length % ell else 0))
 
 
-def _mask_vectors(ell: int, mask: int) -> list[Coords]:
-    """The string vector of every bit of a class mask, in bit order; bit k
-    is the string class (k % ell, k // ell + 1)."""
-    return [
-        _string_coords(k % ell, k // ell + 1, ell)
-        for k in range(mask.bit_length())
-        if mask >> k & 1
-    ]
+def _rotated_residue(ell: int, classes: tuple[tuple[int, int], ...]) -> Coords:
+    """The residue of a placed component rotated by its index: the sum of
+    the string vectors of its rows."""
+    coords = [0] * ell
+    for top, length in classes:
+        coords = list(map(add, coords, _string_coords(top, length, ell)))
+    return tuple(coords)
 
 
 class Candidate(NamedTuple):
@@ -142,14 +166,15 @@ Components = tuple[PlacedComponent, ...]
 @lru_cache(maxsize=None)
 def _placed(ell: int, index: int, parts: tuple[int, ...]) -> PlacedComponent:
     partition = _interned_partition(parts)
+    classes = _component_classes(ell, index, parts)
     strings, mask = [], 0
-    for j, (top, length) in enumerate(_component_classes(ell, index, parts), 1):
+    for j, (top, length) in enumerate(classes, 1):
         vector = DimVector._trusted(_string_coords(top, length, ell))
         strings.append(StringSummand(index, j, vector))
         mask |= _class_bit(top, length, ell)
     return PlacedComponent(
         partition,
-        residue(partition, ell).rotated(index).coords,
+        _rotated_residue(ell, classes),
         tuple(strings),
         mask,
         str(partition),
@@ -188,17 +213,48 @@ def _label_mask(label: OrbitLabel) -> int:
 def fundamental_group(label: OrbitLabel) -> FGAbelianGroup:
     """Cokernel of the matrix of string summand classes inside Z^ell.
 
-    The framed summand is dropped, and there is one column per distinct
-    string vector, in any order, so the group is computed once per mask.
+    The framed summand is dropped, and the group depends only on the set of
+    distinct string vectors, so it is computed once per mask, in closed
+    form (see the module docstring).
     """
-    return _class_set_cokernel(label.ell, _label_mask(label))
+    return _class_set_pi1(label.ell, _label_mask(label))
 
 
 @lru_cache(maxsize=None)
-def _class_set_cokernel(ell: int, mask: int) -> FGAbelianGroup:
-    # The string vectors go in as rows: the transpose has the same cokernel
-    # invariants, so no column matrix is built.
-    return _cokernel_rows(ell, [list(v) for v in _mask_vectors(ell, mask)])
+def _class_set_pi1(ell: int, mask: int) -> FGAbelianGroup:
+    """Z^ell modulo the string vectors of a class mask, as Z^(c-1) + Z/g by
+    the lemma of the module docstring: a union-find with potentials over
+    the edges of the mask's bits.  `potential[v]` is the voltage from
+    `parent[v]` to v; an edge inside a component closes a cycle, and its
+    voltage goes into g."""
+    parent = list(range(ell))
+    potential = [0] * ell
+    components, g = ell, 0
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        k = bit.bit_length() - 1
+        b = k % ell + 1
+        a = b - k // ell - 1
+        # Walk both ends up to their roots, turning the edge's voltage into
+        # the voltage from the root of a to the root of b.
+        voltage = b // ell - a // ell
+        ra, rb = a % ell, b % ell
+        while parent[ra] != ra:
+            voltage += potential[ra]
+            ra = parent[ra]
+        while parent[rb] != rb:
+            voltage -= potential[rb]
+            rb = parent[rb]
+        if ra == rb:
+            g = gcd(g, voltage)
+        else:
+            parent[rb] = ra
+            potential[rb] = voltage
+            components -= 1
+    if g == 0:
+        return FGAbelianGroup(components)
+    return FGAbelianGroup(components - 1, (g,) if g > 1 else ())
 
 
 def admits_monodromic_local_system(
@@ -224,10 +280,9 @@ def _component_candidates(ell: int, index: int, size: int) -> tuple[Candidate, .
     # `index`: a PlacedComponent without its strings and texts.
     out = []
     for parts in partitions_of(size):
-        shifted = residue(_interned_partition(parts), ell).rotated(index).coords
         classes = _component_classes(ell, index, parts)
         mask = reduce(or_, (_class_bit(*c, ell) for c in classes), 0)
-        out.append(Candidate(shifted, mask))
+        out.append(Candidate(_rotated_residue(ell, classes), mask))
     return tuple(out)
 
 

@@ -30,7 +30,7 @@ from .orbits import (
     OrbitLabel,
     PlacedComponent,
     StringSummand,
-    _class_set_cokernel,
+    _class_set_pi1,
     _fill_labels,
     _orbit_label,
     _strings,
@@ -66,6 +66,21 @@ class CriteriaDisagreement(RuntimeError):
             f"roots={verdict_roots}, hecke={verdict_hecke}, "
             f"counting={verdict_counting}; reproduce with: "
             f"cyclocone semisimple -n {n} -l {ell} --chi={chi}"
+        )
+
+
+class Pi1Disagreement(RuntimeError):
+    """Raised when the closed-form pi1 of a label differs from the Smith
+    normal form of its string-vector matrix."""
+
+    def __init__(self, label: OrbitLabel, closed_form, smith):
+        # Partition texts hold digits, commas, brackets and semicolons only,
+        # so single quotes make them one shell word each.
+        super().__init__(
+            f"pi1 of {label} at ell={label.ell} disagrees: "
+            f"closed form {closed_form}, Smith normal form {smith}; "
+            f"reproduce with: cyclocone pi1 -n {label.n} -l {label.ell} "
+            f"--lambda '{label.lam}' --nu '{label.nu}'"
         )
 
 
@@ -247,4 +262,4 @@ def orbit_report(
     """One OrbitRow per orbit label, in enumeration order, built as it is
     read; pi1 depends only on the label's class mask and is cached per mask."""
     for lam, components, mask, flag in _fill_labels(n, ell, chi):
-        yield OrbitRow(lam, components, _class_set_cokernel(ell, mask), flag)
+        yield OrbitRow(lam, components, _class_set_pi1(ell, mask), flag)

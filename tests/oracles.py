@@ -158,6 +158,40 @@ def string_vectors_scan(
     return out
 
 
+def mask_vectors(ell: int, mask: int) -> list[tuple[int, ...]]:
+    """The string vector of every bit of a class mask, in bit order.
+
+    Bit k is the string class (top, length) = (k % ell, k // ell + 1),
+    whose boxes sit at the vertices top, top - 1, ..., one per unit of
+    length, read modulo ell.
+    """
+    out = []
+    for k in range(mask.bit_length()):
+        if mask >> k & 1:
+            top, length = k % ell, k // ell + 1
+            counts = [0] * ell
+            for step in range(length):
+                counts[(top - step) % ell] += 1
+            out.append(tuple(counts))
+    return out
+
+
+def rank_over_rationals(columns: list[tuple[int, ...]], rows: int) -> int:
+    """Rank of the matrix with the given columns, by Gaussian elimination
+    that clears an entry by cross-multiplying (so it stays in integers)."""
+    pending = [list(c) for c in columns]
+    rank = 0
+    for r in range(rows):
+        pivot = next((c for c in pending if c[r] != 0), None)
+        if pivot is None:
+            continue
+        pending.remove(pivot)
+        p = pivot[r]
+        pending = [[x * p - c[r] * y for x, y in zip(c, pivot)] for c in pending]
+        rank += 1
+    return rank
+
+
 def cokernel_by_minors(
     columns: list[tuple[int, ...]], rows: int
 ) -> tuple[int, tuple[int, ...]]:
@@ -165,24 +199,28 @@ def cokernel_by_minors(
 
     D_i is the gcd of all i x i minors; the rank r is the largest i with
     D_i != 0, and the invariant factors are d_i = D_i / D_{i-1}, i <= r.
-    A gcd that reaches 1 stays 1, so the scan of a size stops there.
+    Ranks come from elimination over the rationals: no size above the rank
+    is scanned, nor a set of rows of lower rank than the size (all those
+    minors are 0).  A gcd that reaches 1 stays 1, so the scan of a size
+    stops there.
     """
+    rank = rank_over_rationals(columns, rows)
     divisors = [1]
-    for size in range(1, min(rows, len(columns)) + 1):
+    for size in range(1, rank + 1):
         d = 0
         minors = (
             det_int([[c[r] for c in cs] for r in rs])
             for rs in combinations(range(rows), size)
+            if rank_over_rationals([[c[r] for r in rs] for c in columns], size)
+            == size
             for cs in combinations(columns, size)
         )
         for minor in minors:
             d = gcd(d, minor)
             if d == 1:
                 break
-        if d == 0:
-            break
+        assert d != 0, "a nonzero minor exists at every size up to the rank"
         divisors.append(d)
-    rank = len(divisors) - 1
     factors = tuple(divisors[i] // divisors[i - 1] for i in range(1, rank + 1))
     return rows - rank, tuple(f for f in factors if f >= 2)
 

@@ -10,9 +10,9 @@ from cyclocone.abelian import (
     smith_normal_form,
 )
 
-from cyclocone.orbits import _class_set_cokernel, _mask_vectors, _string_class_table
+from cyclocone.orbits import _class_set_pi1, _string_class_table
 
-from oracles import cokernel_by_minors, det_int
+from oracles import cokernel_by_minors, det_int, mask_vectors
 
 
 def check_decomposition(m: IntMatrix):
@@ -179,12 +179,11 @@ class TestCokernel:
 
     def test_agrees_with_minors_on_every_string_class_mask(self):
         # Every class mask of the (4, 4) counting table, through the public
-        # matrix entry and through the pi1 cache, which feeds the string
-        # vectors in as rows.
+        # matrix entry and through the closed-form pi1 cache.
         ell, _, groups = _string_class_table(4, 4)
         for mask in groups:
-            columns = _mask_vectors(ell, mask)
+            columns = mask_vectors(ell, mask)
             expected = cokernel_by_minors(columns, ell)
             grp = cokernel(IntMatrix.from_columns(columns, ell))
             assert (grp.free_rank, grp.invariant_factors) == expected
-            assert _class_set_cokernel(ell, mask) == grp
+            assert _class_set_pi1(ell, mask) == grp

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import cyclocone.cli as cli_module
 import cyclocone.report as report_module
+from cyclocone.abelian import FGAbelianGroup
 from cyclocone.cli import _build_parser, run
 from cyclocone.orbits import (
     admits_monodromic_local_system,
@@ -481,3 +483,19 @@ class TestDisagreementReproducer:
         command = err.rstrip("\n").rpartition("reproduce with: ")[2]
         assert command == "cyclocone semisimple -n 2 -l 1 --chi=1/2"
         assert invoke(command.split()[1:])[0] == 3
+
+    @pytest.mark.parametrize("side", ["fundamental_group", "cokernel"])
+    def test_pi1_mismatch_exits_three_with_a_reproducing_command(
+        self, monkeypatch, side
+    ):
+        # The pi1 command computes the closed form and the Smith normal form
+        # of the string-vector matrix; break either and they must disagree.
+        monkeypatch.setattr(cli_module, side, lambda arg: FGAbelianGroup(7))
+        code, out, err = invoke(["pi1", "-l", "1", "--lambda", "[]", "--nu", "[2]"])
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("internal error: ")
+        command = err.rstrip("\n").rpartition("reproduce with: ")[2]
+        assert command == "cyclocone pi1 -n 2 -l 1 --lambda '[]' --nu '[2]'"
+        assert invoke(shlex.split(command)[1:])[0] == 3
+        monkeypatch.undo()
+        assert invoke(shlex.split(command)[1:]) == (0, "Z/2\n", "")

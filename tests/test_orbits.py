@@ -5,9 +5,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cyclocone.orbits as orbits_module
-from cyclocone.abelian import FGAbelianGroup
+from cyclocone.abelian import FGAbelianGroup, IntMatrix, cokernel
 from cyclocone.orbits import (
     OrbitLabel,
     admits_monodromic_local_system,
@@ -25,6 +26,7 @@ from cyclocone.rootlattice import DimVector, generate_Rn, pair
 from oracles import (
     brute_force_orbit_pairs,
     cokernel_by_minors,
+    mask_vectors,
     random_fraction,
     string_vectors_scan,
 )
@@ -208,7 +210,7 @@ class TestFundamentalGroup:
 
     def test_cold_and_warm_calls_agree(self):
         labels = enumerate_orbits(3, 3)
-        cache = orbits_module._class_set_cokernel
+        cache = orbits_module._class_set_pi1
         cold = []
         for lab in labels:
             cache.cache_clear()
@@ -219,6 +221,62 @@ class TestFundamentalGroup:
         warm = [fundamental_group(lab) for lab in labels]
         assert cache.cache_info().misses == misses
         assert warm == cold
+
+
+class TestClosedFormPi1:
+    """pi1 read off the voltage graph of the string classes (the lemma in
+    the orbits module docstring), against the Smith normal form and
+    determinantal divisors of the string-vector matrix."""
+
+    # (4, 4) is tests/test_abelian.py's
+    # test_agrees_with_minors_on_every_string_class_mask.
+    @pytest.mark.parametrize(
+        "n, ell",
+        [(n, ell) for n in range(5) for ell in range(1, 5) if n * ell < 16]
+        + [(2, 7)],
+    )
+    def test_agrees_on_every_table_mask(self, n, ell):
+        for mask in orbits_module._string_class_table(n, ell)[2]:
+            columns = mask_vectors(ell, mask)
+            grp = orbits_module._class_set_pi1(ell, mask)
+            assert grp == cokernel(IntMatrix.from_columns(columns, ell))
+            assert (grp.free_rank, grp.invariant_factors) == cokernel_by_minors(
+                columns, ell
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_agrees_with_smith_on_random_masks(self, data):
+        # Any bit below 3*ell*ell is a string of length up to 3*ell.
+        ell = data.draw(st.integers(1, 8), label="ell")
+        bits = data.draw(
+            st.sets(st.integers(0, 3 * ell * ell - 1), max_size=10), label="bits"
+        )
+        mask = sum(1 << k for k in bits)
+        columns = mask_vectors(ell, mask)
+        assert orbits_module._class_set_pi1(ell, mask) == cokernel(
+            IntMatrix.from_columns(columns, ell)
+        )
+
+    def test_one_vertex_is_cyclic_of_the_gcd(self):
+        # At ell = 1 bit k is a loop of length k + 1: pi1 = Z/gcd(lengths).
+        for mask in range(1 << 10):
+            g = 0
+            for k in range(10):
+                if mask >> k & 1:
+                    g = gcd(g, k + 1)
+            assert orbits_module._class_set_pi1(1, mask) == FGAbelianGroup.cyclic(g)
+        for lab in enumerate_orbits(6, 1):
+            g = 0
+            for part in lab.nu[0].parts:
+                g = gcd(g, part)
+            assert fundamental_group(lab) == FGAbelianGroup.cyclic(g)
+
+    @pytest.mark.parametrize("ell", range(1, 9))
+    def test_no_string_is_free_of_rank_ell(self, ell):
+        assert orbits_module._class_set_pi1(ell, 0) == FGAbelianGroup(ell)
+        lab = label((), ((),) * ell, 0, ell)
+        assert fundamental_group(lab) == FGAbelianGroup(ell)
 
 
 class TestMonodromy:
@@ -253,7 +311,7 @@ def table_vector_sets(n, ell):
     """The string-class table as a Counter of frozensets of string vectors."""
     counted = Counter()
     for mask, count in orbits_module._string_class_table(n, ell)[2].items():
-        counted[frozenset(orbits_module._mask_vectors(ell, mask))] += count
+        counted[frozenset(mask_vectors(ell, mask))] += count
     return counted
 
 
@@ -278,7 +336,7 @@ class TestStringClassTable:
         assert table_vector_sets(n, ell) == listed
         assert len(groups) == len(listed)
         # One bit per string vector.
-        vectors = orbits_module._mask_vectors(ell, union)
+        vectors = mask_vectors(ell, union)
         assert len(set(vectors)) == union.bit_count()
 
     @pytest.mark.parametrize(
