@@ -5,16 +5,17 @@ residues add up to n*delta.  Each row of each nu component contributes one
 string summand; the framed summand absorbs lambda.  Row j >= 1 of component
 i >= 0, of length l, is fixed up to isomorphism by its string class
 
-    (top, length) = (i + j - 1 mod ell, l).
+    (top, length) = (i + j - 1 mod ell, l),
 
-String class (top, length) is bit (length - 1) * ell + top of a class mask,
-top read as 0 when ell divides the length: one bit per string vector.  The
-cached `PlacedComponent` records, the table that counts labels per mask, the
-pi1 cache and the pairing test all share this numbering.  The fundamental
-group is the cokernel Z^ell / L of the lattice L spanned by the string
-vectors of a label's mask (the OR of its components'), and a character
-admits a monodromic local system on the orbit exactly when it pairs
-integrally with every vector of that mask.
+the content convention of `partitions`, which owns it; lambda is placed the
+same way at index 0.  String class (top, length) is bit (length - 1) * ell +
+top of a class mask, top read as 0 when ell divides the length: one bit per
+string vector.  The cached `PlacedComponent` records, the table that counts
+labels per mask, the pi1 cache and the pairing test all share this
+numbering.  The fundamental group is the cokernel Z^ell / L of the lattice L
+spanned by the string vectors of a label's mask (the OR of its components'),
+and a character admits a monodromic local system on the orbit exactly when it
+pairs integrally with every vector of that mask.
 
 The cokernel has a closed form.  This lemma is derived in this package (the
 paper's own statement is not reproduced here); the tests check it against
@@ -46,7 +47,7 @@ from collections import Counter
 from functools import lru_cache, reduce
 from itertools import accumulate, chain
 from math import gcd
-from operator import add, or_, sub
+from operator import or_, sub
 from typing import Iterator, NamedTuple
 
 from ._frozen import Frozen
@@ -55,6 +56,9 @@ from .params import RationalCharacter
 from .partitions import (
     MultiPartition,
     Partition,
+    _component_classes,
+    _rotated_residue,
+    _string_coords,
     partitions_of,
     residue,
     shifted_residue,
@@ -107,39 +111,10 @@ class SummandDecomposition(NamedTuple):
     strings: tuple[StringSummand, ...]
 
 
-def _component_classes(
-    ell: int, index: int, parts: tuple[int, ...]
-) -> tuple[tuple[int, int], ...]:
-    """(top, length) of every row of a partition placed as nu component `index`."""
-    # Row j of a diagram carries contents j-1 down to j-length; the component
-    # shift adds the index.  Keeping the within-diagram content shift is what
-    # makes framed + sum(strings) close up to n*delta.
-    return tuple(
-        ((index + j - 1) % ell, length) for j, length in enumerate(parts, start=1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _string_coords(top: int, length: int, ell: int) -> Coords:
-    coords = [0] * ell
-    for step in range(length):
-        coords[(top - step) % ell] += 1
-    return tuple(coords)
-
-
 def _class_bit(top: int, length: int, ell: int) -> int:
     """The mask bit of the string class (top, length); a length that ell
     divides gives a multiple of delta whatever the top, so top is dropped."""
     return 1 << ((length - 1) * ell + (top if length % ell else 0))
-
-
-def _rotated_residue(ell: int, classes: tuple[tuple[int, int], ...]) -> Coords:
-    """The residue of a placed component rotated by its index: the sum of
-    the string vectors of its rows."""
-    coords = [0] * ell
-    for top, length in classes:
-        coords = list(map(add, coords, _string_coords(top, length, ell)))
-    return tuple(coords)
 
 
 class Candidate(NamedTuple):
@@ -286,49 +261,53 @@ def _component_candidates(ell: int, index: int, size: int) -> tuple[Candidate, .
     return tuple(out)
 
 
-def _steps(supply, ell: int, index: int, remaining: Coords, memo: dict) -> tuple:
-    """What nu component `index` can be, given the residue `remaining`: a
-    (component, rest) pair per component that fits, rest the residue left
-    over, memoized in `memo` by (index, remaining) for one walk.
+def _fits(supply, ell: int, index: int, remaining: Coords, sizes) -> Iterator:
+    """(component, rest) per `supply(ell, index, size)` component of the
+    given sizes whose `.shifted` residue fits under `remaining`, rest the
+    residue left over.  The one placement of a diagram on the cycle: lambda
+    (index 0, so unrotated) and every nu component of both walks go through
+    it, and a supply pruned by residue would plug in here."""
+    for size in sizes:
+        for comp in supply(ell, index, size):
+            rest = tuple(map(sub, remaining, comp.shifted))
+            if min(rest) >= 0:
+                yield comp, rest
 
-    It is the only code that places a component: the label walk and the
-    counting table both fold over it.  `supply(ell, index, size)` gives the
-    components of a size, each with its `.shifted` residue and `.mask`:
-    PlacedComponent records for the walk, Candidates for the table.  The
-    last component must take up `remaining` exactly, so its rest is zero.
-    For component ell-2, rest is instead the (nonempty) _steps of the last
-    component, so dead ends are dropped.
+
+def _steps(supply, ell: int, index: int, remaining: Coords, memo: dict) -> tuple:
+    """What nu component `index` can be, given the residue `remaining`: its
+    _fits on `supply` (PlacedComponent records for the label walk,
+    Candidates for the counting table), memoized in `memo` by (index,
+    remaining) for one walk.  The last component must take up `remaining`
+    exactly, so its rest is zero.  For component ell-2, rest is instead the
+    (nonempty) _steps of the last component, so dead ends are dropped.
     """
     key = index, remaining
     found = memo.get(key)
     if found is not None:
         return found
     total = sum(remaining)
+    sizes = range(total if index == ell - 1 else 0, total + 1)
     found = []
-    for size in range(total if index == ell - 1 else 0, total + 1):
-        for comp in supply(ell, index, size):
-            rest = tuple(map(sub, remaining, comp.shifted))
-            if min(rest) < 0:
+    for comp, rest in _fits(supply, ell, index, remaining, sizes):
+        if index == ell - 2:
+            rest = _steps(supply, ell, ell - 1, rest, memo)
+            if not rest:
                 continue
-            if index == ell - 2:
-                rest = _steps(supply, ell, ell - 1, rest, memo)
-                if not rest:
-                    continue
-            found.append((comp, rest))
+        found.append((comp, rest))
     found = memo[key] = tuple(found)
     return found
 
 
-def _lambda_seeds(n: int, ell: int) -> Iterator[tuple[Partition, Coords]]:
-    """(lambda, residue left for nu) per partition lambda whose residue fits
-    under n*delta, in the order of enumerate_orbits."""
-    target = n * delta(ell)
-    for lam_size in range(n * ell, -1, -1):
-        for lam_parts in partitions_of(lam_size):
-            lam = _interned_partition(lam_parts)
-            rest = target - residue(lam, ell)
-            if rest.is_nonnegative():
-                yield lam, rest.coords
+def _lambda_seeds(supply, n: int, ell: int) -> Iterator:
+    """(lambda as a `supply` component at index 0, residue left for nu) per
+    lambda that fits under n*delta, in the order of enumerate_orbits.
+    (n, ell) is checked when this is called, not when it is iterated."""
+    if ell < 1:
+        raise ValueError("cycle length must be positive")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _fits(supply, ell, 0, (n,) * ell, range(n * ell, -1, -1))
 
 
 def _fill(
@@ -368,22 +347,19 @@ def _fill_labels(
 ) -> Iterator[tuple[Partition, Components, int, bool | None]]:
     """(lambda, nu components, class mask, chi-monodromic flag or None) per
     label of enumerate_orbits; the flag is computed once per mask."""
-    if ell < 1:
-        raise ValueError("cycle length must be positive")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    seeds = _lambda_seeds(_placed_of_size, n, ell)
     if chi is not None and chi.ell != ell:
         raise ValueError(f"character has {chi.ell} entries, expected {ell}")
     flags: dict[int, bool] = {}
     memo: dict = {}
-    for lam, rest in _lambda_seeds(n, ell):
+    for seed, rest in seeds:
         for components, mask in _fill(ell, rest, memo):
             flag = None
             if chi is not None:
                 flag = flags.get(mask)
                 if flag is None:
                     flag = flags[mask] = not _non_integral_mask(ell, mask, chi)
-            yield lam, components, mask, flag
+            yield seed.partition, components, mask, flag
 
 
 @lru_cache(maxsize=None)
@@ -415,11 +391,7 @@ def _string_class_table(n: int, ell: int) -> tuple[int, int, dict[int, int]]:
     component in turn moves every state to the rests of its steps, until
     only the zero residue is left.
     """
-    if ell < 1:
-        raise ValueError("cycle length must be positive")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    seeds = Counter(rest for _, rest in _lambda_seeds(n, ell))
+    seeds = Counter(rest for _, rest in _lambda_seeds(_component_candidates, n, ell))
     states = {rest: {0: count} for rest, count in seeds.items()}
     memo: dict = {}
     for index in range(ell):

@@ -6,6 +6,11 @@ position within the row: the diagram of a partition holds (i, j) whenever
 (i, j) is j - i, so the first box of row j has content j - 1 and contents
 decrease along a row.
 
+This module owns that content convention: a diagram placed at cycle vertex
+`index` has the string class (index + j - 1 mod ell, length) per row j, and
+every residue, of lambda (index 0), of a shifted nu or of a placed component
+in `orbits`, is the sum of the string vectors of those classes.
+
 All enumeration functions use one fixed order so that reports and test
 fixtures are byte-stable: partitions are listed by size ascending and, within
 a size, by descending lexicographic order on the part tuples, e.g. for size
@@ -15,6 +20,8 @@ four: [4], [3,1], [2,2], [2,1,1], [1,1,1,1].
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 from ._frozen import Frozen
@@ -143,20 +150,40 @@ class MultiPartition(Frozen):
         return cls((Partition(),) * ell)
 
 
+def _component_classes(
+    ell: int, index: int, parts: tuple[int, ...]
+) -> tuple[tuple[int, int], ...]:
+    """(top, length) of every row of a diagram placed at vertex `index`."""
+    # Row j of a diagram carries contents j-1 down to j-length; the placement
+    # shifts them by the index.  Keeping the within-diagram content shift is
+    # what makes the residues of a label close up to n*delta.
+    return tuple(
+        ((index + j - 1) % ell, length) for j, length in enumerate(parts, start=1)
+    )
+
+
 @lru_cache(maxsize=None)
-def _residue_coords(parts: tuple[int, ...], ell: int) -> tuple[int, ...]:
-    counts = [0] * ell
-    for j, part in enumerate(parts, start=1):
-        for i in range(1, part + 1):
-            counts[(j - i) % ell] += 1
-    return tuple(counts)
+def _string_coords(top: int, length: int, ell: int) -> tuple[int, ...]:
+    coords = [0] * ell
+    for step in range(length):
+        coords[(top - step) % ell] += 1
+    return tuple(coords)
+
+
+def _rotated_residue(ell: int, classes: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The residue of a placed diagram rotated by its index: the sum of the
+    string vectors of its rows."""
+    coords = [0] * ell
+    for top, length in classes:
+        coords = list(map(add, coords, _string_coords(top, length, ell)))
+    return tuple(coords)
 
 
 def residue(lam: Partition, ell: int) -> DimVector:
     """Count boxes by content modulo ell; coordinate sum equals the size."""
     if ell < 1:
         raise ValueError("cycle length must be positive")
-    return DimVector(_residue_coords(lam.parts, ell))
+    return DimVector(_rotated_residue(ell, _component_classes(ell, 0, lam.parts)))
 
 
 def shifted_residue(nu: MultiPartition, ell: int) -> DimVector:
@@ -165,10 +192,10 @@ def shifted_residue(nu: MultiPartition, ell: int) -> DimVector:
         raise ValueError("cycle length must be positive")
     if nu.ell != ell:
         raise ValueError(f"expected {ell} components, got {nu.ell}")
-    total = DimVector((0,) * ell)
-    for i, comp in enumerate(nu.components):
-        total = total + residue(comp, ell).rotated(i)
-    return total
+    classes = chain.from_iterable(
+        _component_classes(ell, i, comp.parts) for i, comp in enumerate(nu)
+    )
+    return DimVector(_rotated_residue(ell, classes))
 
 
 @lru_cache(maxsize=None)

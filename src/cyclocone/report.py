@@ -46,7 +46,7 @@ from .params import (
     hecke_params,
     hecke_q,
 )
-from .partitions import Partition, partitions_of
+from .partitions import Partition
 from .rootlattice import DimVector, _root_forms, generate_Rn
 
 
@@ -128,20 +128,18 @@ class SemisimplicityReport(NamedTuple):
 def count_multipartitions(n: int, ell: int) -> int:
     """Size of the set of ell-multipartitions of n, listing none of them.
 
-    The generating function is the ell-th power of the partition generating
-    function, so the partition counts up to n are convolved ell times.
+    The generating function is the product over k of (1 - x^k)^(-ell); each
+    factor 1/(1 - x^k) is multiplied in place, ascending.
     """
     if ell < 1:
         raise ValueError("cycle length must be positive")
     if n < 0:
         raise ValueError("total size must be nonnegative")
-    partitions = [len(partitions_of(k)) for k in range(n + 1)]
     counts = [1] + [0] * n
-    for _ in range(ell):
-        counts = [
-            sum(counts[j] * partitions[k - j] for j in range(k + 1))
-            for k in range(n + 1)
-        ]
+    for k in range(1, n + 1):
+        for _ in range(ell):
+            for m in range(k, n + 1):
+                counts[m] += counts[m - k]
     return counts[n]
 
 

@@ -90,7 +90,7 @@ class TestEnumeration:
         }
         assert ours == brute_force_orbit_pairs(n, ell)
 
-    @pytest.mark.parametrize("n,ell", [(4, 3), (3, 4)])
+    @pytest.mark.parametrize("n,ell", [(4, 3), (3, 4), (5, 1), (3, 2), (0, 3)])
     def test_walk_yields_the_documented_order(self, n, ell):
         # Larger lambda first, then each size's partitions in descending
         # lexicographic order; nu components compare left to right by size,

@@ -13,7 +13,12 @@ from cyclocone.partitions import (
     shifted_residue,
 )
 
-from oracles import multipartition_count, partition_count, residue_scan
+from oracles import (
+    multipartition_count,
+    partition_count,
+    residue_scan,
+    shifted_residue_scan,
+)
 
 
 def P(*parts):
@@ -135,6 +140,13 @@ class TestShiftedResidue:
             shifted_residue(left, ell) + shifted_residue(right, ell)
             == shifted_residue(nu, ell)
         )
+
+    @given(st.lists(partition_strategy, min_size=1, max_size=6))
+    def test_matches_box_scan(self, comps):
+        ell = len(comps)
+        nu = MultiPartition(tuple(comps))
+        scan = shifted_residue_scan(tuple(c.parts for c in comps), ell)
+        assert shifted_residue(nu, ell).coords == scan
 
 
 class TestEnumeration:

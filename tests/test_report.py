@@ -292,9 +292,12 @@ class TestMultipartitionCount:
         )
 
     def test_agrees_with_convolution_oracle(self):
-        for n in range(9):
-            for ell in range(1, 6):
+        for n in range(41):
+            for ell in range(1, 7):
                 assert count_multipartitions(n, ell) == multipartition_count(n, ell)
+
+    def test_counts_large_sizes_without_listing(self):
+        assert count_multipartitions(100, 1) == 190_569_292  # p(100)
 
 
 class TestCountingWithoutListing:
