@@ -19,7 +19,8 @@ from fractions import Fraction
 from itertools import chain
 
 from .abelian import IntMatrix, cokernel
-from .orbits import OrbitLabel, decompose, enumerate_Q_chi, fundamental_group
+from .orbits import OrbitLabel, _component_strings, decompose
+from .orbits import enumerate_Q_chi, fundamental_group
 from .params import (
     KappaParams,
     RationalCharacter,
@@ -176,11 +177,9 @@ def _once(cache: dict, obj, render) -> str:
 def _summands_json(comp) -> str:
     """A placed record's summand objects as they read inside an orbits
     entry's "summands" list (depth 3), without the list's brackets."""
-    if not comp.strings:
-        return ""
     items = [
         {"start": s.start, "row": s.row, "dim_vector": str(s.vector)}
-        for s in comp.strings
+        for s in _component_strings(comp)
     ]
     return _nested_json(items, 3)[1 : -len("\n      ]")]
 

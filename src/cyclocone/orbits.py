@@ -10,12 +10,12 @@ i >= 0, of length l, is fixed up to isomorphism by its string class
 the content convention of `partitions`, which owns it; lambda is placed the
 same way at index 0.  String class (top, length) is bit (length - 1) * ell +
 top of a class mask, top read as 0 when ell divides the length: one bit per
-string vector.  The cached `PlacedComponent` records, the table that counts
-labels per mask, the pi1 cache and the pairing test all share this
-numbering.  The fundamental group is the cokernel Z^ell / L of the lattice L
-spanned by the string vectors of a label's mask (the OR of its components'),
-and a character admits a monodromic local system on the orbit exactly when it
-pairs integrally with every vector of that mask.
+string vector.  The cached `PlacedComponent` records, which the label walk
+and the table that counts labels per mask both read, the pi1 cache and the
+pairing test share this numbering.  The fundamental group is the cokernel
+Z^ell / L of the lattice L spanned by the string vectors of a label's mask,
+the OR of its components', and a character admits a monodromic local system
+on the orbit exactly when it pairs integrally with every vector of that mask.
 
 The cokernel has a closed form.  This lemma is derived in this package (the
 paper's own statement is not reproduced here); the tests check it against
@@ -44,7 +44,7 @@ reads c and g off the bits of a mask in one pass.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain
 from math import gcd
 from operator import or_, sub
@@ -117,44 +117,52 @@ def _class_bit(top: int, length: int, ell: int) -> int:
     return 1 << ((length - 1) * ell + (top if length % ell else 0))
 
 
-class Candidate(NamedTuple):
-    """What the counting table needs of a PlacedComponent."""
+class PlacedComponent:
+    """A partition placed at vertex `index`: its residue rotated by the index
+    (`shifted`) and the class bits of its rows (`mask`), all that both walks
+    read.  A table row's texts, str(partition) and the "i:j:(v)" fragment of
+    each row, are made on first read, so counting never makes them."""
 
-    shifted: Coords
-    mask: int
+    def __init__(self, partition: Partition, index: int, shifted: Coords, mask: int):
+        self.partition = partition
+        self.index = index
+        self.shifted = shifted
+        self.mask = mask
 
+    @cached_property
+    def text(self) -> str:
+        return str(self.partition)
 
-class PlacedComponent(NamedTuple):
-    """A partition placed as a nu component, with what a table row needs of it."""
-
-    partition: Partition
-    shifted: Coords  # its residue rotated by the component index
-    strings: tuple[StringSummand, ...]
-    mask: int  # the class bits of its rows
-    text: str  # str(partition)
-    summands: str  # "i:j:(v)" per string summand, space-separated
+    @cached_property
+    def summands(self) -> str:
+        ell, index = len(self.shifted), self.index
+        classes = _component_classes(ell, index, self.partition.parts)
+        return " ".join(
+            [f"{index}:{j}:{_class_text(*c, ell)}" for j, c in enumerate(classes, 1)]
+        )
 
 
 Components = tuple[PlacedComponent, ...]
 
 
 @lru_cache(maxsize=None)
+def _class_text(top: int, length: int, ell: int) -> str:
+    """The string vector of a class as DimVector.__str__ writes it."""
+    return str(DimVector._trusted(_string_coords(top, length, ell)))
+
+
+@lru_cache(maxsize=None)
 def _placed(ell: int, index: int, parts: tuple[int, ...]) -> PlacedComponent:
-    partition = _interned_partition(parts)
+    """Only the mask is derived per index.  The record at vertex 0 makes the
+    Partition and its residue; placing the diagram at vertex i rotates every
+    string vector, so the residue, by sigma^i."""
     classes = _component_classes(ell, index, parts)
-    strings, mask = [], 0
-    for j, (top, length) in enumerate(classes, 1):
-        vector = DimVector._trusted(_string_coords(top, length, ell))
-        strings.append(StringSummand(index, j, vector))
-        mask |= _class_bit(top, length, ell)
-    return PlacedComponent(
-        partition,
-        _rotated_residue(ell, classes),
-        tuple(strings),
-        mask,
-        str(partition),
-        " ".join(f"{index}:{s.row}:{s.vector}" for s in strings),
-    )
+    mask = reduce(or_, (_class_bit(*c, ell) for c in classes), 0)
+    if index:
+        base = _placed(ell, 0, parts)
+        shifted = base.shifted[-index:] + base.shifted[:-index]
+        return PlacedComponent(base.partition, index, shifted, mask)
+    return PlacedComponent(Partition(parts), 0, _rotated_residue(ell, classes), mask)
 
 
 @lru_cache(maxsize=None)
@@ -162,12 +170,22 @@ def _placed_of_size(ell: int, index: int, size: int) -> Components:
     return tuple(_placed(ell, index, parts) for parts in partitions_of(size))
 
 
+def _component_strings(comp: PlacedComponent) -> tuple[StringSummand, ...]:
+    """The string summands of a record, one per row, from its index and parts."""
+    ell, index = len(comp.shifted), comp.index
+    classes = _component_classes(ell, index, comp.partition.parts)
+    return tuple(
+        StringSummand(index, j, DimVector._trusted(_string_coords(top, length, ell)))
+        for j, (top, length) in enumerate(classes, 1)
+    )
+
+
 def _placed_nu(label: OrbitLabel) -> Components:
     return tuple(_placed(label.ell, i, comp.parts) for i, comp in enumerate(label.nu))
 
 
 def _strings(components: Components) -> tuple[StringSummand, ...]:
-    return tuple(chain.from_iterable(comp.strings for comp in components))
+    return tuple(chain.from_iterable(map(_component_strings, components)))
 
 
 def _orbit_label(lam: Partition, components: Components, n: int) -> OrbitLabel:
@@ -244,44 +262,25 @@ def admits_monodromic_local_system(
     return not _non_integral_mask(label.ell, _label_mask(label), chi)
 
 
-@lru_cache(maxsize=None)
-def _interned_partition(parts: tuple[int, ...]) -> Partition:
-    return Partition(parts)
-
-
-@lru_cache(maxsize=None)
-def _component_candidates(ell: int, index: int, size: int) -> tuple[Candidate, ...]:
-    # The Candidate of every partition of the given size placed as component
-    # `index`: a PlacedComponent without its strings and texts.
-    out = []
-    for parts in partitions_of(size):
-        classes = _component_classes(ell, index, parts)
-        mask = reduce(or_, (_class_bit(*c, ell) for c in classes), 0)
-        out.append(Candidate(_rotated_residue(ell, classes), mask))
-    return tuple(out)
-
-
-def _fits(supply, ell: int, index: int, remaining: Coords, sizes) -> Iterator:
-    """(component, rest) per `supply(ell, index, size)` component of the
-    given sizes whose `.shifted` residue fits under `remaining`, rest the
-    residue left over.  The one placement of a diagram on the cycle: lambda
-    (index 0, so unrotated) and every nu component of both walks go through
-    it, and a supply pruned by residue would plug in here."""
+def _fits(ell: int, index: int, remaining: Coords, sizes) -> Iterator:
+    """(record, rest) per placed record at `index` of the given sizes whose
+    `shifted` residue fits under `remaining`, rest the residue left over.
+    The one placement of a diagram on the cycle: lambda (index 0, so
+    unrotated) and every nu component of both walks go through it.  A
+    partition supply pruned by residue would replace _placed_of_size here."""
     for size in sizes:
-        for comp in supply(ell, index, size):
+        for comp in _placed_of_size(ell, index, size):
             rest = tuple(map(sub, remaining, comp.shifted))
             if min(rest) >= 0:
                 yield comp, rest
 
 
-def _steps(supply, ell: int, index: int, remaining: Coords, memo: dict) -> tuple:
+def _steps(ell: int, index: int, remaining: Coords, memo: dict) -> tuple:
     """What nu component `index` can be, given the residue `remaining`: its
-    _fits on `supply` (PlacedComponent records for the label walk,
-    Candidates for the counting table), memoized in `memo` by (index,
-    remaining) for one walk.  The last component must take up `remaining`
-    exactly, so its rest is zero.  For component ell-2, rest is instead the
-    (nonempty) _steps of the last component, so dead ends are dropped.
-    """
+    _fits, memoized in `memo` by (index, remaining) for one walk.  The last
+    component must take up `remaining` exactly, so its rest is zero.  For
+    component ell-2, rest is instead the (nonempty) _steps of the last
+    component, so dead ends are dropped."""
     key = index, remaining
     found = memo.get(key)
     if found is not None:
@@ -289,9 +288,9 @@ def _steps(supply, ell: int, index: int, remaining: Coords, memo: dict) -> tuple
     total = sum(remaining)
     sizes = range(total if index == ell - 1 else 0, total + 1)
     found = []
-    for comp, rest in _fits(supply, ell, index, remaining, sizes):
+    for comp, rest in _fits(ell, index, remaining, sizes):
         if index == ell - 2:
-            rest = _steps(supply, ell, ell - 1, rest, memo)
+            rest = _steps(ell, ell - 1, rest, memo)
             if not rest:
                 continue
         found.append((comp, rest))
@@ -299,15 +298,15 @@ def _steps(supply, ell: int, index: int, remaining: Coords, memo: dict) -> tuple
     return found
 
 
-def _lambda_seeds(supply, n: int, ell: int) -> Iterator:
-    """(lambda as a `supply` component at index 0, residue left for nu) per
+def _lambda_seeds(n: int, ell: int) -> Iterator:
+    """(lambda as a record placed at index 0, residue left for nu) per
     lambda that fits under n*delta, in the order of enumerate_orbits.
     (n, ell) is checked when this is called, not when it is iterated."""
     if ell < 1:
         raise ValueError("cycle length must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _fits(supply, ell, 0, (n,) * ell, range(n * ell, -1, -1))
+    return _fits(ell, 0, (n,) * ell, range(n * ell, -1, -1))
 
 
 def _fill(
@@ -315,21 +314,21 @@ def _fill(
 ) -> Iterator[tuple[Components, int]]:
     """(nu components, class mask) of every way to take up `remaining`, in
     enumeration order: a depth-first walk over an explicit stack of
-    _steps on PlacedComponent records, memoized in `memo` for one walk."""
+    _steps, memoized in `memo` for one walk."""
     if ell == 1:
-        for comp, _ in _steps(_placed_of_size, ell, 0, remaining, memo):
+        for comp, _ in _steps(ell, 0, remaining, memo):
             yield (comp,), comp.mask
         return
     head: list[PlacedComponent] = []
     masks = [0]
-    stack = [iter(_steps(_placed_of_size, ell, 0, remaining, memo))]
+    stack = [iter(_steps(ell, 0, remaining, memo))]
     while stack:
         for comp, rest in stack[-1]:
             mask = masks[-1] | comp.mask
             if len(stack) < ell - 1:
                 head.append(comp)
                 masks.append(mask)
-                steps = _steps(_placed_of_size, ell, len(stack), rest, memo)
+                steps = _steps(ell, len(stack), rest, memo)
                 stack.append(iter(steps))
                 break
             prefix = (*head, comp)
@@ -347,7 +346,7 @@ def _fill_labels(
 ) -> Iterator[tuple[Partition, Components, int, bool | None]]:
     """(lambda, nu components, class mask, chi-monodromic flag or None) per
     label of enumerate_orbits; the flag is computed once per mask."""
-    seeds = _lambda_seeds(_placed_of_size, n, ell)
+    seeds = _lambda_seeds(n, ell)
     if chi is not None and chi.ell != ell:
         raise ValueError(f"character has {chi.ell} entries, expected {ell}")
     flags: dict[int, bool] = {}
@@ -386,18 +385,18 @@ def _string_class_table(n: int, ell: int) -> tuple[int, int, dict[int, int]]:
     test, and counting reads the groups instead of the labels.
 
     No label is built.  The table folds over the label walk's component
-    steps (_steps, on Candidates), keeping (remaining residue, mask) ->
-    number of partial labels: the lambda seeds start it, and each nu
-    component in turn moves every state to the rests of its steps, until
-    only the zero residue is left.
+    steps (_steps, reading the records' residues and masks only), keeping
+    (remaining residue, mask) -> number of partial labels: the lambda seeds
+    start it, and each nu component in turn moves every state to the rests
+    of its steps, until only the zero residue is left.
     """
-    seeds = Counter(rest for _, rest in _lambda_seeds(_component_candidates, n, ell))
+    seeds = Counter(rest for _, rest in _lambda_seeds(n, ell))
     states = {rest: {0: count} for rest, count in seeds.items()}
     memo: dict = {}
     for index in range(ell):
         folded: dict[Coords, dict[int, int]] = {}
         for remaining, masks in states.items():
-            steps = _steps(_component_candidates, ell, index, remaining, memo)
+            steps = _steps(ell, index, remaining, memo)
             for comp, rest in steps:
                 if index == ell - 2:
                     # rest is the last component's steps; key the state by

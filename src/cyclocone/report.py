@@ -215,16 +215,16 @@ def semisimplicity_report(
 
 
 def _equation_text(alpha: DimVector) -> str:
-    text = ""
+    terms = []
     for r, coeff in enumerate(alpha.coords):
         if coeff == 0:
             continue
         term = f"χ_{r}" if abs(coeff) == 1 else f"{abs(coeff)}χ_{r}"
-        if text:
-            text += f" {'+' if coeff > 0 else '-'} {term}"
+        if terms:
+            terms.append(f"{'+' if coeff > 0 else '-'} {term}")
         else:
-            text = term if coeff > 0 else f"-{term}"
-    return text + " ∈ Z"
+            terms.append(term if coeff > 0 else f"-{term}")
+    return " ".join(terms) + " ∈ Z"
 
 
 def hyperplane_listing(n: int, ell: int) -> list[tuple[DimVector, str]]:

@@ -19,7 +19,7 @@ from cyclocone.orbits import (
     fundamental_group,
 )
 from cyclocone.params import RationalCharacter
-from cyclocone.partitions import MultiPartition, Partition
+from cyclocone.partitions import MultiPartition, Partition, partitions_of
 from cyclocone.report import count_multipartitions
 from cyclocone.rootlattice import DimVector, generate_Rn, pair
 
@@ -28,6 +28,7 @@ from oracles import (
     cokernel_by_minors,
     mask_vectors,
     random_fraction,
+    shifted_residue_scan,
     string_vectors_scan,
 )
 
@@ -165,6 +166,25 @@ class TestDecompose:
                     total = total + s.vector
                 assert total.coords == (n,) * ell
                 assert total.framing == 1
+
+
+class TestPlacedRecords:
+    @pytest.mark.parametrize("ell", range(1, 7))
+    def test_records_agree_with_box_scans(self, ell):
+        # A record at index i takes its residue from the one at vertex 0,
+        # rotated by i; the scans place the diagram at i from its boxes.
+        for size in range(9):
+            for parts in partitions_of(size):
+                base = orbits_module._placed(ell, 0, parts)
+                for index in range(ell):
+                    comp = orbits_module._placed(ell, index, parts)
+                    components = ((),) * index + (parts,)
+                    assert comp.shifted == shifted_residue_scan(components, ell)
+                    strings = orbits_module._component_strings(comp)
+                    vectors = [s.vector.coords for s in strings]
+                    assert vectors == string_vectors_scan(components, ell)
+                    assert set(mask_vectors(ell, comp.mask)) == set(vectors)
+                    assert comp.partition is base.partition
 
 
 class TestFundamentalGroup:

@@ -308,16 +308,15 @@ class TestCountingWithoutListing:
         for cache in (
             orbits_module.enumerate_orbits,
             orbits_module._string_class_table,
-            orbits_module._component_candidates,
             orbits_module._placed,
             orbits_module._placed_of_size,
             orbits_module._string_coords,
-            orbits_module._interned_partition,
             count_multipartitions,
         ):
             cache.cache_clear()
         monkeypatch.setattr(orbits_module, "enumerate_orbits", refuse)
         monkeypatch.setattr(orbits_module, "_fill_labels", refuse)
+        monkeypatch.setattr(orbits_module, "_component_strings", refuse)
         monkeypatch.setattr(partitions_module, "enumerate_multipartitions", refuse)
         # The counts were taken from the listing before counting stopped
         # listing.
@@ -332,9 +331,13 @@ class TestCountingWithoutListing:
                 simple_count,
                 105,
             )
-        # The table walks light candidates: no label's record was built.
-        assert orbits_module._placed.cache_info().currsize == 0
-        assert orbits_module._placed_of_size.cache_info().currsize == 0
+        # The table walks the placed records that the listing reads, but
+        # only their residues and masks: no record made its row texts.
+        assert orbits_module._placed.cache_info().currsize > 0
+        for index in range(4):
+            for size in range(17):
+                for comp in orbits_module._placed_of_size(4, index, size):
+                    assert vars(comp).keys() == {"partition", "index", "shifted", "mask"}
 
     # Per size: the number of labels, then (semisimple, simple_count) of each
     # seeded character below, all taken from the listing before counting
