@@ -1,9 +1,9 @@
 """Integer matrices, Smith normal form and finitely generated abelian groups.
 
-All arithmetic is exact arbitrary-precision integer arithmetic.  One
-elimination routine picks pivots of minimal absolute value to limit entry
-growth.  `smith_normal_form` has it carry explicit unimodular transforms
-along; `cokernel` keeps no transforms, only the diagonal.
+All arithmetic is exact arbitrary-precision integer arithmetic.
+`smith_normal_form` is the one elimination: it picks pivots of minimal
+absolute value to limit entry growth and carries explicit unimodular
+transforms along.  `cokernel` reads its diagonal.
 
 Fundamental groups of orbits are computed in closed form from a voltage
 graph (`cyclocone.orbits`), not here.  The Smith normal form is the
@@ -92,25 +92,27 @@ class IntMatrix(Frozen):
         return f"IntMatrix.from_rows({self.row_lists()!r}, cols={self.cols})"
 
 
-def _diagonalize(a: list[list[int]], u=None, v=None) -> None:
-    """Bring the row lists `a` to Smith normal form in place.
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return unimodular (U, D, V) with U*M*V = D diagonal, d1 | d2 | ... >= 0.
 
-    Every row operation is also applied to the row lists `u`, and every
-    column operation to the row lists `v`, when they are given.
+    Every row operation on M is also applied to U, and every column
+    operation to V, both starting from the identity.
     """
-    nr, nc = len(a), len(a[0]) if a else 0
-    left = (a,) if u is None else (a, u)
-    right = (a,) if v is None else (a, v)
+    nr, nc = m.rows, m.cols
+    a = m.row_lists()
+    u = IntMatrix.identity(nr).row_lists()
+    v = IntMatrix.identity(nc).row_lists()
+    left, right = (a, u), (a, v)
 
     def add_row(i, k, q):
         # row i -= q * row k
-        for m in left:
-            m[i] = [x - q * y for x, y in zip(m[i], m[k])]
+        for x in left:
+            x[i] = [e - q * f for e, f in zip(x[i], x[k])]
 
     def add_col(j, k, q):
         # col j -= q * col k
-        for m in right:
-            for row in m:
+        for x in right:
+            for row in x:
                 row[j] -= q * row[k]
 
     for t in range(min(nr, nc)):
@@ -127,11 +129,11 @@ def _diagonalize(a: list[list[int]], u=None, v=None) -> None:
                 break
             p, q = pivot
             if p != t:
-                for m in left:
-                    m[t], m[p] = m[p], m[t]
+                for x in left:
+                    x[t], x[p] = x[p], x[t]
             if q != t:
-                for m in right:
-                    for row in m:
+                for x in right:
+                    for row in x:
                         row[t], row[q] = row[q], row[t]
             # Clear row and column t; restart if a smaller remainder shows up.
             dirty = False
@@ -161,20 +163,12 @@ def _diagonalize(a: list[list[int]], u=None, v=None) -> None:
                 break
             add_row(t, offender, -1)
         if a[t][t] < 0:
-            for m in left:
-                m[t] = [-x for x in m[t]]
-
-
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return unimodular (U, D, V) with U*M*V = D diagonal, d1 | d2 | ... >= 0."""
-    a = m.row_lists()
-    u = IntMatrix.identity(m.rows).row_lists()
-    v = IntMatrix.identity(m.cols).row_lists()
-    _diagonalize(a, u, v)
+            for x in left:
+                x[t] = [-e for e in x[t]]
     return (
-        IntMatrix.from_rows(u, cols=m.rows),
-        IntMatrix.from_rows(a, cols=m.cols),
-        IntMatrix.from_rows(v, cols=m.cols),
+        IntMatrix.from_rows(u, cols=nr),
+        IntMatrix.from_rows(a, cols=nc),
+        IntMatrix.from_rows(v, cols=nc),
     )
 
 
@@ -240,13 +234,11 @@ class FGAbelianGroup(Frozen):
 def cokernel(m: IntMatrix) -> FGAbelianGroup:
     """Cokernel of Z^cols -> Z^rows, in invariant factor form.
 
-    A matrix with no columns has trivial image, so the cokernel is Z^rows.
-    The diagonal is computed with no transforms; its zeros become free
-    rank, and its unit entries are dropped.
+    Read off the diagonal of smith_normal_form(m): its zeros, and the rows
+    past its end, become free rank, and its unit entries are dropped.  A
+    matrix with no columns has trivial image, so the cokernel is Z^rows.
     """
-    a = m.row_lists()
-    _diagonalize(a)
-    diag = [row[i] for i, row in enumerate(a) if i < len(row)]
+    diag = smith_normal_form(m)[1].diagonal()
     return FGAbelianGroup(
         m.rows - sum(1 for e in diag if e), tuple(e for e in diag if e >= 2)
     )

@@ -10,7 +10,7 @@ i >= 0, of length l, is fixed up to isomorphism by its string class
 the content convention of `partitions`, which owns it; lambda is placed the
 same way at index 0.  String class (top, length) is bit (length - 1) * ell +
 top of a class mask, top read as 0 when ell divides the length: one bit per
-string vector.  The cached `PlacedComponent` records, which the label walk
+string vector.  The per-size `PlacedComponent` records that the label walk
 and the table that counts labels per mask both read, the pi1 cache and the
 pairing test share this numbering.  The fundamental group is the cokernel
 Z^ell / L of the lattice L spanned by the string vectors of a label's mask,
@@ -57,7 +57,6 @@ from .partitions import (
     MultiPartition,
     Partition,
     _component_classes,
-    _rotated_residue,
     _string_coords,
     partitions_of,
     residue,
@@ -151,23 +150,27 @@ def _class_text(top: int, length: int, ell: int) -> str:
     return str(DimVector._trusted(_string_coords(top, length, ell)))
 
 
-@lru_cache(maxsize=None)
-def _placed(ell: int, index: int, parts: tuple[int, ...]) -> PlacedComponent:
-    """Only the mask is derived per index.  The record at vertex 0 makes the
-    Partition and its residue; placing the diagram at vertex i rotates every
-    string vector, so the residue, by sigma^i."""
-    classes = _component_classes(ell, index, parts)
+def _placed(
+    ell: int, index: int, partition: Partition, base: Coords
+) -> PlacedComponent:
+    """`partition` placed at vertex `index`, given its residue `base` at
+    vertex 0.  Placing a diagram at vertex i rotates every string vector, so
+    the residue, by sigma^i; only the mask is derived per index."""
+    classes = _component_classes(ell, index, partition.parts)
     mask = reduce(or_, (_class_bit(*c, ell) for c in classes), 0)
-    if index:
-        base = _placed(ell, 0, parts)
-        shifted = base.shifted[-index:] + base.shifted[:-index]
-        return PlacedComponent(base.partition, index, shifted, mask)
-    return PlacedComponent(Partition(parts), 0, _rotated_residue(ell, classes), mask)
+    return PlacedComponent(partition, index, base[-index:] + base[:-index], mask)
 
 
 @lru_cache(maxsize=None)
 def _placed_of_size(ell: int, index: int, size: int) -> Components:
-    return tuple(_placed(ell, index, parts) for parts in partitions_of(size))
+    """The one cache of records: the partitions of `size` placed at `index`,
+    in the order of partitions_of.  Vertex 0 makes the Partitions and their
+    residues; every other index places those."""
+    if index:
+        vertex0 = _placed_of_size(ell, 0, size)
+        return tuple(_placed(ell, index, c.partition, c.shifted) for c in vertex0)
+    partitions = map(Partition, partitions_of(size))
+    return tuple(_placed(ell, 0, p, residue(p, ell).coords) for p in partitions)
 
 
 def _component_strings(comp: PlacedComponent) -> tuple[StringSummand, ...]:
@@ -180,8 +183,9 @@ def _component_strings(comp: PlacedComponent) -> tuple[StringSummand, ...]:
     )
 
 
-def _placed_nu(label: OrbitLabel) -> Components:
-    return tuple(_placed(label.ell, i, comp.parts) for i, comp in enumerate(label.nu))
+def _placed_nu(ell: int, nu: MultiPartition) -> Components:
+    """The components of nu as records, built for one query and kept nowhere."""
+    return tuple(_placed(ell, i, p, residue(p, ell).coords) for i, p in enumerate(nu))
 
 
 def _strings(components: Components) -> tuple[StringSummand, ...]:
@@ -196,11 +200,11 @@ def _orbit_label(lam: Partition, components: Components, n: int) -> OrbitLabel:
 def decompose(label: OrbitLabel) -> SummandDecomposition:
     """Framed summand plus one string summand per row of each nu component."""
     framed = DimVector(residue(label.lam, label.ell).coords, framing=1)
-    return SummandDecomposition(framed, _strings(_placed_nu(label)))
+    return SummandDecomposition(framed, _strings(_placed_nu(label.ell, label.nu)))
 
 
 def _label_mask(label: OrbitLabel) -> int:
-    return reduce(or_, (comp.mask for comp in _placed_nu(label)), 0)
+    return reduce(or_, (comp.mask for comp in _placed_nu(label.ell, label.nu)), 0)
 
 
 def fundamental_group(label: OrbitLabel) -> FGAbelianGroup:

@@ -172,19 +172,28 @@ class TestPlacedRecords:
     @pytest.mark.parametrize("ell", range(1, 7))
     def test_records_agree_with_box_scans(self, ell):
         # A record at index i takes its residue from the one at vertex 0,
-        # rotated by i; the scans place the diagram at i from its boxes.
+        # rotated by i; the scans place the diagram at i from its boxes.  A
+        # label query builds its own records, which must agree with the
+        # cached ones.
         for size in range(9):
-            for parts in partitions_of(size):
-                base = orbits_module._placed(ell, 0, parts)
-                for index in range(ell):
-                    comp = orbits_module._placed(ell, index, parts)
+            base = orbits_module._placed_of_size(ell, 0, size)
+            for index in range(ell):
+                records = orbits_module._placed_of_size(ell, index, size)
+                assert len(records) == len(partitions_of(size))
+                for parts, comp, vertex0 in zip(partitions_of(size), records, base):
+                    assert comp.partition.parts == parts
                     components = ((),) * index + (parts,)
                     assert comp.shifted == shifted_residue_scan(components, ell)
                     strings = orbits_module._component_strings(comp)
                     vectors = [s.vector.coords for s in strings]
                     assert vectors == string_vectors_scan(components, ell)
                     assert set(mask_vectors(ell, comp.mask)) == set(vectors)
-                    assert comp.partition is base.partition
+                    assert comp.partition is vertex0.partition
+                    nu = MultiPartition(
+                        map(Partition, components + ((),) * (ell - index - 1))
+                    )
+                    query = orbits_module._placed_nu(ell, nu)[index]
+                    assert (query.shifted, query.mask) == (comp.shifted, comp.mask)
 
 
 class TestFundamentalGroup:

@@ -308,7 +308,6 @@ class TestCountingWithoutListing:
         for cache in (
             orbits_module.enumerate_orbits,
             orbits_module._string_class_table,
-            orbits_module._placed,
             orbits_module._placed_of_size,
             orbits_module._string_coords,
             count_multipartitions,
@@ -333,7 +332,7 @@ class TestCountingWithoutListing:
             )
         # The table walks the placed records that the listing reads, but
         # only their residues and masks: no record made its row texts.
-        assert orbits_module._placed.cache_info().currsize > 0
+        assert orbits_module._placed_of_size.cache_info().currsize > 0
         for index in range(4):
             for size in range(17):
                 for comp in orbits_module._placed_of_size(4, index, size):
