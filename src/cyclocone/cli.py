@@ -16,11 +16,13 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import chain
+from operator import attrgetter
 
 from .abelian import IntMatrix, cokernel
-from .orbits import OrbitLabel, _component_strings, decompose
-from .orbits import enumerate_Q_chi, fundamental_group
+from .orbits import OrbitLabel, _class_set_pi1, _component_strings, _fill
+from .orbits import _non_integral_mask, decompose, enumerate_Q_chi, fundamental_group
 from .params import (
     KappaParams,
     RationalCharacter,
@@ -36,7 +38,6 @@ from .report import (
     Pi1Disagreement,
     count_multipartitions,
     hyperplane_listing,
-    orbit_report,
     semisimplicity_report,
 )
 
@@ -139,6 +140,25 @@ def _resolve_chi(args, ell: int, required: bool = True) -> RationalCharacter | N
     return None
 
 
+_BLOCK = 1 << 16
+
+
+def _write(out, pieces) -> None:
+    """Write text pieces joined into blocks of about _BLOCK characters, one
+    out.write per block: a listing is never held whole, and never written
+    row by row, which an unbuffered stdout makes one system call a row.  An
+    error raised before the first block is full prints nothing."""
+    block, size = [], 0
+    for piece in pieces:
+        block.append(piece)
+        size += len(piece)
+        if size >= _BLOCK:
+            out.write("".join(block))
+            block, size = [], 0
+    if block:
+        out.write("".join(block))
+
+
 def _render(out, fmt: str, obj, header: list[str], rows, pretty) -> None:
     """Print one result as json of obj(), tsv of header plus rows(), or pretty().
 
@@ -146,12 +166,13 @@ def _render(out, fmt: str, obj, header: list[str], rows, pretty) -> None:
     a format that is not printed is never built.
     """
     if fmt == "json":
-        lines = [json.dumps(obj(), ensure_ascii=False, indent=2)]
+        encoder = json.JSONEncoder(ensure_ascii=False, indent=2)
+        pieces = chain(encoder.iterencode(obj()), ["\n"])
     elif fmt == "tsv":
-        lines = chain(["\t".join(header)], map("\t".join, rows()))
+        pieces = map("{}\n".format, chain(["\t".join(header)], map("\t".join, rows())))
     else:
-        lines = pretty()
-    out.writelines(f"{line}\n" for line in lines)
+        pieces = map("{}\n".format, pretty())
+    _write(out, pieces)
 
 
 def _cell(value) -> str:
@@ -165,15 +186,6 @@ def _nested_json(value, depth: int) -> str:
     return text.replace("\n", "\n" + "  " * depth)
 
 
-def _once(cache: dict, obj, render) -> str:
-    """render(obj), computed once per object.  The cache is keyed by id and
-    holds obj, so no other object can take over the id while it lives."""
-    hit = cache.get(id(obj))
-    if hit is None:
-        hit = cache[id(obj)] = obj, render(obj)
-    return hit[1]
-
-
 def _summands_json(comp) -> str:
     """A placed record's summand objects as they read inside an orbits
     entry's "summands" list (depth 3), without the list's brackets."""
@@ -184,86 +196,74 @@ def _summands_json(comp) -> str:
     return _nested_json(items, 3)[1 : -len("\n      ]")]
 
 
+def _nu_text(nu: str, comp) -> str:
+    return f"{nu}{comp.text};"
+
+
+def _orbit_pieces(n: int, ell: int, chi, fmt: str):
+    """The orbits table in `fmt`, one piece per line or JSON entry.  The walk
+    keeps per prefix its nu text ("a;b;") and its nonempty summand texts
+    (json: summand-item fragments), each followed by a separator; a row is
+    one f-string of those, the lambda text, the closing record's texts and
+    the pi1 and flag texts of its mask.  Partition texts need no escapes."""
+    as_json, sep = fmt == "json", "  " if fmt == "pretty" else "\t"
+    fragment = cache(_summands_json) if as_json else attrgetter("summands")
+    joiner, key = (",", ',\n      "monodromic_for_chi": ') if as_json else (" ", sep)
+
+    @cache
+    def mask_texts(mask):
+        group = _class_set_pi1(ell, mask)
+        flag = chi is not None and not _non_integral_mask(ell, mask, chi)
+        tail = "" if chi is None else f"{key}{_cell(flag)}"
+        if as_json:
+            return _nested_json(group.to_json(), 3), tail, flag
+        return f"{sep}{group}{sep}", f"{tail}\n", flag
+
+    def push(state, comp):
+        nu, items = state
+        item = fragment(comp)
+        return _nu_text(nu, comp), f"{items}{item}{joiner}" if item else items
+
+    if as_json:
+        chi_json = _nested_json(None if chi is None else chi.to_json(), 1)
+        yield f'{{\n  "n": {n},\n  "ell": {ell},\n  "chi": {chi_json},\n  "orbits": ['
+    elif fmt == "tsv":
+        yield "lambda\tnu\tpi1\tsummands" + ("\n" if chi is None else "\tmonodromic\n")
+    else:
+        yield f"orbit labels for n={n}, ell={ell}\n"
+    entry, rows, monodromic = "\n    ", 0, 0
+    lead, mid = ("  " if fmt == "pretty" else ""), sep
+    if as_json:
+        lead, mid = '{\n      "lambda": "', '",\n      "nu": "'
+    for seed, (nu, items), mask, closings in _fill(n, ell, ("", ""), push):
+        head = f"{lead}{seed.text}{mid}{nu}"
+        rows += len(closings)
+        for closing, _ in closings:
+            pi1, tail, flag = mask_texts(mask | closing.mask)
+            monodromic += flag
+            item = fragment(closing)
+            item = f"{items}{item}" if item else items[:-1]
+            if not as_json:
+                yield f"{head}{closing.text}{pi1}{item or '-'}{tail}"
+                continue
+            summands = f"[{item}\n      ]" if item else "[]"
+            yield (
+                f'{entry}{head}{closing.text}",\n      "summands": {summands},\n'
+                f'      "pi1": {pi1}{tail}\n    }}'
+            )
+            entry = ",\n    "
+    totals = {"orbits": rows, "monodromic": None if chi is None else monodromic}
+    totals["multipartitions"] = count_multipartitions(n, ell)
+    if as_json:
+        yield f'\n  ],\n  "totals": {_nested_json(totals, 1)}\n}}\n'
+    elif fmt == "pretty":
+        line = f"totals: orbits={rows} multipartitions={totals['multipartitions']}"
+        yield line + ("\n" if chi is None else f" monodromic={monodromic}\n")
+
+
 def _cmd_orbits(args, out) -> int:
     chi = _resolve_chi(args, args.ell, required=False)
-    rows = orbit_report(args.n, args.ell, chi)
-    # Pull the first row before writing, so a refused input prints nothing.
-    rows = chain([next(rows)], rows)
-    header = ["lambda", "nu", "pi1", "summands"]
-    if chi is not None:
-        header.append("monodromic")
-    totals = {"orbits": 0, "monodromic": None if chi is None else 0}
-    # Texts are made once per lambda (rows come grouped by it), per placed
-    # record and per pi1 group; records and groups are interned.
-    pi1_texts: dict[int, tuple] = {}
-    summand_texts: dict[int, tuple] = {}
-
-    def counted():
-        for row in rows:
-            totals["orbits"] += 1
-            if chi is not None:
-                totals["monodromic"] += row.monodromic
-            yield row
-
-    def cells(rows):
-        lam = lam_text = None
-        for row in rows:
-            if row.lam is not lam:
-                lam, lam_text = row.lam, str(row.lam)
-            components = row.components
-            summands = " ".join([comp.summands for comp in components if comp.summands])
-            line = [
-                lam_text,
-                ";".join([comp.text for comp in components]),
-                _once(pi1_texts, row.pi1, str),
-                summands or "-",
-            ]
-            if chi is not None:
-                line.append(_cell(row.monodromic))
-            yield line
-
-    def json_text():
-        # The json.dumps(indent=2) text of {n, ell, chi, orbits, totals},
-        # written entry by entry.  Partition texts need no JSON escapes.
-        chi_json = None if chi is None else chi.to_json()
-        yield (
-            f'{{\n  "n": {args.n},\n  "ell": {args.ell},\n'
-            f'  "chi": {_nested_json(chi_json, 1)},\n  "orbits": ['
-        )
-        sep, lam = "\n    ", None
-        for row in counted():
-            if row.lam is not lam:
-                lam, lam_text = row.lam, _nested_json(str(row.lam), 0)
-            components = row.components
-            items = [_once(summand_texts, comp, _summands_json) for comp in components]
-            items = [text for text in items if text]
-            summands = f"[{','.join(items)}\n      ]" if items else "[]"
-            pi1 = _once(pi1_texts, row.pi1, lambda g: _nested_json(g.to_json(), 3))
-            flag = ""
-            if chi is not None:
-                flag = f',\n      "monodromic_for_chi": {_cell(row.monodromic)}'
-            yield (
-                f'{sep}{{\n      "lambda": {lam_text},\n'
-                f'      "nu": "{";".join([comp.text for comp in components])}",\n'
-                f'      "summands": {summands},\n      "pi1": {pi1}{flag}\n    }}'
-            )
-            sep = ",\n    "
-        totals["multipartitions"] = count_multipartitions(args.n, args.ell)
-        yield f'\n  ],\n  "totals": {_nested_json(totals, 1)}\n}}\n'
-
-    def pretty():
-        yield f"orbit labels for n={args.n}, ell={args.ell}"
-        yield from ("  " + "  ".join(line) for line in cells(counted()))
-        multipartitions = count_multipartitions(args.n, args.ell)
-        line = f"totals: orbits={totals['orbits']} multipartitions={multipartitions}"
-        if chi is not None:
-            line += f" monodromic={totals['monodromic']}"
-        yield line
-
-    if args.format == "json":
-        out.writelines(json_text())
-    else:
-        _render(out, args.format, None, header, lambda: cells(rows), pretty)
+    _write(out, _orbit_pieces(args.n, args.ell, chi, args.format))
     return EXIT_OK
 
 
@@ -304,6 +304,18 @@ def _cmd_pi1(args, out) -> int:
 
 def _cmd_simples(args, out) -> int:
     chi = _resolve_chi(args, args.ell)
+    if args.format == "tsv":
+        # Only pretty and json print the count before the labels, so only
+        # tsv streams, from the walk's per-prefix nu texts.
+        flag = cache(lambda mask: not _non_integral_mask(args.ell, mask, chi))
+        rows = (
+            f"{seed.text}\t{nu}{closing.text}\n"
+            for seed, nu, mask, closings in _fill(args.n, args.ell, "", _nu_text)
+            for closing, _ in closings
+            if flag(mask | closing.mask)
+        )
+        _write(out, chain(["lambda\tnu\n"], rows))
+        return EXIT_OK
     labels = enumerate_Q_chi(args.n, args.ell, chi)
     _render(
         out,
@@ -317,8 +329,8 @@ def _cmd_simples(args, out) -> int:
                 {"lambda": str(lab.lam), "nu": str(lab.nu)} for lab in labels
             ],
         },
-        ["lambda", "nu"],
-        lambda: ([str(lab.lam), str(lab.nu)] for lab in labels),
+        None,
+        None,
         lambda: chain(
             [f"{len(labels)} simple objects at chi={chi}"],
             (f"  {lab}" for lab in labels),

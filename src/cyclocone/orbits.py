@@ -44,7 +44,7 @@ reads c and g off the bits of a mask in one pass.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property, lru_cache, reduce
+from functools import cache, cached_property, lru_cache, reduce
 from itertools import accumulate, chain
 from math import gcd
 from operator import or_, sub
@@ -313,36 +313,30 @@ def _lambda_seeds(n: int, ell: int) -> Iterator:
     return _fits(ell, 0, (n,) * ell, range(n * ell, -1, -1))
 
 
-def _fill(
-    ell: int, remaining: Coords, memo: dict
-) -> Iterator[tuple[Components, int]]:
-    """(nu components, class mask) of every way to take up `remaining`, in
-    enumeration order: a depth-first walk over an explicit stack of
-    _steps, memoized in `memo` for one walk."""
-    if ell == 1:
-        for comp, _ in _steps(ell, 0, remaining, memo):
-            yield (comp,), comp.mask
-        return
-    head: list[PlacedComponent] = []
-    masks = [0]
-    stack = [iter(_steps(ell, 0, remaining, memo))]
-    while stack:
-        for comp, rest in stack[-1]:
-            mask = masks[-1] | comp.mask
-            if len(stack) < ell - 1:
-                head.append(comp)
-                masks.append(mask)
-                steps = _steps(ell, len(stack), rest, memo)
-                stack.append(iter(steps))
+def _fill(n: int, ell: int, root, push) -> Iterator[tuple]:
+    """(lambda record, state, mask, closings) per lambda and prefix (nu
+    components 0..ell-2), in enumeration order: state is push folded over
+    the prefix from root, mask ORs its class masks, and each closing, a step
+    of the last component, closes one label.  The one label walk: each depth
+    of its explicit stack holds one component's _steps and the state and
+    mask of the prefix before it, so each state is made once per push."""
+    memo: dict = {}
+    for seed, remaining in _lambda_seeds(n, ell):
+        if ell == 1:
+            yield seed, root, 0, _steps(ell, 0, remaining, memo)
+            continue
+        stack = [(iter(_steps(ell, 0, remaining, memo)), root, 0)]
+        while stack:
+            steps, parent, parent_mask = stack[-1]
+            for comp, rest in steps:
+                state, mask = push(parent, comp), parent_mask | comp.mask
+                if len(stack) == ell - 1:
+                    yield seed, state, mask, rest
+                    continue
+                stack.append((iter(_steps(ell, len(stack), rest, memo)), state, mask))
                 break
-            prefix = (*head, comp)
-            for closing, _ in rest:
-                yield (*prefix, closing), mask | closing.mask
-        else:
-            stack.pop()
-            if head:
-                head.pop()
-                masks.pop()
+            else:
+                stack.pop()
 
 
 def _fill_labels(
@@ -350,19 +344,13 @@ def _fill_labels(
 ) -> Iterator[tuple[Partition, Components, int, bool | None]]:
     """(lambda, nu components, class mask, chi-monodromic flag or None) per
     label of enumerate_orbits; the flag is computed once per mask."""
-    seeds = _lambda_seeds(n, ell)
     if chi is not None and chi.ell != ell:
         raise ValueError(f"character has {chi.ell} entries, expected {ell}")
-    flags: dict[int, bool] = {}
-    memo: dict = {}
-    for seed, rest in seeds:
-        for components, mask in _fill(ell, rest, memo):
-            flag = None
-            if chi is not None:
-                flag = flags.get(mask)
-                if flag is None:
-                    flag = flags[mask] = not _non_integral_mask(ell, mask, chi)
-            yield seed.partition, components, mask, flag
+    flag = cache(lambda m: None if chi is None else not _non_integral_mask(ell, m, chi))
+    for seed, head, mask, closings in _fill(n, ell, (), lambda h, c: (*h, c)):
+        for closing, _ in closings:
+            full = mask | closing.mask
+            yield seed.partition, (*head, closing), full, flag(full)
 
 
 @lru_cache(maxsize=None)

@@ -120,6 +120,50 @@ class TestStreamedOrbitsJson:
             assert (code, out) == (0, expected + "\n")
 
 
+def orbits_table_oracle(n, ell, chi, fmt):
+    """The `orbits --format tsv` or `--format pretty` text, from the
+    per-label functions."""
+    rows = []
+    for lab in enumerate_orbits(n, ell):
+        summands = " ".join(
+            f"{s.start}:{s.row}:{s.vector}" for s in decompose(lab).strings
+        )
+        row = [str(lab.lam), str(lab.nu), str(fundamental_group(lab)), summands or "-"]
+        if chi is not None:
+            row.append(str(admits_monodromic_local_system(lab, chi)).lower())
+        rows.append(row)
+    if fmt == "tsv":
+        header = ["lambda", "nu", "pi1", "summands"]
+        if chi is not None:
+            header.append("monodromic")
+        lines = ["\t".join(row) for row in [header] + rows]
+    else:
+        totals = f"totals: orbits={len(rows)}"
+        totals += f" multipartitions={multipartition_count(n, ell)}"
+        if chi is not None:
+            totals += f" monodromic={sum(row[-1] == 'true' for row in rows)}"
+        lines = [f"orbit labels for n={n}, ell={ell}"]
+        lines += ["  " + "  ".join(row) for row in rows] + [totals]
+    return "".join(f"{line}\n" for line in lines)
+
+
+class TestOrbitsTables:
+    @pytest.mark.parametrize("fmt", ["tsv", "pretty"])
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("ell", range(1, 4))
+    def test_equals_the_per_label_text(self, n, ell, fmt):
+        rng = random.Random(100 * n + ell)
+        chis = [None] + [
+            RationalCharacter([random_fraction(rng) for _ in range(ell)])
+            for _ in range(2)
+        ]
+        for chi in chis:
+            argv = ["orbits", "-n", str(n), "-l", str(ell), "--format", fmt]
+            if chi is not None:
+                argv.append(f"--chi={chi}")
+            assert invoke(argv) == (0, orbits_table_oracle(n, ell, chi, fmt), "")
+
+
 class TestPi1Command:
     def test_z2(self):
         code, out, _ = invoke(["pi1", "-l", "1", "--lambda", "[]", "--nu", "[2]"])
@@ -361,18 +405,29 @@ class TestExitCodeContract:
 
     def test_long_cycle_answers_its_one_label(self):
         # The fill walks an explicit stack, not one frame per nu component,
-        # so a cycle of 1500 vertices no longer runs out of stack.
-        code, out, err = invoke(["orbits", "-n", "0", "-l", "1500", "--format", "tsv"])
+        # so a cycle of 1500 vertices does not run out of stack in any format.
+        argv = ["orbits", "-n", "0", "-l", "1500", "--format"]
+        nu = ";".join(["[]"] * 1500)
+        code, out, err = invoke(argv + ["tsv"])
         assert (code, err) == (0, "")
         header, row = out.splitlines()
         assert header == "lambda\tnu\tpi1\tsummands"
-        assert row.split("\t") == ["[]", ";".join(["[]"] * 1500), "Z^1500", "-"]
+        assert row.split("\t") == ["[]", nu, "Z^1500", "-"]
+        code, out, err = invoke(argv + ["pretty"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == f"  []  {nu}  Z^1500  -"
+        code, out, err = invoke(argv + ["json"])
+        assert (code, err) == (0, "")
+        [entry] = json.loads(out)["orbits"]
+        assert (entry["nu"], entry["summands"]) == (nu, [])
+        assert entry["pi1"]["free_rank"] == 1500
 
     def test_unexpected_exception_is_exit_four(self, monkeypatch):
         def crash(*args):
             raise KeyError("boom")
 
-        monkeypatch.setattr(cli_module, "orbit_report", crash)
+        # The orbits table reads the label walk directly.
+        monkeypatch.setattr(cli_module, "_fill", crash)
         code, out, err = invoke(["orbits", "-n", "1", "-l", "1"])
         assert code == 4
         assert out == ""
@@ -381,20 +436,29 @@ class TestExitCodeContract:
     def test_closed_stdout_is_exit_four_without_traceback(self):
         # The (3,3) table is about 150 kB, more than a pipe buffers, so the
         # child is still writing when the reader goes away.
-        src = os.path.dirname(os.path.dirname(cli_module.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        child = subprocess.Popen(
-            [sys.executable, "-m", "cyclocone.cli", "orbits", "-n", "3", "-l", "3"]
-            + ["--format", "tsv"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
-        assert child.stdout.readline() == b"lambda\tnu\tpi1\tsummands\n"
-        child.stdout.close()
-        err = child.stderr.read().decode()
-        assert child.wait(timeout=60) == 4
-        assert "Traceback" not in err
+        assert_closed_stdout_exits_four("tsv", b"lambda\tnu\tpi1\tsummands\n")
+
+    def test_closed_stdout_json_is_exit_four_without_traceback(self):
+        assert_closed_stdout_exits_four("json", b"{\n")
+
+
+def assert_closed_stdout_exits_four(fmt, first_line):
+    """Run `orbits -n 3 -l 3` in `fmt` as a child, close its stdout after the
+    first line and check that it exits 4 without a traceback."""
+    src = os.path.dirname(os.path.dirname(cli_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cyclocone.cli", "orbits", "-n", "3", "-l", "3"]
+        + ["--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert child.stdout.readline() == first_line
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 4
+    assert "Traceback" not in err
 
 
 FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=12)

@@ -13,7 +13,9 @@ CLI builds from the report's typed rows.  The (4, 4) verdict at a character
 pins the counting criterion's simple-object count, which is read off the
 string-class table without listing the 256,966 labels.  The (3, 4) table
 with a character has mixed flags over 23,682 rows, and the simple objects at
-that character are a filtered fill.
+that character are a filtered fill.  Pretty tables at ell = 3 and 4, and the
+(3, 4) JSON table with a character, pin the rows that are joined from the
+walk's per-prefix texts in every format.
 """
 
 import hashlib
@@ -61,6 +63,9 @@ GOLDEN = [
     ("semisimple -n 4 -l 4 --chi 1/5,1/7,2/3,-1/2", "json", 0, "c63bf7add53d123632edb259840b7b5476ef4b1dba978c82de375491c646d688"),
     ("orbits -n 3 -l 4 --chi 1/2,1/4,0,1/3", "tsv", 0, "3bf5f7765026f59d9af78d8376a01c1957b7b3fbd9fd2a23f098c16478206c48"),
     ("simples -n 3 -l 4 --chi 1/2,1/4,0,1/3", "pretty", 0, "36217f163da210d24e8200d93123ff77197507890c70c2e7760a70fdb26fb792"),
+    ("orbits -n 3 -l 3 --chi 1/2,1/3,1/5", "pretty", 0, "760d69b7c8b53cf2486d04599be24030445172743325669e5dd45765d818502f"),
+    ("orbits -n 3 -l 4", "pretty", 0, "420dcc06e66d2881fb38c5845558c4342275243c5599ac501772dff64d04ee05"),
+    ("orbits -n 3 -l 4 --chi 1/2,1/4,0,1/3", "json", 0, "82caafba6ed8726de343a736c42f258478de254a1c14751b86ee1bec0fb218fe"),
 ]
 
 
