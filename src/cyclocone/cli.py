@@ -21,8 +21,8 @@ from itertools import chain
 from operator import attrgetter
 
 from .abelian import IntMatrix, cokernel
-from .orbits import OrbitLabel, _class_set_pi1, _component_strings, _fill
-from .orbits import _non_integral_mask, decompose, enumerate_Q_chi, fundamental_group
+from .orbits import OrbitLabel, _class_set_pi1, _fill
+from .orbits import _non_integral_mask, decompose, fundamental_group
 from .params import (
     KappaParams,
     RationalCharacter,
@@ -186,14 +186,24 @@ def _nested_json(value, depth: int) -> str:
     return text.replace("\n", "\n" + "  " * depth)
 
 
+def _json_list(entries):
+    """The entries of a JSON list at depth 1, each already indented as
+    json.dumps(indent=2) writes it, then the closing bracket.  The list is
+    never empty: every table and every Q_chi holds ([n*ell]; [],...,[])."""
+    entries = iter(entries)
+    yield f"\n    {next(entries)}"
+    yield from map(",\n    {}".format, entries)
+    yield "\n  ]"
+
+
 def _summands_json(comp) -> str:
     """A placed record's summand objects as they read inside an orbits
     entry's "summands" list (depth 3), without the list's brackets."""
-    items = [
-        {"start": s.start, "row": s.row, "dim_vector": str(s.vector)}
-        for s in _component_strings(comp)
-    ]
-    return _nested_json(items, 3)[1 : -len("\n      ]")]
+    return ",".join([
+        f'\n        {{\n          "start": {i},\n          "row": {j},\n'
+        f'          "dim_vector": "{v}"\n        }}'
+        for i, j, v in comp.strings()
+    ])
 
 
 def _nu_text(nu: str, comp) -> str:
@@ -212,17 +222,37 @@ def _orbit_pieces(n: int, ell: int, chi, fmt: str):
 
     @cache
     def mask_texts(mask):
+        """Texts around a row's summand items (none iff the mask is 0), flag."""
         group = _class_set_pi1(ell, mask)
         flag = chi is not None and not _non_integral_mask(ell, mask, chi)
         tail = "" if chi is None else f"{key}{_cell(flag)}"
-        if as_json:
-            return _nested_json(group.to_json(), 3), tail, flag
-        return f"{sep}{group}{sep}", f"{tail}\n", flag
+        if not as_json:
+            return f"{sep}{group}{sep}{'' if mask else '-'}", f"{tail}\n", flag
+        opening, closer = ("[", "\n      ]") if mask else ("[]", "")
+        pi1 = f'{closer},\n      "pi1": {_nested_json(group.to_json(), 3)}'
+        return f'",\n      "summands": {opening}', f"{pi1}{tail}\n    }}", flag
 
     def push(state, comp):
         nu, items = state
         item = fragment(comp)
         return _nu_text(nu, comp), f"{items}{item}{joiner}" if item else items
+
+    lead, mid = ("  " if fmt == "pretty" else ""), sep
+    if as_json:
+        lead, mid = '{\n      "lambda": "', '",\n      "nu": "'
+    rows = monodromic = 0
+
+    def entries():
+        nonlocal rows, monodromic
+        for seed, (nu, items), mask, closings in _fill(n, ell, ("", ""), push):
+            head = f"{lead}{seed.text}{mid}{nu}"
+            rows += len(closings)
+            for closing, _ in closings:
+                before, after, flag = mask_texts(mask | closing.mask)
+                monodromic += flag
+                item = fragment(closing)
+                item = f"{items}{item}" if item else items[:-1]
+                yield f"{head}{closing.text}{before}{item}{after}"
 
     if as_json:
         chi_json = _nested_json(None if chi is None else chi.to_json(), 1)
@@ -231,31 +261,11 @@ def _orbit_pieces(n: int, ell: int, chi, fmt: str):
         yield "lambda\tnu\tpi1\tsummands" + ("\n" if chi is None else "\tmonodromic\n")
     else:
         yield f"orbit labels for n={n}, ell={ell}\n"
-    entry, rows, monodromic = "\n    ", 0, 0
-    lead, mid = ("  " if fmt == "pretty" else ""), sep
-    if as_json:
-        lead, mid = '{\n      "lambda": "', '",\n      "nu": "'
-    for seed, (nu, items), mask, closings in _fill(n, ell, ("", ""), push):
-        head = f"{lead}{seed.text}{mid}{nu}"
-        rows += len(closings)
-        for closing, _ in closings:
-            pi1, tail, flag = mask_texts(mask | closing.mask)
-            monodromic += flag
-            item = fragment(closing)
-            item = f"{items}{item}" if item else items[:-1]
-            if not as_json:
-                yield f"{head}{closing.text}{pi1}{item or '-'}{tail}"
-                continue
-            summands = f"[{item}\n      ]" if item else "[]"
-            yield (
-                f'{entry}{head}{closing.text}",\n      "summands": {summands},\n'
-                f'      "pi1": {pi1}{tail}\n    }}'
-            )
-            entry = ",\n    "
+    yield from _json_list(entries()) if as_json else entries()
     totals = {"orbits": rows, "monodromic": None if chi is None else monodromic}
     totals["multipartitions"] = count_multipartitions(n, ell)
     if as_json:
-        yield f'\n  ],\n  "totals": {_nested_json(totals, 1)}\n}}\n'
+        yield f',\n  "totals": {_nested_json(totals, 1)}\n}}\n'
     elif fmt == "pretty":
         line = f"totals: orbits={rows} multipartitions={totals['multipartitions']}"
         yield line + ("\n" if chi is None else f" monodromic={monodromic}\n")
@@ -303,39 +313,35 @@ def _cmd_pi1(args, out) -> int:
 
 
 def _cmd_simples(args, out) -> int:
-    chi = _resolve_chi(args, args.ell)
-    if args.format == "tsv":
-        # Only pretty and json print the count before the labels, so only
-        # tsv streams, from the walk's per-prefix nu texts.
-        flag = cache(lambda mask: not _non_integral_mask(args.ell, mask, chi))
-        rows = (
-            f"{seed.text}\t{nu}{closing.text}\n"
-            for seed, nu, mask, closings in _fill(args.n, args.ell, "", _nu_text)
-            for closing, _ in closings
-            if flag(mask | closing.mask)
-        )
-        _write(out, chain(["lambda\tnu\n"], rows))
-        return EXIT_OK
-    labels = enumerate_Q_chi(args.n, args.ell, chi)
-    _render(
-        out,
-        args.format,
-        lambda: {
-            "n": args.n,
-            "ell": args.ell,
-            "chi": chi.to_json(),
-            "count": len(labels),
-            "labels": [
-                {"lambda": str(lab.lam), "nu": str(lab.nu)} for lab in labels
-            ],
-        },
-        None,
-        None,
-        lambda: chain(
-            [f"{len(labels)} simple objects at chi={chi}"],
-            (f"  {lab}" for lab in labels),
-        ),
+    """The labels of Q_chi from the label walk, one entry text each.  A label
+    is in Q_chi when its mask has no bad bit, a class (of length <= n*ell)
+    that chi pairs with non-integrally, so a prefix with one is skipped whole.
+    tsv streams; pretty and json print the count first, so keep the texts."""
+    n, ell = args.n, args.ell
+    chi = _resolve_chi(args, ell)
+    bad = _non_integral_mask(ell, (1 << max(n, 0) * ell * ell) - 1, chi)
+    lead, mid, end = {
+        "tsv": ("", "\t", "\n"),
+        "pretty": ("  (", ";", ")\n"),
+        "json": ('{\n      "lambda": "', '",\n      "nu": "', '"\n    }'),
+    }[args.format]
+    entries = (
+        f"{lead}{seed.text}{mid}{nu}{closing.text}{end}"
+        for seed, nu, mask, closings in _fill(n, ell, "", _nu_text)
+        if not mask & bad
+        for closing, _ in closings
+        if not closing.mask & bad
     )
+    if args.format == "tsv":
+        _write(out, chain(["lambda\tnu\n"], entries))
+    elif args.format == "pretty":
+        entries = list(entries)
+        _write(out, chain([f"{len(entries)} simple objects at chi={chi}\n"], entries))
+    else:
+        entries, chi_json = list(entries), _nested_json(chi.to_json(), 1)
+        head = f'{{\n  "n": {n},\n  "ell": {ell},\n  "chi": {chi_json},\n'
+        head += f'  "count": {len(entries)},\n  "labels": ['
+        _write(out, chain([head], _json_list(entries), ["\n}\n"]))
     return EXIT_OK
 
 

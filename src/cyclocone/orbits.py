@@ -132,13 +132,16 @@ class PlacedComponent:
     def text(self) -> str:
         return str(self.partition)
 
-    @cached_property
-    def summands(self) -> str:
+    def strings(self) -> list[tuple[int, int, str]]:
+        """(index, row, vector text) per row: the one derivation of the
+        summand texts of a table row, in every format."""
         ell, index = len(self.shifted), self.index
         classes = _component_classes(ell, index, self.partition.parts)
-        return " ".join(
-            [f"{index}:{j}:{_class_text(*c, ell)}" for j, c in enumerate(classes, 1)]
-        )
+        return [(index, j, _class_text(*c, ell)) for j, c in enumerate(classes, 1)]
+
+    @cached_property
+    def summands(self) -> str:
+        return " ".join([f"{i}:{j}:{v}" for i, j, v in self.strings()])
 
 
 Components = tuple[PlacedComponent, ...]
@@ -282,23 +285,18 @@ def _fits(ell: int, index: int, remaining: Coords, sizes) -> Iterator:
 def _steps(ell: int, index: int, remaining: Coords, memo: dict) -> tuple:
     """What nu component `index` can be, given the residue `remaining`: its
     _fits, memoized in `memo` by (index, remaining) for one walk.  The last
-    component must take up `remaining` exactly, so its rest is zero.  For
-    component ell-2, rest is instead the (nonempty) _steps of the last
-    component, so dead ends are dropped."""
+    component must take up `remaining` exactly, so its rest is zero.  Dead
+    ends are dropped: memo[ell-1, rest] closes every step of component ell-2."""
     key = index, remaining
     found = memo.get(key)
     if found is not None:
         return found
     total = sum(remaining)
     sizes = range(total if index == ell - 1 else 0, total + 1)
-    found = []
-    for comp, rest in _fits(ell, index, remaining, sizes):
-        if index == ell - 2:
-            rest = _steps(ell, ell - 1, rest, memo)
-            if not rest:
-                continue
-        found.append((comp, rest))
-    found = memo[key] = tuple(found)
+    steps = _fits(ell, index, remaining, sizes)
+    if index == ell - 2:
+        steps = (step for step in steps if _steps(ell, ell - 1, step[1], memo))
+    found = memo[key] = tuple(steps)
     return found
 
 
@@ -331,7 +329,7 @@ def _fill(n: int, ell: int, root, push) -> Iterator[tuple]:
             for comp, rest in steps:
                 state, mask = push(parent, comp), parent_mask | comp.mask
                 if len(stack) == ell - 1:
-                    yield seed, state, mask, rest
+                    yield seed, state, mask, memo[ell - 1, rest]
                     continue
                 stack.append((iter(_steps(ell, len(stack), rest, memo)), state, mask))
                 break
@@ -388,12 +386,7 @@ def _string_class_table(n: int, ell: int) -> tuple[int, int, dict[int, int]]:
     for index in range(ell):
         folded: dict[Coords, dict[int, int]] = {}
         for remaining, masks in states.items():
-            steps = _steps(ell, index, remaining, memo)
-            for comp, rest in steps:
-                if index == ell - 2:
-                    # rest is the last component's steps; key the state by
-                    # the residue that each of them takes up.
-                    rest = rest[0][0].shifted
+            for comp, rest in _steps(ell, index, remaining, memo):
                 into = folded.setdefault(rest, {})
                 for mask, count in masks.items():
                     mask |= comp.mask

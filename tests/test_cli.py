@@ -18,6 +18,7 @@ from cyclocone.orbits import (
     admits_monodromic_local_system,
     decompose,
     enumerate_orbits,
+    enumerate_Q_chi,
     fundamental_group,
 )
 from cyclocone.params import RationalCharacter
@@ -207,6 +208,41 @@ class TestSimplesCommand:
         code, _, err = invoke(["simples", "-n", "2", "-l", "2"])
         assert code == 2
         assert "chi" in err
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "tsv"])
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("ell", range(1, 4))
+    def test_equals_the_listed_labels(self, n, ell, fmt):
+        rng = random.Random(100 * n + ell)
+        chis = [RationalCharacter([0] * ell)] + [
+            RationalCharacter([random_fraction(rng) for _ in range(ell)])
+            for _ in range(2)
+        ]
+        for chi in chis:
+            expected, count = simples_oracle(n, ell, chi, fmt)
+            assert count >= 1
+            argv = ["simples", "-n", str(n), "-l", str(ell), "--format", fmt]
+            assert invoke(argv + [f"--chi={chi}"]) == (0, expected, "")
+
+
+def simples_oracle(n, ell, chi, fmt):
+    """The `simples` text in `fmt` and the label count, from enumerate_Q_chi."""
+    labels = enumerate_Q_chi(n, ell, chi)
+    if fmt == "json":
+        document = {
+            "n": n,
+            "ell": ell,
+            "chi": chi.to_json(),
+            "count": len(labels),
+            "labels": [{"lambda": str(lab.lam), "nu": str(lab.nu)} for lab in labels],
+        }
+        return json.dumps(document, ensure_ascii=False, indent=2) + "\n", len(labels)
+    if fmt == "tsv":
+        lines = ["lambda\tnu"] + [f"{lab.lam}\t{lab.nu}" for lab in labels]
+    else:
+        lines = [f"{len(labels)} simple objects at chi={chi}"]
+        lines += [f"  {lab}" for lab in labels]
+    return "".join(f"{line}\n" for line in lines), len(labels)
 
 
 class TestSemisimpleCommand:
@@ -436,20 +472,30 @@ class TestExitCodeContract:
     def test_closed_stdout_is_exit_four_without_traceback(self):
         # The (3,3) table is about 150 kB, more than a pipe buffers, so the
         # child is still writing when the reader goes away.
-        assert_closed_stdout_exits_four("tsv", b"lambda\tnu\tpi1\tsummands\n")
+        assert_closed_stdout_exits_four(
+            "orbits -n 3 -l 3 --format tsv", b"lambda\tnu\tpi1\tsummands\n"
+        )
 
     def test_closed_stdout_json_is_exit_four_without_traceback(self):
-        assert_closed_stdout_exits_four("json", b"{\n")
+        assert_closed_stdout_exits_four("orbits -n 3 -l 3 --format json", b"{\n")
+
+    def test_closed_stdout_simples_is_exit_four_without_traceback(self):
+        # simples prints its count first, so it writes only after listing.
+        # At (3,3) its pretty text (51 kB) fits in a pipe buffer and the
+        # child would finish; the (3,4) text is 717 kB.
+        assert_closed_stdout_exits_four(
+            "simples -n 3 -l 4 --chi 0,0,0,0 --format pretty",
+            b"23682 simple objects at chi=0,0,0,0\n",
+        )
 
 
-def assert_closed_stdout_exits_four(fmt, first_line):
-    """Run `orbits -n 3 -l 3` in `fmt` as a child, close its stdout after the
-    first line and check that it exits 4 without a traceback."""
+def assert_closed_stdout_exits_four(command, first_line):
+    """Run `command` as a child, close its stdout after the first line and
+    check that it exits 4 without a traceback."""
     src = os.path.dirname(os.path.dirname(cli_module.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     child = subprocess.Popen(
-        [sys.executable, "-m", "cyclocone.cli", "orbits", "-n", "3", "-l", "3"]
-        + ["--format", fmt],
+        [sys.executable, "-m", "cyclocone.cli", *command.split()],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,

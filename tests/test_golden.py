@@ -13,9 +13,9 @@ CLI builds from the report's typed rows.  The (4, 4) verdict at a character
 pins the counting criterion's simple-object count, which is read off the
 string-class table without listing the 256,966 labels.  The (3, 4) table
 with a character has mixed flags over 23,682 rows, and the simple objects at
-that character are a filtered fill.  Pretty tables at ell = 3 and 4, and the
-(3, 4) JSON table with a character, pin the rows that are joined from the
-walk's per-prefix texts in every format.
+that character are a filtered fill, pinned in every format.  Pretty tables
+at ell = 3 and 4, and the (3, 4) JSON table with a character, pin the rows
+that are joined from the walk's per-prefix texts in every format.
 """
 
 import hashlib
@@ -66,6 +66,8 @@ GOLDEN = [
     ("orbits -n 3 -l 3 --chi 1/2,1/3,1/5", "pretty", 0, "760d69b7c8b53cf2486d04599be24030445172743325669e5dd45765d818502f"),
     ("orbits -n 3 -l 4", "pretty", 0, "420dcc06e66d2881fb38c5845558c4342275243c5599ac501772dff64d04ee05"),
     ("orbits -n 3 -l 4 --chi 1/2,1/4,0,1/3", "json", 0, "82caafba6ed8726de343a736c42f258478de254a1c14751b86ee1bec0fb218fe"),
+    ("simples -n 3 -l 4 --chi 1/2,1/4,0,1/3", "json", 0, "f6e0b2d1816ce9366852e0c89bda1276f648aeaf6bae6e7349e7c02d8e5489fe"),
+    ("simples -n 3 -l 4 --chi 1/2,1/4,0,1/3", "tsv", 0, "34e0adefca13cde3725e083110619ce0ba28081776c515ab4861dccbd8f8631b"),
 ]
 
 
