@@ -22,7 +22,7 @@ from operator import attrgetter
 
 from .abelian import IntMatrix, cokernel
 from .orbits import OrbitLabel, _class_set_pi1, _fill
-from .orbits import _non_integral_mask, decompose, fundamental_group
+from .orbits import _bad_bits, decompose, fundamental_group
 from .params import (
     KappaParams,
     RationalCharacter,
@@ -219,12 +219,13 @@ def _orbit_pieces(n: int, ell: int, chi, fmt: str):
     as_json, sep = fmt == "json", "  " if fmt == "pretty" else "\t"
     fragment = cache(_summands_json) if as_json else attrgetter("summands")
     joiner, key = (",", ',\n      "monodromic_for_chi": ') if as_json else (" ", sep)
+    bad = None if chi is None else _bad_bits(n, ell, chi)
 
     @cache
     def mask_texts(mask):
         """Texts around a row's summand items (none iff the mask is 0), flag."""
         group = _class_set_pi1(ell, mask)
-        flag = chi is not None and not _non_integral_mask(ell, mask, chi)
+        flag = chi is not None and not mask & bad
         tail = "" if chi is None else f"{key}{_cell(flag)}"
         if not as_json:
             return f"{sep}{group}{sep}{'' if mask else '-'}", f"{tail}\n", flag
@@ -319,7 +320,7 @@ def _cmd_simples(args, out) -> int:
     tsv streams; pretty and json print the count first, so keep the texts."""
     n, ell = args.n, args.ell
     chi = _resolve_chi(args, ell)
-    bad = _non_integral_mask(ell, (1 << max(n, 0) * ell * ell) - 1, chi)
+    bad = _bad_bits(n, ell, chi)
     lead, mid, end = {
         "tsv": ("", "\t", "\n"),
         "pretty": ("  (", ";", ")\n"),

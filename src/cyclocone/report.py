@@ -13,9 +13,14 @@ root is m*delta + sign*(eps_lo + ... + eps_{hi-1}), so its pairing with c is
 m*P[ell] + sign*(P[hi] - P[lo]); kappa and the Hecke parameters come from c
 as integer ratios, and the Hecke product is decided modulo the common
 denominator of its circle numbers; counting pairs c with the string vectors
-of the string-class table by cyclic windows of prefix sums.  A Fraction is
-built only for a value the report returns.  What depends only on (n, ell),
-the roots in closed form and the table, is built once.
+of the string-class table by cyclic windows of prefix sums, read from rows
+cached per table, then sums the counts of the table's groups that have no
+bad bit: over the submasks of the k good bits when 2**k * 64 is at most the
+number of groups, else from a bit-sliced index of the table, one big-int
+of groups per class bit and per count bit.  A Fraction is built
+only for a value the report returns.  What depends only on (n, ell), the
+roots in closed form, the table and its index, is built once; the index
+only when a character first needs it.
 """
 
 from __future__ import annotations
@@ -160,10 +165,11 @@ def semisimplicity_report(
     A root alpha is violated iff the integer pairing of alpha with d*chi,
     d the common denominator of chi, is divisible by d; the pairing is read
     from the prefix sums of d*chi, and only the violated roots get a
-    Fraction, the pairing divided by d.  Counting sums the
-    table's counts over the submasks of the bits chi pairs with integrally
-    when there are fewer of those than table groups, and walks the groups
-    otherwise.
+    Fraction, the pairing divided by d.  Counting sums the table's counts
+    over the submasks of the k bits chi pairs with integrally when
+    2**k * 64 is at most the number of table groups (k <= 6 at (4,4)), and
+    otherwise counts from the table's bit-sliced index (count_Q_chi), a few
+    big-int operations per bit whatever chi is.
 
     Raises CriteriaDisagreement if the verdicts differ; this is the
     falsification signal and is never swallowed.

@@ -4,7 +4,8 @@ Everything here is deliberately written from first principles, separate from
 the library code paths it checks: determinants via fraction-free elimination,
 partition counts via the bounded-part recurrence, the root set via the
 abstract positive-root filter, residues and string vectors via a plain box
-scan, cokernels via determinantal divisors, and the Hecke product via a
+scan, cokernels via determinantal divisors, Q_chi counts via a walk over
+the string-class table's groups, and the Hecke product via a
 scan of its factors in Fraction arithmetic.  The chi -> kappa -> Hecke
 translations are kept here in Fraction arithmetic, as they read before the
 library moved them onto integers over common denominators.
@@ -174,6 +175,12 @@ def mask_vectors(ell: int, mask: int) -> list[tuple[int, ...]]:
                 counts[(top - step) % ell] += 1
             out.append(tuple(counts))
     return out
+
+
+def count_walk(groups: dict[int, int], good: int) -> int:
+    """The labels of the table groups whose mask lies inside good, summed
+    group by group."""
+    return sum(count for mask, count in groups.items() if mask & ~good == 0)
 
 
 def rank_over_rationals(columns: list[tuple[int, ...]], rows: int) -> int:

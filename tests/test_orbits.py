@@ -20,12 +20,13 @@ from cyclocone.orbits import (
 )
 from cyclocone.params import RationalCharacter
 from cyclocone.partitions import MultiPartition, Partition, partitions_of
-from cyclocone.report import count_multipartitions
+from cyclocone.report import count_multipartitions, semisimplicity_report
 from cyclocone.rootlattice import DimVector, generate_Rn, pair
 
 from oracles import (
     brute_force_orbit_pairs,
     cokernel_by_minors,
+    count_walk,
     mask_vectors,
     random_fraction,
     shifted_residue_scan,
@@ -436,8 +437,10 @@ class TestStringClassTable:
 class TestCountPaths:
     """count_Q_chi sums the table's counts over the submasks of the good
     bits (those of the union that chi pairs with integrally) when there are
-    few of them, and walks the groups otherwise; both paths are run here,
-    whichever count_Q_chi would pick, the submask sum up to 16 good bits."""
+    few of them, and counts from the bit-sliced index of the table
+    otherwise; both paths are run here, whichever count_Q_chi would pick,
+    against the listing and the oracle's walk over the groups, the submask
+    sum up to 16 good bits."""
 
     @staticmethod
     def good_bits(n, ell, chi):
@@ -476,7 +479,8 @@ class TestCountPaths:
         "n, ell", [(n, ell) for n in range(5) for ell in range(1, 5)]
     )
     def test_submask_sum_and_walk_agree_with_the_listing(self, n, ell):
-        groups = orbits_module._string_class_table(n, ell)[2]
+        _, union, groups = orbits_module._string_class_table(n, ell)
+        index = orbits_module._sliced_index(n, ell)
         for k, chi in self.characters(n, ell).items():
             good = self.good_bits(n, ell, chi)
             assert good.bit_count() == k
@@ -484,26 +488,60 @@ class TestCountPaths:
                 listed = len(enumerate_Q_chi(n, ell, chi))
             else:  # chi = 0 keeps every label
                 listed = len(enumerate_orbits(n, ell))
-            walked = orbits_module._count_walk(groups, good)
+            walked = count_walk(groups, good)
             assert walked == listed == count_Q_chi(n, ell, chi)
+            assert orbits_module._count_sliced(index, union ^ good) == walked
             if k <= 16:  # beyond, 2**k submasks take too long
                 assert orbits_module._count_submasks(groups, good) == walked
 
+    @pytest.mark.parametrize("n, ell", [(3, 3), (3, 4), (4, 4)])
+    def test_sliced_count_on_random_good_bits(self, n, ell):
+        # Any subset of the union, not only those a character picks out.
+        _, union, groups = orbits_module._string_class_table(n, ell)
+        index = orbits_module._sliced_index(n, ell)
+        bits = [1 << k for k in range(union.bit_length()) if union >> k & 1]
+        rng = random.Random(7 * n + ell)
+        for size in range(0, len(bits) + 1, 3):
+            good = sum(rng.sample(bits, size))
+            got = orbits_module._count_sliced(index, union ^ good)
+            assert got == count_walk(groups, good)
+
+    def test_transpose_spans_blocks(self):
+        # More values than one block of binary text holds; the tables up to
+        # (4,5) fit in one.
+        rng = random.Random(3)
+        values = [rng.getrandbits(5) for _ in range(70_000)]
+        columns = orbits_module._transpose(values, 5)
+        for j, column in enumerate(columns):
+            # values[0] at the top bit, values[-1] at bit 0
+            bits = "".join("1" if v >> j & 1 else "0" for v in values)
+            assert column == int(bits, 2)
+
     def test_the_cheaper_path_is_taken(self, monkeypatch):
         taken = []
-        for name in ("_count_submasks", "_count_walk"):
+        for name in ("_count_submasks", "_count_sliced"):
             original = getattr(orbits_module, name)
 
-            def record(groups, good, name=name, original=original):
+            def record(*args, name=name, original=original):
                 taken.append(name)
-                return original(groups, good)
+                return original(*args)
 
             monkeypatch.setattr(orbits_module, name, record)
-        # 6,090 groups at (4,4): 2**12 submasks are fewer, 2**13 are not.
+        # 6,090 groups at (4,4): 2**6 * 64 <= 6,090 < 2**7 * 64.
         count_Q_chi(4, 4, chi_of("1/97", "1/97", "1/97", "1/97"))  # 0 good bits
         count_Q_chi(4, 4, chi_of("1/2", "1/2", "1/3", "-1/3"))  # 12
         count_Q_chi(4, 4, chi_of(0, 0, 0, 0))  # 52
-        assert taken == ["_count_submasks", "_count_submasks", "_count_walk"]
+        assert taken == ["_count_submasks", "_count_sliced", "_count_sliced"]
+
+    def test_a_count_below_the_crossover_builds_no_index(self):
+        index = orbits_module._sliced_index
+        index.cache_clear()
+        report = semisimplicity_report(4, 4, chi_of("1/5", "1/7", "2/3", "-1/2"))
+        assert report.simple_count == 105
+        assert index.cache_info().currsize == 0
+        # The one above it builds the index of (4,4), once.
+        assert semisimplicity_report(4, 4, chi_of(0, 0, 0, 0)).simple_count == 256_966
+        assert index.cache_info().currsize == 1
 
 
 class TestQChi:
