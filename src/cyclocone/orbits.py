@@ -43,7 +43,6 @@ reads c and g off the bits of a mask in one pass.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain, repeat
 from math import gcd
@@ -272,9 +271,9 @@ def admits_monodromic_local_system(
 def _fits(ell: int, index: int, remaining: Coords, sizes) -> Iterator:
     """(record, rest) per placed record at `index` of the given sizes whose
     `shifted` residue fits under `remaining`, rest the residue left over.
-    The one placement of a diagram on the cycle: lambda (index 0, so
-    unrotated) and every nu component of both walks go through it.  A
-    partition supply pruned by residue would replace _placed_of_size here."""
+    The one placement of a diagram on the cycle: _step_graph places lambda
+    (index 0, so unrotated) and every nu component through it.  A partition
+    supply pruned by residue would replace _placed_of_size here."""
     for size in sizes:
         for comp in _placed_of_size(ell, index, size):
             rest = tuple(map(sub, remaining, comp.shifted))
@@ -282,67 +281,66 @@ def _fits(ell: int, index: int, remaining: Coords, sizes) -> Iterator:
                 yield comp, rest
 
 
-def _steps(
-    ell: int, index: int, remaining: Coords, memo: dict, rests: dict
-) -> tuple:
-    """What nu component `index` can be, given the residue `remaining`: its
-    _fits, memoized in `memo` by (index, remaining) for one walk.  The last
-    component must take up `remaining` exactly, so its rest is zero.  Dead
-    ends are dropped: memo[ell-1, rest] closes every step of component ell-2.
-    Few residues are distinct, so each rest is interned in `rests`, the
-    walk's one copy of every residue that its steps and keys hold."""
-    key = index, remaining
-    found = memo.get(key)
-    if found is not None:
-        return found
-    total = sum(remaining)
-    sizes = range(total if index == ell - 1 else 0, total + 1)
-    intern = rests.setdefault
-    fits = _fits(ell, index, remaining, sizes)
-    steps = ((comp, intern(rest, rest)) for comp, rest in fits)
-    if index == ell - 2:
-        steps = (step for step in steps if _steps(ell, ell - 1, step[1], memo, rests))
-    found = memo[key] = tuple(steps)
-    return found
+def _step_graph(n: int, ell: int) -> tuple:
+    """(lambda record, steps of nu component 0) per lambda that some nu
+    completes, in the order of enumerate_orbits.  The steps of component i
+    are a tuple of (record, steps of component i + 1), and (record, None)
+    at the last component, which takes up all that is left; one tuple per
+    residue left, shared by every prefix that leaves it.
 
-
-def _lambda_seeds(n: int, ell: int) -> Iterator:
-    """(lambda as a record placed at index 0, residue left for nu) per
-    lambda that fits under n*delta, in the order of enumerate_orbits.
-    (n, ell) is checked when this is called, not when it is iterated."""
+    Built layer by layer, with no recursion: the fits of each residue go
+    forward, the residue each leaves interned in the next layer's dict of
+    residues, few of them distinct; then each layer is linked to the one
+    after it, from the last back, and a placement that no later layer
+    completes is never linked, so no walk meets a dead end."""
     if ell < 1:
         raise ValueError("cycle length must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _fits(ell, 0, (n,) * ell, range(n * ell, -1, -1))
+    layers, residues = [], {(n,) * ell: None}
+    for index in range(-1, ell):
+        fits, following = {}, {}
+        intern = following.setdefault
+        for remaining in residues:
+            # lambda (index -1, placed at 0) runs through sizes n*ell down to
+            # 0, the last nu component takes all that is left, any other 0 up.
+            total = sum(remaining)
+            sizes = range(total if index == ell - 1 else 0, total + 1)
+            if index < 0:
+                sizes = reversed(sizes)
+            placed = _fits(ell, max(index, 0), remaining, sizes)
+            fits[remaining] = [(comp, intern(rest, rest)) for comp, rest in placed]
+        layers.append(fits)
+        residues = following
+    linked = dict.fromkeys(residues)
+    while layers:
+        nodes = {}
+        for remaining, steps in layers.pop().items():
+            node = tuple([(c, linked[r]) for c, r in steps if r in linked])
+            if node:
+                nodes[remaining] = node
+        linked = nodes
+    return linked.get((n,) * ell, ())
 
 
 def _fill(n: int, ell: int, root, push) -> Iterator[tuple]:
     """(lambda record, state, mask, closings) per lambda and prefix (nu
     components 0..ell-2), in enumeration order: state is push folded over
-    the prefix from root, mask ORs its class masks, and each closing, a step
-    of the last component, closes one label.  The one label walk: each depth
-    of its explicit stack holds one component's _steps and the state and
-    mask of the prefix before it, so each state is made once per push."""
-    memo: dict = {}
-    rests: dict = {}
-    for seed, remaining in _lambda_seeds(n, ell):
-        if ell == 1:
-            yield seed, root, 0, _steps(ell, 0, remaining, memo, rests)
-            continue
-        stack = [(iter(_steps(ell, 0, remaining, memo, rests)), root, 0)]
+    the prefix from root, mask ORs its class masks, and closings are the
+    prefix's steps of the last component, each closing one label.  The one
+    label walk: an explicit stack of (steps, state, mask) over _step_graph,
+    so each state is made once per push and no depth recurses."""
+    for seed, steps in _step_graph(n, ell):
+        stack = [(steps, root, 0)]
         while stack:
-            steps, parent, parent_mask = stack[-1]
-            for comp, rest in steps:
-                state, mask = push(parent, comp), parent_mask | comp.mask
-                if len(stack) == ell - 1:
-                    yield seed, state, mask, memo[ell - 1, rest]
-                    continue
-                following = _steps(ell, len(stack), rest, memo, rests)
-                stack.append((iter(following), state, mask))
-                break
-            else:
-                stack.pop()
+            steps, state, mask = stack.pop()
+            if steps[0][1] is None:
+                yield seed, state, mask, steps
+                continue
+            stack += [
+                (following, push(state, comp), mask | comp.mask)
+                for comp, following in reversed(steps)
+            ]
 
 
 def _fill_labels(
@@ -383,26 +381,26 @@ def _string_class_table(n: int, ell: int) -> tuple[int, int, dict[int, int]]:
     _class_bit, so per character only the bits of the union need a pairing
     test, and counting reads the groups instead of the labels.
 
-    No label is built.  The table folds over the label walk's component
-    steps (_steps, reading the records' residues and masks only), keeping
-    (remaining residue, mask) -> number of partial labels: the lambda seeds
-    start it, and each nu component in turn moves every state to the rests
-    of its steps, until only the zero residue is left.
+    No label is built.  The table folds over the label walk's step graph
+    (_step_graph, reading the records' masks only), keeping
+    {id(node): (node, {mask: number of partial labels})}: the lambdas start
+    it at the nodes of nu component 0, and each component in turn moves
+    every state to the node its steps link to, until only None is left.
     """
-    seeds = Counter(rest for _, rest in _lambda_seeds(n, ell))
-    states = {rest: {0: count} for rest, count in seeds.items()}
-    memo: dict = {}
-    rests: dict = {}
-    for index in range(ell):
-        folded: dict[Coords, dict[int, int]] = {}
-        for remaining, masks in states.items():
-            for comp, rest in _steps(ell, index, remaining, memo, rests):
-                into = folded.setdefault(rest, {})
+    states: dict[int, tuple] = {}
+    for _, node in _step_graph(n, ell):
+        masks = states.setdefault(id(node), (node, {0: 0}))[1]
+        masks[0] += 1
+    for _ in range(ell):
+        folded: dict[int, tuple] = {}
+        for node, masks in states.values():
+            for comp, following in node:
+                into = folded.setdefault(id(following), (following, {}))[1]
                 for mask, count in masks.items():
                     mask |= comp.mask
                     into[mask] = into.get(mask, 0) + count
         states = folded
-    groups = states.get((0,) * ell, {})
+    ((_, groups),) = states.values()
     return ell, reduce(or_, groups, 0), groups
 
 

@@ -374,8 +374,8 @@ class TestStringClassTable:
     )
     def test_groups_equal_the_fill_masks(self, n, ell):
         # The table and the record fill share one class-bit numbering, so
-        # their masks compare directly.  Both walk _steps, so this checks
-        # the fold, not the placing; the brute-force test below checks that.
+        # their masks compare directly.  Both read _step_graph, so this
+        # checks the fold, not the placing; the brute-force test below does.
         groups = orbits_module._string_class_table(n, ell)[2]
         filled = Counter(
             mask for _, _, mask, _ in orbits_module._fill_labels(n, ell)
@@ -387,8 +387,8 @@ class TestStringClassTable:
         [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3), (2, 3), (4, 3), (3, 4)],
     )
     def test_groups_equal_the_brute_force_pairs(self, n, ell):
-        # The table and the label walk share _steps; the double loop of the
-        # oracle shares no code path with either.
+        # The table and the label walk share _step_graph; the double loop
+        # of the oracle shares no code path with either.
         expected = Counter(
             frozenset(string_vectors_scan(nu, ell))
             for _, nu in brute_force_orbit_pairs(n, ell)
@@ -410,7 +410,8 @@ class TestStringClassTable:
             assert sum(groups.values()) == 2 * fibonacci(2 * ell + 1) - 2
 
     # (groups, labels, union bits, sha256 of repr(sorted(groups.items()))),
-    # recorded before the table folded over the label walk's _steps.
+    # recorded while the table still placed components by a fold of its own,
+    # before it read the label walk's steps.
     PINS = {
         (5, 4): (
             24_056,
@@ -432,6 +433,39 @@ class TestStringClassTable:
         digest = hashlib.sha256(repr(sorted(groups.items())).encode()).hexdigest()
         got = (len(groups), sum(groups.values()), union.bit_count(), digest)
         assert got == self.PINS[n, ell]
+
+
+def step_layers(n, ell):
+    """The distinct nodes of _step_graph(n, ell) reached at each nu
+    component, by identity: layer i holds the steps of component i."""
+    layer = {id(node): node for _, node in orbits_module._step_graph(n, ell)}
+    layers = []
+    for _ in range(ell):
+        layers.append(list(layer.values()))
+        layer = {id(f): f for node in layers[-1] for _, f in node}
+    return layers
+
+
+class TestStepGraph:
+    @pytest.mark.parametrize(
+        "n, ell", [(n, ell) for n in range(5) for ell in range(1, 5)] + [(1, 7)]
+    )
+    def test_every_reachable_step_completes(self, n, ell):
+        # No walk meets an empty step tuple at any depth, and a step links
+        # to None exactly at the last component.
+        assert orbits_module._step_graph(n, ell)
+        for index, nodes in enumerate(step_layers(n, ell)):
+            for node in nodes:
+                assert isinstance(node, tuple) and node
+                for _, following in node:
+                    assert (following is None) == (index == ell - 1)
+
+    @pytest.mark.parametrize("n, ell", [(2, 3), (3, 3), (2, 4)])
+    def test_equal_residues_share_one_node(self, n, ell):
+        # Equal nodes at one depth would be equal residues left, which
+        # must share one tuple.
+        for nodes in step_layers(n, ell):
+            assert len(set(nodes)) == len(nodes)
 
 
 class TestCountPaths:
