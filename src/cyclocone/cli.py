@@ -128,13 +128,10 @@ def _resolve_chi(args, ell: int, required: bool = True) -> RationalCharacter | N
     if chi_text:
         chi = RationalCharacter.parse(chi_text)
         if chi.ell != ell:
-            raise InputError(
-                f"character has {chi.ell} entries, expected {ell}"
-            )
+            raise InputError(f"character has {chi.ell} entries, expected {ell}")
         return chi
     if kappa_text:
-        kp = KappaParams.parse(kappa_text, ell)
-        return kappa_to_chi(kp, ell)
+        return kappa_to_chi(KappaParams.parse(kappa_text, ell), ell)
     if required:
         raise InputError("one of --chi or --kappa is required")
     return None
@@ -376,16 +373,8 @@ def _cmd_semisimple(args, out) -> int:
     chi = _resolve_chi(args, args.ell)
     report = semisimplicity_report(args.n, args.ell, chi)
     header = [
-        "n",
-        "ell",
-        "chi",
-        "semisimple",
-        "verdict_roots",
-        "verdict_hecke",
-        "verdict_counting",
-        "simple_count",
-        "pell_count",
-        "chi_integral",
+        "n", "ell", "chi", "semisimple", "verdict_roots", "verdict_hecke",
+        "verdict_counting", "simple_count", "pell_count", "chi_integral",
         "violated_roots",
     ]
 

@@ -12,13 +12,16 @@ common denominator d (`RationalCharacter.common_denominator`), the integer
 numerators d*chi, and builds one Fraction per kappa entry.  hecke_params and
 hecke_q take the numerator and denominator of each angle, reduce the
 numerator modulo the denominator and build each circle element once
-(`CircleElement.from_ratio`); ariki_product_nonzero decides the product
-modulo the common denominator of its circle numbers.
+(`CircleElement.from_ratio`).  One integer core, _product_nonzero, decides
+the product: ariki_product_nonzero modulo the common denominator of its
+circle numbers, and _chi_product_nonzero, for a report, on d*chi modulo
+D = d*ell with no kappa or circle element built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, combinations
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -216,10 +219,18 @@ def kappa_to_chi(kp: KappaParams, ell: int) -> RationalCharacter:
         raise ValueError(f"expected {ell} kappa entries, got {kp.ell}")
     kappa = kp.kappa
     inv_ell = Fraction(1, ell)
-    values = [inv_ell + (kappa[0] - kappa[1 % ell]) + kp.k - 1]
-    for i in range(1, ell):
-        values.append(inv_ell + (kappa[i] - kappa[(i + 1) % ell]))
+    values = [inv_ell + (kappa[i] - kappa[(i + 1) % ell]) for i in range(ell)]
+    values[0] += kp.k - 1
     return RationalCharacter(values)
+
+
+def _anchored(d: int, scaled: Sequence[int]) -> list[int]:
+    """d*ell times the kappa coordinates of chi anchored at kappa_1 = 0,
+    from c = d*chi over its common denominator d:
+    p_{i+1 mod ell} = i*d - ell*(c_1 + ... + c_i) for 0 <= i < ell."""
+    ell = len(scaled)
+    by_i = [i * d - ell * s for i, s in enumerate(accumulate(scaled[1:], initial=0))]
+    return by_i[-1:] + by_i[:-1]
 
 
 def chi_to_kappa(chi: RationalCharacter) -> KappaParams:
@@ -227,20 +238,14 @@ def chi_to_kappa(chi: RationalCharacter) -> KappaParams:
 
     Solves the defining linear system: the cyclic differences
     kappa_i - kappa_{i+1} = chi_i - 1/ell for i >= 1, the normalization
-    sum(kappa) = 0, and k00 = -k01 = (coordinate sum of chi)/2.  On the
-    integers c = d*chi over the common denominator d, with S = sum(c): the
-    solution anchored at kappa_1 = 0, times d*ell, is
-    p_{i+1 mod ell} = i*d - ell*(c_1 + ... + c_i) for 0 <= i < ell, so
+    sum(kappa) = 0, and k00 = -k01 = (coordinate sum of chi)/2.  With
+    S = sum(c) and the anchored p of _anchored on c = d*chi,
     k00 = S/(2d) and kappa_r = (ell*p_r - sum(p)) / (d*ell^2).
     """
     d, scaled = chi.common_denominator()
     ell = len(scaled)
     k00 = Fraction(sum(scaled), 2 * d)
-    anchored = [0] * ell
-    partial = 0
-    for i in range(1, ell):
-        partial += scaled[i]
-        anchored[(i + 1) % ell] = i * d - ell * partial
+    anchored = _anchored(d, scaled)
     shift, den = sum(anchored), d * ell * ell
     kappa = tuple(Fraction(ell * p - shift, den) for p in anchored)
     return KappaParams(k00, -k00, kappa)
@@ -291,31 +296,40 @@ def hecke_json(
     return out
 
 
-def ariki_product_nonzero(
-    q: CircleElement, u: Sequence[CircleElement], n: int
-) -> bool:
-    """Whether (1 - q^m) and (u_i - q^d u_j) all stay away from zero.
+def ariki_product_nonzero(q: CircleElement, u: Sequence[CircleElement], n: int) -> bool:
+    """Whether (1 - q^m) and (u_i - q^k u_j) all stay away from zero.
 
     The first family runs over 1 <= m <= n; the second over ordered pairs
-    i != j and exponents -n < d < n.  Both are decided exactly in Q/Z, over
-    the integers modulo the common denominator D of q and the u_i: with
-    Q = D*q and U_i = D*u_i, q^m = 1 iff m*Q = 0 mod D, and u_i = q^d u_j
-    iff U_i - U_j = d*Q mod D.
+    i != j and exponents -n < k < n.  Both are decided exactly in Q/Z, by
+    _product_nonzero on Q = D*q and U_i = D*u_i, D the common denominator.
     """
     if n < 1:
         raise ValueError("n must be positive")
     D = lcm(q.t.denominator, *(x.t.denominator for x in u))
-    Q = q.t.numerator * (D // q.t.denominator)
-    if any(m * Q % D == 0 for m in range(1, n + 1)):
+    Q, *U = (x.t.numerator * (D // x.t.denominator) for x in (q, *u))
+    return _product_nonzero(Q, U, D, n)
+
+
+def _product_nonzero(Q: int, U: Sequence[int], D: int, n: int) -> bool:
+    """The product test for q = e(Q/D) and u_i = e(U_i/D), e(t) =
+    exp(2*pi*i*t): q^m = 1 for some 1 <= m <= n iff the order D/gcd(Q, D)
+    of q is at most n, and u_i = q^k u_j iff U_i - U_j = k*Q mod D, tested
+    once per unordered pair as -n < k < n is closed under negation."""
+    if D // gcd(Q, D) <= n:
         return False
-    powers = {d * Q % D for d in range(-n + 1, n)}
-    U = [x.t.numerator * (D // x.t.denominator) for x in u]
-    return not any(
-        (a - b) % D in powers
-        for i, a in enumerate(U)
-        for j, b in enumerate(U)
-        if i != j
-    )
+    powers = {k * Q % D for k in range(-n + 1, n)}
+    return not any((a - b) % D in powers for a, b in combinations(U, 2))
+
+
+def _chi_product_nonzero(d: int, scaled: Sequence[int], n: int) -> bool:
+    """The product test at the Hecke parameters of chi, on c = d*chi with no
+    kappa or circle element built.  With S = sum(c) and p from _anchored,
+    q = e(S/d) and u_r = e((ell*p_r - sum(p) - r*d*ell) / (d*ell^2)); sum(p)
+    cancels in u_i/u_j, so dividing out ell decides the product modulo
+    D = d*ell, with Q = S*ell and U_r = p_r - r*d."""
+    ell = len(scaled)
+    U = [p - r * d for r, p in enumerate(_anchored(d, scaled))]
+    return _product_nonzero(sum(scaled) * ell, U, d * ell, n)
 
 
 def cherednik_semisimple(kp: KappaParams, n: int, ell: int) -> bool:
@@ -332,18 +346,17 @@ def cherednik_semisimple(kp: KappaParams, n: int, ell: int) -> bool:
         raise ValueError(f"expected {ell} kappa entries, got {kp.ell}")
     if n < 1:
         raise ValueError("n must be positive")
-    k = kp.k
-    for m in range(1, n + 1):
-        for j in range(m):
-            if gcd(j, m) == 1 and (k + Fraction(j, m)).denominator == 1:
-                return False
-    kappa = kp.kappa
-    for m in range(-n + 1, n):
-        for i in range(ell):
-            for j in range(ell):
-                if i == j:
-                    continue
-                value = m * k + kappa[j] - kappa[i] + Fraction(i - j, ell)
-                if value.denominator == 1:
-                    return False
-    return True
+    k, kappa = kp.k, kp.kappa
+    if any(
+        gcd(j, m) == 1 and (k + Fraction(j, m)).denominator == 1
+        for m in range(1, n + 1)
+        for j in range(m)
+    ):
+        return False
+    return not any(
+        (m * k + kappa[j] - kappa[i] + Fraction(i - j, ell)).denominator == 1
+        for m in range(-n + 1, n)
+        for i in range(ell)
+        for j in range(ell)
+        if i != j
+    )

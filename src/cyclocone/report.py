@@ -10,17 +10,17 @@ falsify the implementation, so it raises instead of being reconciled.
 Per character all three run on integers over the common denominator d of
 chi, with c = d*chi and its prefix sums P[k] = c_0 + ... + c_{k-1}.  Every
 root is m*delta + sign*(eps_lo + ... + eps_{hi-1}), so its pairing with c is
-m*P[ell] + sign*(P[hi] - P[lo]); kappa and the Hecke parameters come from c
-as integer ratios, and the Hecke product is decided modulo the common
-denominator of its circle numbers; counting pairs c with the string vectors
-of the string-class table by cyclic windows of prefix sums, read from rows
-cached per table, then sums the counts of the table's groups that have no
-bad bit: over the submasks of the k good bits when 2**k * 64 is at most the
-number of groups, else from a bit-sliced index of the table, one big-int
-of groups per class bit and per count bit.  A Fraction is built
-only for a value the report returns.  What depends only on (n, ell), the
-roots in closed form, the table and its index, is built once; the index
-only when a character first needs it.
+m*P[ell] + sign*(P[hi] - P[lo]); the Hecke product is decided on c modulo
+D = d*ell (params._chi_product_nonzero), and kappa and the Hecke parameters
+are built only when a report's kappa or hecke is read; counting pairs c with
+the string vectors of the string-class table by cyclic windows of prefix
+sums, read from rows cached per table, then sums the counts of the table's
+groups that have no bad bit: over the submasks of the k good bits when
+2**k * 64 is at most the number of groups, else from a bit-sliced index of
+the table, one big-int of groups per class bit and per count bit.  A
+Fraction is built only for a value the report returns.  What depends only
+on (n, ell), the roots in closed form, the table and its index, is built
+once; the index only when a character first needs it.
 """
 
 from __future__ import annotations
@@ -45,11 +45,10 @@ from .params import (
     CircleElement,
     KappaParams,
     RationalCharacter,
-    ariki_product_nonzero,
+    _chi_product_nonzero,
     chi_to_kappa,
     hecke_json,
     hecke_params,
-    hecke_q,
 )
 from .partitions import Partition
 from .rootlattice import DimVector, _root_forms, generate_Rn
@@ -59,11 +58,8 @@ class CriteriaDisagreement(RuntimeError):
     """Raised when the three semi-simplicity criteria fail to agree."""
 
     def __init__(self, n, ell, chi, verdict_roots, verdict_hecke, verdict_counting):
-        self.n = n
-        self.ell = ell
-        self.chi = chi
-        self.verdict_roots = verdict_roots
-        self.verdict_hecke = verdict_hecke
+        self.n, self.ell, self.chi = n, ell, chi
+        self.verdict_roots, self.verdict_hecke = verdict_roots, verdict_hecke
         self.verdict_counting = verdict_counting
         # `--chi=` keeps a leading minus sign from reading as an option.
         super().__init__(
@@ -90,7 +86,8 @@ class Pi1Disagreement(RuntimeError):
 
 
 class SemisimplicityReport(NamedTuple):
-    """All three verdicts plus the data every criterion was run on."""
+    """All three verdicts plus the data every criterion was run on; `kappa`
+    and `hecke` translate chi when read, as the verdict needs neither."""
 
     n: int
     ell: int
@@ -102,12 +99,20 @@ class SemisimplicityReport(NamedTuple):
     simple_count: int
     pell_count: int
     chi_integral: bool
-    kappa: KappaParams
-    hecke: tuple[CircleElement, CircleElement, tuple[CircleElement, ...]]
 
     @property
     def semisimple(self) -> bool:
         return self.verdict_roots
+
+    @property
+    def kappa(self) -> KappaParams:
+        """chi_to_kappa(chi), built on access."""
+        return chi_to_kappa(self.chi)
+
+    @property
+    def hecke(self) -> tuple[CircleElement, CircleElement, tuple[CircleElement, ...]]:
+        """hecke_params(kappa, ell): (q0, q1, u), built on access."""
+        return hecke_params(self.kappa, self.ell)
 
     def to_json(self) -> dict:
         return {
@@ -165,11 +170,8 @@ def semisimplicity_report(
     A root alpha is violated iff the integer pairing of alpha with d*chi,
     d the common denominator of chi, is divisible by d; the pairing is read
     from the prefix sums of d*chi, and only the violated roots get a
-    Fraction, the pairing divided by d.  Counting sums the table's counts
-    over the submasks of the k bits chi pairs with integrally when
-    2**k * 64 is at most the number of table groups (k <= 6 at (4,4)), and
-    otherwise counts from the table's bit-sliced index (count_Q_chi), a few
-    big-int operations per bit whatever chi is.
+    Fraction, the pairing divided by d.  The Hecke product is decided on
+    d*chi modulo d*ell, and count_Q_chi counts from the string-class table.
 
     Raises CriteriaDisagreement if the verdicts differ; this is the
     falsification signal and is never swallowed.
@@ -184,16 +186,14 @@ def semisimplicity_report(
     d, scaled = chi.common_denominator()
     prefix = [0, *accumulate(scaled)]
     total = prefix[ell]
-    violated = []
-    for alpha, m, sign, lo, hi in _roots(n, ell):
-        s = m * total + sign * (prefix[hi] - prefix[lo])
-        if s % d == 0:
-            violated.append((alpha, Fraction(s // d)))
+    violated = tuple(
+        (alpha, Fraction(s // d))
+        for alpha, m, sign, lo, hi in _roots(n, ell)
+        if (s := m * total + sign * (prefix[hi] - prefix[lo])) % d == 0
+    )
     verdict_roots = not violated
 
-    kappa = chi_to_kappa(chi)
-    q0, q1, u = hecke_params(kappa, ell)
-    verdict_hecke = ariki_product_nonzero(hecke_q(q0, q1), u, n)
+    verdict_hecke = _chi_product_nonzero(d, scaled, n)
 
     simple_count = count_Q_chi(n, ell, chi)
     pell_count = count_multipartitions(n, ell)
@@ -211,12 +211,10 @@ def semisimplicity_report(
         verdict_roots=verdict_roots,
         verdict_hecke=verdict_hecke,
         verdict_counting=verdict_counting,
-        violated_roots=tuple(violated),
+        violated_roots=violated,
         simple_count=simple_count,
         pell_count=pell_count,
-        chi_integral=chi.is_integral(),
-        kappa=kappa,
-        hecke=(q0, q1, u),
+        chi_integral=d == 1,
     )
 
 

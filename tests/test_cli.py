@@ -586,7 +586,7 @@ class TestDisagreementReproducer:
 
     def test_exit_three_prints_a_reproducing_command(self, monkeypatch):
         monkeypatch.setattr(
-            report_module, "ariki_product_nonzero", lambda q, u, n: True
+            report_module, "_chi_product_nonzero", lambda d, scaled, n: True
         )
         code, out, err = invoke(["semisimple", "-n", "2", "-l", "1", "--chi", "1/2"])
         assert code == 3 and out == ""

@@ -15,11 +15,15 @@ string-class table without listing the 256,966 labels.  The (3, 4) table
 with a character has mixed flags over 23,682 rows, and the simple objects at
 that character are a filtered fill, pinned in every format.  Pretty tables
 at ell = 3 and 4, and the (3, 4) JSON table with a character, pin the rows
-that are joined from the walk's per-prefix texts in every format.
+that are joined from the walk's per-prefix texts in every format.  The
+report's JSON over the benchmark's (4, 4) character pool pins kappa and the
+Hecke parameters, which the report builds only when they are read.
 """
 
 import hashlib
 import io
+import json
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,8 @@ import cyclocone.orbits as orbits_module
 import cyclocone.report as report_module
 from cyclocone.cli import run
 from cyclocone.orbits import OrbitLabel
+from cyclocone.params import RationalCharacter, chi_to_kappa, hecke_params
+from cyclocone.report import semisimplicity_report
 
 GOLDEN = [
     ("orbits -n 2 -l 2", "pretty", 0, "8940e55f4534a71b460051930a9a1c9eddb7254b50dbf05b09049d5d6b631d86"),
@@ -100,3 +106,23 @@ def test_orbit_table_builds_no_label(monkeypatch):
     test_stdout_and_exit_code(
         *next(g for g in GOLDEN if g[:2] == ("orbits -n 3 -l 3", "tsv"))
     )
+
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+
+
+def test_report_json_over_the_recorded_pool():
+    # The benchmark's 2,048 characters at (4,4): the report's JSON, whose
+    # kappa and hecke are built on access from chi, joined in pool order,
+    # must keep the digest recorded when both were stored fields.
+    pool = json.loads(POOL.read_text())["chi_pools"]["4,4"]
+    texts = []
+    for text, _, _ in pool:
+        chi = RationalCharacter.parse(text)
+        rep = semisimplicity_report(4, 4, chi)
+        texts.append(json.dumps(rep.to_json()))
+        assert rep.kappa == chi_to_kappa(chi)
+        assert rep.hecke == hecke_params(rep.kappa, 4)
+        assert rep.chi_integral == chi.is_integral()
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "353720fd0d22994a121e6b4a8d8af9aac5d4b5d33b4ef2a42eede84f7bc333da"

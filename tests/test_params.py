@@ -8,6 +8,7 @@ from cyclocone.params import (
     CircleElement,
     KappaParams,
     RationalCharacter,
+    _chi_product_nonzero,
     ariki_product_nonzero,
     cherednik_semisimple,
     chi_to_kappa,
@@ -366,3 +367,80 @@ class TestCriterionEquivalence:
             hecke_ok = ariki_product_nonzero(hecke_q(q0, q1), u, n)
             cher_ok = cherednik_semisimple(kp, n, ell)
             assert roots_ok == hecke_ok == cher_ok
+
+
+class TestIntegerHeckeVerdict:
+    """A report decides the Hecke product on c = d*chi modulo d*ell
+    (_chi_product_nonzero); the oracle chain of tests/oracles.py builds
+    kappa, the circle numbers and q in Fraction arithmetic and scans every
+    factor.  Cycles and bounds of 1 to 6, negative entries, denominators up
+    to 60, and families that random characters almost never hit."""
+
+    @staticmethod
+    def oracle(chi, n):
+        q0, q1, u = oracles.hecke_params(oracles.chi_to_kappa(chi), chi.ell)
+        return ariki_nonzero_scan(oracles.hecke_q(q0, q1).t, [x.t for x in u], n)
+
+    def check(self, chi, n):
+        got = _chi_product_nonzero(*chi.common_denominator(), n)
+        assert got == self.oracle(chi, n), (str(chi), n)
+        return got
+
+    @staticmethod
+    def onto_hyperplanes(rng, chi, roots):
+        """chi moved by one or two coordinates so that it pairs integrally
+        with every root given (with the first alone when the two roots are
+        proportional on every pair of coordinates)."""
+        values = list(chi)
+        miss = [rng.randint(-3, 3) - pair(chi, alpha) for alpha in roots]
+        a = roots[0].coords
+        if len(roots) == 2:
+            b = roots[1].coords
+            for r in range(len(values)):
+                for s in range(r + 1, len(values)):
+                    det = a[r] * b[s] - a[s] * b[r]
+                    if det:
+                        values[r] += (miss[0] * b[s] - miss[1] * a[s]) / det
+                        values[s] += (a[r] * miss[1] - b[r] * miss[0]) / det
+                        return RationalCharacter(values)
+        r = next(i for i, coeff in enumerate(a) if coeff)
+        values[r] += miss[0] / a[r]
+        return RationalCharacter(values)
+
+    def test_random_characters_match_the_oracle(self):
+        rng = random.Random(97)
+        verdicts = set()
+        for n in range(1, 7):
+            for ell in range(1, 7):
+                for i in range(40):
+                    den = 60 if i % 2 else 6
+                    values = [random_fraction(rng, max_den=den, max_num=90) for _ in range(ell)]
+                    verdicts.add(self.check(RationalCharacter(values), n))
+        assert verdicts == {True, False}
+
+    def test_integral_characters_are_never_semisimple(self):
+        rng = random.Random(98)
+        for n in range(1, 7):
+            for ell in range(1, 7):
+                for _ in range(10):
+                    chi = RationalCharacter([rng.randint(-9, 9) for _ in range(ell)])
+                    assert not self.check(chi, n)
+
+    @pytest.mark.parametrize("walls", [1, 2])
+    def test_characters_on_root_hyperplanes(self, walls):
+        # The roots come from R_6, so a character on a wall of a root
+        # outside R_n can still be semi-simple at n.
+        rng = random.Random(99 + walls)
+        verdicts = set()
+        for n in range(1, 7):
+            for ell in range(1, 7):
+                roots = generate_Rn(6, ell).roots
+                for _ in range(15):
+                    chi = RationalCharacter(
+                        [random_fraction(rng, max_den=60, max_num=90) for _ in range(ell)]
+                    )
+                    picked = rng.sample(roots, walls)
+                    chi = self.onto_hyperplanes(rng, chi, picked)
+                    assert pair(chi, picked[0]).denominator == 1
+                    verdicts.add(self.check(chi, n))
+        assert verdicts == {True, False}

@@ -75,10 +75,10 @@ class TestSemisimplicityReport:
         # return rather than reconcile.
         import cyclocone.report as report_module
 
-        def broken_ariki(q, u, n):
+        def broken_product(d, scaled, n):
             return True
 
-        monkeypatch.setattr(report_module, "ariki_product_nonzero", broken_ariki)
+        monkeypatch.setattr(report_module, "_chi_product_nonzero", broken_product)
         with pytest.raises(CriteriaDisagreement) as excinfo:
             semisimplicity_report(2, 1, chi_of("1/2"))
         err = excinfo.value
