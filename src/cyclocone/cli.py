@@ -185,8 +185,9 @@ def _nested_json(value, depth: int) -> str:
 
 def _json_list(entries):
     """The entries of a JSON list at depth 1, each already indented as
-    json.dumps(indent=2) writes it, then the closing bracket.  The list is
-    never empty: every table and every Q_chi holds ([n*ell]; [],...,[])."""
+    json.dumps(indent=2) writes it, then the closing bracket.  An entry may
+    be a block of entries joined by ",\n    ".  The list is never empty:
+    every table and every Q_chi holds ([n*ell]; [],...,[])."""
     entries = iter(entries)
     yield f"\n    {next(entries)}"
     yield from map(",\n    {}".format, entries)
@@ -208,32 +209,39 @@ def _nu_text(nu: str, comp) -> str:
 
 
 def _orbit_pieces(n: int, ell: int, chi, fmt: str):
-    """The orbits table in `fmt`, one piece per line or JSON entry.  The walk
-    keeps per prefix its nu text ("a;b;") and its nonempty summand texts
-    (json: summand-item fragments), each followed by a separator; a row is
-    one f-string of those, the lambda text, the closing record's texts and
-    the pi1 and flag texts of its mask.  Partition texts need no escapes."""
+    """The orbits table in `fmt`, one piece per prefix of the label walk (its
+    lines, or its JSON entries joined), plus the head and the totals.  The
+    walk keeps per prefix its nu text ("a;b;") and its nonempty summand
+    texts (json: summand-item fragments), each followed by a separator, and
+    per node the same texts of each suffix without the last separator, with
+    its mask.  A row is one f-string of those, the lambda text and the pi1
+    and flag texts of its mask.  Partition texts need no escapes."""
     as_json, sep = fmt == "json", "  " if fmt == "pretty" else "\t"
     fragment = cache(_summands_json) if as_json else attrgetter("summands")
     joiner, key = (",", ',\n      "monodromic_for_chi": ') if as_json else (" ", sep)
-    bad = None if chi is None else _bad_bits(n, ell, chi)
+    bad = 0 if chi is None else _bad_bits(n, ell, chi)
 
     @cache
     def mask_texts(mask):
-        """Texts around a row's summand items (none iff the mask is 0), flag."""
+        """The texts around a row's summand items (none iff the mask is 0)."""
         group = _class_set_pi1(ell, mask)
-        flag = chi is not None and not mask & bad
-        tail = "" if chi is None else f"{key}{_cell(flag)}"
+        tail = "" if chi is None else f"{key}{_cell(not mask & bad)}"
         if not as_json:
-            return f"{sep}{group}{sep}{'' if mask else '-'}", f"{tail}\n", flag
+            return f"{sep}{group}{sep}{'' if mask else '-'}", f"{tail}\n"
         opening, closer = ("[", "\n      ]") if mask else ("[]", "")
         pi1 = f'{closer},\n      "pi1": {_nested_json(group.to_json(), 3)}'
-        return f'",\n      "summands": {opening}', f"{pi1}{tail}\n    }}", flag
+        return f'",\n      "summands": {opening}', f"{pi1}{tail}\n    }}"
 
     def push(state, comp):
         nu, items = state
         item = fragment(comp)
         return _nu_text(nu, comp), f"{items}{item}{joiner}" if item else items
+
+    def close(suffixes):
+        """The suffixes' texts without their last separators, their masks,
+        and how many of them have no bad bit."""
+        texts = [(nu[:-1], items[:-1], mask) for (nu, items), mask in suffixes]
+        return texts, sum([not mask & bad for _, mask in suffixes])
 
     lead, mid = ("  " if fmt == "pretty" else ""), sep
     if as_json:
@@ -242,15 +250,19 @@ def _orbit_pieces(n: int, ell: int, chi, fmt: str):
 
     def entries():
         nonlocal rows, monodromic
-        for seed, (nu, items), mask, closings in _fill(n, ell, ("", ""), push):
-            head = f"{lead}{seed.text}{mid}{nu}"
-            rows += len(closings)
-            for closing, _ in closings:
-                before, after, flag = mask_texts(mask | closing.mask)
-                monodromic += flag
-                item = fragment(closing)
-                item = f"{items}{item}" if item else items[:-1]
-                yield f"{head}{closing.text}{before}{item}{after}"
+        glue = ",\n    " if as_json else ""
+        for seed, (nu, items), mask, (suffixes, good) in _fill(
+            n, ell, ("", ""), push, close
+        ):
+            head, trimmed = f"{lead}{seed.text}{mid}{nu}", items[:-1]
+            rows += len(suffixes)
+            monodromic += 0 if mask & bad else good
+            yield glue.join([
+                f"{head}{end_nu}{before}{items if end_items else trimmed}"
+                f"{end_items}{after}"
+                for end_nu, end_items, end_mask in suffixes
+                for before, after in [mask_texts(mask | end_mask)]
+            ])
 
     if as_json:
         chi_json = _nested_json(None if chi is None else chi.to_json(), 1)
@@ -311,10 +323,12 @@ def _cmd_pi1(args, out) -> int:
 
 
 def _cmd_simples(args, out) -> int:
-    """The labels of Q_chi from the label walk, one entry text each.  A label
-    is in Q_chi when its mask has no bad bit, a class (of length <= n*ell)
-    that chi pairs with non-integrally, so a prefix with one is skipped whole.
-    tsv streams; pretty and json print the count first, so keep the texts."""
+    """The labels of Q_chi from the label walk, one block of entry texts per
+    prefix.  A label is in Q_chi when its mask has no bad bit, a class (of
+    length <= n*ell) that chi pairs with non-integrally, so a prefix with one
+    is skipped whole, and each node keeps the nu texts of its suffixes that
+    have none.  tsv streams; pretty and json print the count first, so keep
+    the blocks."""
     n, ell = args.n, args.ell
     chi = _resolve_chi(args, ell)
     bad = _bad_bits(n, ell, chi)
@@ -323,23 +337,30 @@ def _cmd_simples(args, out) -> int:
         "pretty": ("  (", ";", ")\n"),
         "json": ('{\n      "lambda": "', '",\n      "nu": "', '"\n    }'),
     }[args.format]
-    entries = (
-        f"{lead}{seed.text}{mid}{nu}{closing.text}{end}"
-        for seed, nu, mask, closings in _fill(n, ell, "", _nu_text)
-        if not mask & bad
-        for closing, _ in closings
-        if not closing.mask & bad
-    )
+    glue = ",\n    " if args.format == "json" else ""
+    count = 0
+
+    def close(suffixes):
+        return [nu[:-1] for nu, mask in suffixes if not mask & bad]
+
+    def entries():
+        nonlocal count
+        for seed, nu, mask, good in _fill(n, ell, "", _nu_text, close):
+            if good and not mask & bad:
+                count += len(good)
+                head = f"{lead}{seed.text}{mid}{nu}"
+                yield glue.join([f"{head}{tail}{end}" for tail in good])
+
     if args.format == "tsv":
-        _write(out, chain(["lambda\tnu\n"], entries))
+        _write(out, chain(["lambda\tnu\n"], entries()))
     elif args.format == "pretty":
-        entries = list(entries)
-        _write(out, chain([f"{len(entries)} simple objects at chi={chi}\n"], entries))
+        blocks = list(entries())
+        _write(out, chain([f"{count} simple objects at chi={chi}\n"], blocks))
     else:
-        entries, chi_json = list(entries), _nested_json(chi.to_json(), 1)
+        blocks, chi_json = list(entries()), _nested_json(chi.to_json(), 1)
         head = f'{{\n  "n": {n},\n  "ell": {ell},\n  "chi": {chi_json},\n'
-        head += f'  "count": {len(entries)},\n  "labels": ['
-        _write(out, chain([head], _json_list(entries), ["\n}\n"]))
+        head += f'  "count": {count},\n  "labels": ['
+        _write(out, chain([head], _json_list(blocks), ["\n}\n"]))
     return EXIT_OK
 
 

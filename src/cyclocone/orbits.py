@@ -12,10 +12,22 @@ same way at index 0.  String class (top, length) is bit (length - 1) * ell +
 top of a class mask, top read as 0 when ell divides the length: one bit per
 string vector.  The per-size `PlacedComponent` records that the label walk
 and the table that counts labels per mask both read, the pi1 cache and the
-pairing test share this numbering.  The fundamental group is the cokernel
-Z^ell / L of the lattice L spanned by the string vectors of a label's mask,
-the OR of its components', and a character admits a monodromic local system
-on the orbit exactly when it pairs integrally with every vector of that mask.
+pairing test share this numbering.
+
+The label walk (_fill) and that table read one step graph (_step_graph), in
+which equal residues left share one node.  Its residues are packed ints,
+one field of W = (n*ell).bit_length() + 1 bits a vertex with a guard bit at
+the top of each, so a record is tested against a residue by one
+subtraction and one mask (_fits).  The walk stops at the node of nu
+component max(ell - 2, 0): each such node lists once the ways to place the
+components left (the last two, or the one when ell = 1) with their texts
+and masks, and every prefix that reaches it reads that list, so a table row
+is a prefix's texts joined with one entry.
+
+The fundamental group is the cokernel Z^ell / L of the lattice L spanned
+by the string vectors of a label's mask, the OR of its components', and a
+character admits a monodromic local system on the orbit exactly when it
+pairs integrally with every vector of that mask.
 
 The cokernel has a closed form.  This lemma is derived in this package (the
 paper's own statement is not reproduced here); the tests check it against
@@ -46,7 +58,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain, repeat
 from math import gcd
-from operator import or_, sub
+from operator import or_
 from typing import Iterator, NamedTuple
 
 from ._frozen import Frozen
@@ -268,17 +280,44 @@ def admits_monodromic_local_system(
     return not _label_mask(label) & _bad_bits(label.n, label.ell, chi)
 
 
-def _fits(ell: int, index: int, remaining: Coords, sizes) -> Iterator:
+def _pack(coords: Coords, width: int) -> int:
+    """A residue as one int: coordinate v in the `width` bits from v*width."""
+    return sum([c << v * width for v, c in enumerate(coords)])
+
+
+@lru_cache(maxsize=None)
+def _packed_of_size(ell: int, index: int, size: int, width: int) -> tuple[int, ...]:
+    """The `shifted` residues of _placed_of_size(ell, index, size), in its
+    order, packed at `width` bits a vertex: what _fits reads.  The width
+    follows n*ell and the records serve every n, so the packed residues
+    are kept per width beside them."""
+    records = _placed_of_size(ell, index, size)
+    return tuple([_pack(comp.shifted, width) for comp in records])
+
+
+def _fits(ell: int, index: int, remaining: int, sizes, width: int) -> list:
     """(record, rest) per placed record at `index` of the given sizes whose
-    `shifted` residue fits under `remaining`, rest the residue left over.
+    residue fits under `remaining`, rest the residue left over, both packed
+    at `width` bits a vertex with every coordinate below 2**(width - 1).
     The one placement of a diagram on the cycle: _step_graph places lambda
-    (index 0, so unrotated) and every nu component through it.  A partition
-    supply pruned by residue would replace _placed_of_size here."""
-    for size in sizes:
-        for comp in _placed_of_size(ell, index, size):
-            rest = tuple(map(sub, remaining, comp.shifted))
-            if min(rest) >= 0:
-                yield comp, rest
+    (index 0, so unrotated) and every nu component through it.
+
+    A guard bit sits at the top of each field.  In (remaining | guard) less
+    the packed record a field keeps its guard bit iff the record's
+    coordinate is at most the remaining one, and no field borrows from the
+    one above, so the record fits iff every guard bit is left, and clearing
+    them leaves the rest: one subtraction and one test per record.  A
+    partition supply pruned by residue would replace _placed_of_size here."""
+    guard = _pack((1 << width - 1,) * ell, width)
+    top = remaining | guard
+    return [
+        (comp, rest ^ guard)
+        for size in sizes
+        for packed, comp in zip(
+            _packed_of_size(ell, index, size, width), _placed_of_size(ell, index, size)
+        )
+        if (rest := top - packed) & guard == guard
+    ]
 
 
 def _step_graph(n: int, ell: int) -> tuple:
@@ -292,23 +331,27 @@ def _step_graph(n: int, ell: int) -> tuple:
     forward, the residue each leaves interned in the next layer's dict of
     residues, few of them distinct; then each layer is linked to the one
     after it, from the last back, and a placement that no later layer
-    completes is never linked, so no walk meets a dead end."""
+    completes is never linked, so no walk meets a dead end.  Residues are
+    packed ints (_pack) of W = (n*ell).bit_length() + 1 bits a vertex: no
+    coordinate exceeds n*ell < 2**(W - 1), which _fits' guard bits need."""
     if ell < 1:
         raise ValueError("cycle length must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    layers, residues = [], {(n,) * ell: None}
+    width = (n * ell).bit_length() + 1
+    low, start = (1 << width) - 1, _pack((n,) * ell, width)
+    layers, residues = [], {start: None}
     for index in range(-1, ell):
         fits, following = {}, {}
         intern = following.setdefault
         for remaining in residues:
             # lambda (index -1, placed at 0) runs through sizes n*ell down to
             # 0, the last nu component takes all that is left, any other 0 up.
-            total = sum(remaining)
+            total = sum([remaining >> v * width & low for v in range(ell)])
             sizes = range(total if index == ell - 1 else 0, total + 1)
             if index < 0:
                 sizes = reversed(sizes)
-            placed = _fits(ell, max(index, 0), remaining, sizes)
+            placed = _fits(ell, max(index, 0), remaining, sizes, width)
             fits[remaining] = [(comp, intern(rest, rest)) for comp, rest in placed]
         layers.append(fits)
         residues = following
@@ -320,27 +363,54 @@ def _step_graph(n: int, ell: int) -> tuple:
             if node:
                 nodes[remaining] = node
         linked = nodes
-    return linked.get((n,) * ell, ())
+    return linked.get(start, ())
 
 
-def _fill(n: int, ell: int, root, push) -> Iterator[tuple]:
-    """(lambda record, state, mask, closings) per lambda and prefix (nu
-    components 0..ell-2), in enumeration order: state is push folded over
-    the prefix from root, mask ORs its class masks, and closings are the
-    prefix's steps of the last component, each closing one label.  The one
-    label walk: an explicit stack of (steps, state, mask) over _step_graph,
-    so each state is made once per push and no depth recurses."""
+def _fill(n: int, ell: int, root, push, close=None) -> Iterator[tuple]:
+    """(lambda record, state, mask, suffixes) per lambda and prefix (nu
+    components 0..k-1, k = max(ell - 2, 0)), in enumeration order: state is
+    push folded over the prefix from root, mask ORs its class masks, and
+    suffixes, close() of _suffixes of the prefix's node (the steps of
+    component k), holds the ways to finish the label, each closing one.
+    The suffixes are built on a node's first visit and shared by every
+    prefix that reaches it.  The one label walk: an explicit stack of
+    (steps, state, mask) over _step_graph, so each state is made once per
+    push and no depth recurses."""
+    built = {}
     for seed, steps in _step_graph(n, ell):
         stack = [(steps, root, 0)]
         while stack:
             steps, state, mask = stack.pop()
-            if steps[0][1] is None:
-                yield seed, state, mask, steps
+            following = steps[0][1]
+            # Stop at component k: ell = 1, or the next component is the last.
+            if following is None or following[0][1] is None:
+                suffixes = built.get(id(steps))
+                if suffixes is None:
+                    suffixes = _suffixes(steps, root, push)
+                    if close is not None:
+                        suffixes = close(suffixes)
+                    built[id(steps)] = suffixes
+                yield seed, state, mask, suffixes
                 continue
             stack += [
                 (following, push(state, comp), mask | comp.mask)
                 for comp, following in reversed(steps)
             ]
+
+
+def _suffixes(node: tuple, root, push) -> list[tuple]:
+    """(state, mask) per way to place the components that a node's steps
+    and those after it cover (the last two, or the one when ell = 1), in
+    walk order: state is push folded over them from root, mask ORs theirs."""
+    out = []
+    for comp, following in node:
+        state = push(root, comp)
+        if following is None:
+            out.append((state, comp.mask))
+        else:
+            mask = comp.mask
+            out += [(push(state, last), mask | last.mask) for last, _ in following]
+    return out
 
 
 def _fill_labels(
@@ -351,11 +421,11 @@ def _fill_labels(
     if chi is not None and chi.ell != ell:
         raise ValueError(f"character has {chi.ell} entries, expected {ell}")
     bad = None if chi is None else _bad_bits(n, ell, chi)
-    for seed, head, mask, closings in _fill(n, ell, (), lambda h, c: (*h, c)):
-        for closing, _ in closings:
-            full = mask | closing.mask
+    for seed, head, mask, suffixes in _fill(n, ell, (), lambda h, c: (*h, c)):
+        for tail, tail_mask in suffixes:
+            full = mask | tail_mask
             flag = None if bad is None else not full & bad
-            yield seed.partition, (*head, closing), full, flag
+            yield seed.partition, head + tail, full, flag
 
 
 @lru_cache(maxsize=None)
@@ -423,12 +493,11 @@ def _pairing_rows(ell: int, mask: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(rows)
 
 
-def _non_integral_mask(ell: int, mask: int, chi: RationalCharacter) -> int:
+def _non_integral_mask(ell: int, mask: int, d: int, scaled) -> int:
     """The bits of a class mask whose string vectors chi pairs with
-    non-integrally, read over the common denominator d of chi from the
-    cached _pairing_rows of the mask: the one pairing test of counting,
-    listing and the monodromic flags."""
-    d, scaled = chi.common_denominator()
+    non-integrally, read from d and scaled = d*chi (d the common
+    denominator of chi) and the cached _pairing_rows of the mask: the one
+    pairing test of counting, listing and the monodromic flags."""
     prefix = [0, *accumulate(scaled * 2)]
     total = prefix[ell]
     return sum(
@@ -445,7 +514,8 @@ def _bad_bits(n: int, ell: int, chi: RationalCharacter) -> int:
     is at most n*ell long, so its bit is below n*ell*ell) that chi pairs
     with non-integrally.  Each bit is decided on its own, so a label
     admits a chi-monodromic local system exactly when its mask has none."""
-    return _non_integral_mask(ell, (1 << max(n, 0) * ell * ell) - 1, chi)
+    full = (1 << max(n, 0) * ell * ell) - 1
+    return _non_integral_mask(ell, full, *chi.common_denominator())
 
 
 def enumerate_Q_chi(
@@ -476,8 +546,14 @@ def count_Q_chi(n: int, ell: int, chi: RationalCharacter) -> int:
     """
     if chi.ell != ell:
         raise ValueError(f"character has {chi.ell} entries, expected {ell}")
+    return _count_Q_chi(n, ell, *chi.common_denominator())
+
+
+def _count_Q_chi(n: int, ell: int, d: int, scaled) -> int:
+    """count_Q_chi at the character scaled / d, d its common denominator,
+    for a caller that already holds both."""
     _, union, groups = _string_class_table(n, ell)
-    bad = _non_integral_mask(ell, union, chi)
+    bad = _non_integral_mask(ell, union, d, scaled)
     good = union ^ bad
     if 1 << good.bit_count() << 6 <= len(groups):
         return _count_submasks(groups, good)

@@ -36,10 +36,10 @@ from .orbits import (
     PlacedComponent,
     StringSummand,
     _class_set_pi1,
+    _count_Q_chi,
     _fill_labels,
     _orbit_label,
     _strings,
-    count_Q_chi,
 )
 from .params import (
     CircleElement,
@@ -171,7 +171,8 @@ def semisimplicity_report(
     d the common denominator of chi, is divisible by d; the pairing is read
     from the prefix sums of d*chi, and only the violated roots get a
     Fraction, the pairing divided by d.  The Hecke product is decided on
-    d*chi modulo d*ell, and count_Q_chi counts from the string-class table.
+    d*chi modulo d*ell, and _count_Q_chi counts from the string-class table
+    on the same d and d*chi.
 
     Raises CriteriaDisagreement if the verdicts differ; this is the
     falsification signal and is never swallowed.
@@ -195,7 +196,7 @@ def semisimplicity_report(
 
     verdict_hecke = _chi_product_nonzero(d, scaled, n)
 
-    simple_count = count_Q_chi(n, ell, chi)
+    simple_count = _count_Q_chi(n, ell, d, scaled)
     pell_count = count_multipartitions(n, ell)
     verdict_counting = simple_count == pell_count
 

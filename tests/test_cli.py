@@ -23,8 +23,14 @@ from cyclocone.orbits import (
 )
 from cyclocone.params import RationalCharacter
 from cyclocone.report import CriteriaDisagreement
+from cyclocone.rootlattice import DimVector, pair
 
-from oracles import multipartition_count, random_fraction
+from oracles import (
+    brute_force_orbit_pairs,
+    multipartition_count,
+    random_fraction,
+    string_vectors_scan,
+)
 
 
 def invoke(argv):
@@ -224,6 +230,38 @@ class TestSimplesCommand:
             argv = ["simples", "-n", str(n), "-l", str(ell), "--format", fmt]
             assert invoke(argv + [f"--chi={chi}"]) == (0, expected, "")
 
+
+    @pytest.mark.parametrize("n, ell", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
+    def test_labels_dropped_by_their_last_two_components(self, n, ell):
+        # The walk hands each prefix the suffixes (the last two components)
+        # of its node whose masks have no bad bit.  Each character below
+        # drops some label whose first ell - 2 components pair integrally,
+        # so the suffix filter alone decides it, and keeps some other.
+        k = max(ell - 2, 0)
+        labels = [
+            (
+                string_vectors_scan(nu[:k], ell),
+                string_vectors_scan(((),) * k + nu[k:], ell),
+            )
+            for _, nu in brute_force_orbit_pairs(n, ell)
+        ]
+        rng = random.Random(7 * n + ell)
+        tried = 0
+        while tried < 3:
+            chi = RationalCharacter([random_fraction(rng, max_den=4) for _ in range(ell)])
+
+            def integral(vectors):
+                return all(pair(chi, DimVector(v)).denominator == 1 for v in vectors)
+
+            if not any(integral(head) and not integral(tail) for head, tail in labels):
+                continue
+            tried += 1
+            kept = sum(integral(head) and integral(tail) for head, tail in labels)
+            for fmt in ("pretty", "json", "tsv"):
+                expected, count = simples_oracle(n, ell, chi, fmt)
+                assert count == kept >= 1
+                argv = ["simples", "-n", str(n), "-l", str(ell), "--format", fmt]
+                assert invoke(argv + [f"--chi={chi}"]) == (0, expected, "")
 
 def simples_oracle(n, ell, chi, fmt):
     """The `simples` text in `fmt` and the label count, from enumerate_Q_chi."""

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -114,6 +115,32 @@ class TestEnumeration:
             (lab.lam.parts, tuple(c.parts for c in lab.nu))
             for lab in enumerate_orbits(n, ell)
         ] == expected
+
+    @pytest.mark.parametrize(
+        "n, ell", [(n, 1) for n in range(7)] + [(n, 2) for n in range(4)]
+    )
+    def test_fill_labels_equal_the_brute_force_pairs(self, n, ell):
+        # At ell <= 2 the walk has no prefix: every label comes whole from
+        # the suffixes of a node of component 0.  Labels, masks and flags
+        # against the oracle's double loop and its box scans.
+        rng = random.Random(10 * n + ell)
+        characters = [chi_of(*["1/2"] * ell)] + [
+            RationalCharacter(tuple(random_fraction(rng, max_den=4) for _ in range(ell)))
+            for _ in range(2)
+        ]
+        for chi in characters:
+            rows = list(orbits_module._fill_labels(n, ell, chi))
+            pairs = [
+                (lam.parts, tuple(comp.partition.parts for comp in comps))
+                for lam, comps, _, _ in rows
+            ]
+            assert len(set(pairs)) == len(pairs)
+            assert set(pairs) == brute_force_orbit_pairs(n, ell)
+            for (_, nu), (_, _, mask, flag) in zip(pairs, rows):
+                vectors = string_vectors_scan(nu, ell)
+                assert set(mask_vectors(ell, mask)) == set(vectors)
+                integral = all(pair(chi, DimVector(v)).denominator == 1 for v in vectors)
+                assert flag == integral
 
     def test_sizes_add_up(self):
         for lab in enumerate_orbits(2, 3):
@@ -468,6 +495,46 @@ class TestStepGraph:
             assert len(set(nodes)) == len(nodes)
 
 
+class TestPackedFits:
+    @pytest.mark.parametrize(
+        "n, ell", [(n, ell) for n in range(4) for ell in range(1, 4)]
+    )
+    def test_packed_fits_equal_tuple_fits(self, n, ell):
+        # Every residue in {0..n}^ell against every record of every size up
+        # to n*ell at every index: the guard-bit test keeps the records that
+        # fit coordinate by coordinate, in order, with the same rest.  At
+        # ell = 1 and at n = 0 some record has a coordinate equal to n*ell,
+        # the largest value a field holds.
+        width = (n * ell).bit_length() + 1
+        low = (1 << width) - 1
+        sizes = range(n * ell + 1)
+
+        def pack(coords):
+            return sum(c << v * width for v, c in enumerate(coords))
+
+        def unpack(value):
+            assert value >> ell * width == 0
+            return tuple(value >> v * width & low for v in range(ell))
+
+        largest = 0
+        for index in range(ell):
+            records = [
+                comp
+                for size in sizes
+                for comp in orbits_module._placed_of_size(ell, index, size)
+            ]
+            largest = max([largest] + [max(comp.shifted) for comp in records])
+            for remaining in itertools.product(range(n + 1), repeat=ell):
+                expected = [
+                    (comp, tuple(r - s for r, s in zip(remaining, comp.shifted)))
+                    for comp in records
+                    if all(r >= s for r, s in zip(remaining, comp.shifted))
+                ]
+                got = orbits_module._fits(ell, index, pack(remaining), sizes, width)
+                assert [(comp, unpack(rest)) for comp, rest in got] == expected
+        assert largest == n * ell or (ell > 1 and n > 0)
+
+
 class TestCountPaths:
     """count_Q_chi sums the table's counts over the submasks of the good
     bits (those of the union that chi pairs with integrally) when there are
@@ -479,7 +546,9 @@ class TestCountPaths:
     @staticmethod
     def good_bits(n, ell, chi):
         _, union, _ = orbits_module._string_class_table(n, ell)
-        return union & ~orbits_module._non_integral_mask(ell, union, chi)
+        return union & ~orbits_module._non_integral_mask(
+            ell, union, *chi.common_denominator()
+        )
 
     def characters(self, n, ell):
         """{number of good bits: character} for none, one, a few and all."""
@@ -667,7 +736,9 @@ class TestNonIntegralMask:
             chi = RationalCharacter(
                 tuple(random_fraction(rng, max_den=den) for _ in range(ell))
             )
-            got = orbits_module._non_integral_mask(ell, union, chi)
+            got = orbits_module._non_integral_mask(
+                ell, union, *chi.common_denominator()
+            )
             assert got == self.scan(ell, union, chi)
             seen.add(got)
         if union:
@@ -685,6 +756,6 @@ class TestNonIntegralMask:
             chi = RationalCharacter(
                 tuple(random_fraction(rng, max_den=6) for _ in range(ell))
             )
-            assert orbits_module._non_integral_mask(ell, mask, chi) == self.scan(
-                ell, mask, chi
-            )
+            d, scaled = chi.common_denominator()
+            got = orbits_module._non_integral_mask(ell, mask, d, scaled)
+            assert got == self.scan(ell, mask, chi)
