@@ -5,59 +5,83 @@ through cyclic residues), computes orbit fundamental groups in closed form
 (cross-checked against the Smith normal form), counts simple admissible
 modules, and decides semi-simplicity of the admissible category by three
 independent, provably equivalent criteria.
+
+Importing the package loads none of its modules.  Each public name below
+loads its defining module on first access (`cyclocone.X` or
+`from cyclocone import X`) and is then an ordinary attribute, so a command
+or a script pays only for the layers it reads.
 """
 
-from .abelian import FGAbelianGroup, IntMatrix, cokernel, smith_normal_form
-from .orbits import (
-    OrbitLabel,
-    StringSummand,
-    SummandDecomposition,
-    admits_monodromic_local_system,
-    decompose,
-    enumerate_Q_chi,
-    enumerate_orbits,
-    fundamental_group,
-)
-from .params import (
-    CircleElement,
-    KappaParams,
-    RationalCharacter,
-    ariki_product_nonzero,
-    cherednik_semisimple,
-    chi_to_kappa,
-    circle,
-    hecke_params,
-    hecke_q,
-    kappa_to_chi,
-)
-from .partitions import (
-    Box,
-    MultiPartition,
-    Partition,
-    content,
-    enumerate_multipartitions,
-    enumerate_partitions,
-    residue,
-    shifted_residue,
-)
-from .report import (
-    CriteriaDisagreement,
-    OrbitRow,
-    Pi1Disagreement,
-    SemisimplicityReport,
-    count_multipartitions,
-    hyperplane_listing,
-    orbit_report,
-    semisimplicity_report,
-)
-from .rootlattice import (
-    DimVector,
-    RootSet,
-    delta,
-    epsilon,
-    generate_Rn,
-    is_integral_pairing,
-    pair,
-)
+from importlib import import_module
 
+_SOURCES = {
+    "abelian": ("FGAbelianGroup", "IntMatrix", "cokernel", "smith_normal_form"),
+    "errors": ("CriteriaDisagreement", "Pi1Disagreement"),
+    "orbits": (
+        "OrbitLabel",
+        "StringSummand",
+        "SummandDecomposition",
+        "admits_monodromic_local_system",
+        "decompose",
+        "enumerate_Q_chi",
+        "enumerate_orbits",
+        "fundamental_group",
+    ),
+    "params": (
+        "CircleElement",
+        "KappaParams",
+        "RationalCharacter",
+        "ariki_product_nonzero",
+        "cherednik_semisimple",
+        "chi_to_kappa",
+        "circle",
+        "hecke_params",
+        "hecke_q",
+        "kappa_to_chi",
+    ),
+    "partitions": (
+        "Box",
+        "MultiPartition",
+        "Partition",
+        "content",
+        "count_multipartitions",
+        "enumerate_multipartitions",
+        "enumerate_partitions",
+        "residue",
+        "shifted_residue",
+    ),
+    "report": (
+        "OrbitRow",
+        "SemisimplicityReport",
+        "hyperplane_listing",
+        "orbit_report",
+        "semisimplicity_report",
+    ),
+    "rootlattice": (
+        "DimVector",
+        "RootSet",
+        "delta",
+        "epsilon",
+        "generate_Rn",
+        "is_integral_pairing",
+        "pair",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -6,40 +6,26 @@ Output is deterministic for a fixed invocation.  Exit codes: 0 = success
 2 = input error, 3 = internal criteria disagreement (for `pi1`: the closed
 form differs from the Smith normal form), 4 = run aborted (stdout closed
 early, or an unexpected internal error).
+
+Each command imports the layers it runs when it runs, so a process loads
+only those: `translate` loads `params` alone, and `orbits` without a
+character loads no `params` or `report`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import random
 import sys
-from fractions import Fraction
 from functools import cache
 from itertools import chain
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
-from .abelian import IntMatrix, cokernel
-from .orbits import OrbitLabel, _class_set_pi1, _fill
-from .orbits import _bad_bits, decompose, fundamental_group
-from .params import (
-    KappaParams,
-    RationalCharacter,
-    chi_to_kappa,
-    hecke_json,
-    hecke_params,
-    hecke_q,
-    kappa_to_chi,
-)
-from .partitions import MultiPartition, Partition
-from .report import (
-    CriteriaDisagreement,
-    Pi1Disagreement,
-    count_multipartitions,
-    hyperplane_listing,
-    semisimplicity_report,
-)
+from .errors import CriteriaDisagreement, Pi1Disagreement
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .params import RationalCharacter
 
 EXIT_OK = 0
 EXIT_NOT_SEMISIMPLE = 1
@@ -125,16 +111,18 @@ def _resolve_chi(args, ell: int, required: bool = True) -> RationalCharacter | N
     kappa_text = getattr(args, "kappa", None)
     if chi_text and kappa_text:
         raise InputError("--chi and --kappa are mutually exclusive")
-    if chi_text:
-        chi = RationalCharacter.parse(chi_text)
-        if chi.ell != ell:
-            raise InputError(f"character has {chi.ell} entries, expected {ell}")
-        return chi
+    if not (chi_text or kappa_text):
+        if required:
+            raise InputError("one of --chi or --kappa is required")
+        return None
+    from .params import KappaParams, RationalCharacter, kappa_to_chi
+
     if kappa_text:
         return kappa_to_chi(KappaParams.parse(kappa_text, ell), ell)
-    if required:
-        raise InputError("one of --chi or --kappa is required")
-    return None
+    chi = RationalCharacter.parse(chi_text)
+    if chi.ell != ell:
+        raise InputError(f"character has {chi.ell} entries, expected {ell}")
+    return chi
 
 
 _BLOCK = 1 << 16
@@ -163,6 +151,8 @@ def _render(out, fmt: str, obj, header: list[str], rows, pretty) -> None:
     a format that is not printed is never built.
     """
     if fmt == "json":
+        import json
+
         encoder = json.JSONEncoder(ensure_ascii=False, indent=2)
         pieces = chain(encoder.iterencode(obj()), ["\n"])
     elif fmt == "tsv":
@@ -179,6 +169,8 @@ def _cell(value) -> str:
 def _nested_json(value, depth: int) -> str:
     """json.dumps(value, indent=2) as it reads `depth` levels deep inside a
     larger indent=2 document: the same text with every line indented."""
+    import json
+
     text = json.dumps(value, ensure_ascii=False, indent=2)
     return text.replace("\n", "\n" + "  " * depth)
 
@@ -216,6 +208,9 @@ def _orbit_pieces(n: int, ell: int, chi, fmt: str):
     per node the same texts of each suffix without the last separator, with
     its mask.  A row is one f-string of those, the lambda text and the pi1
     and flag texts of its mask.  Partition texts need no escapes."""
+    from .orbits import _bad_bits, _class_set_pi1, _fill
+    from .partitions import count_multipartitions
+
     as_json, sep = fmt == "json", "  " if fmt == "pretty" else "\t"
     fragment = cache(_summands_json) if as_json else attrgetter("summands")
     joiner, key = (",", ',\n      "monodromic_for_chi": ') if as_json else (" ", sep)
@@ -288,6 +283,10 @@ def _cmd_orbits(args, out) -> int:
 
 
 def _cmd_pi1(args, out) -> int:
+    from .abelian import IntMatrix, cokernel
+    from .orbits import OrbitLabel, decompose, fundamental_group
+    from .partitions import MultiPartition, Partition
+
     lam = Partition.parse(args.lam)
     nu = MultiPartition.parse(args.nu, args.ell)
     total = lam.size + nu.size
@@ -329,6 +328,8 @@ def _cmd_simples(args, out) -> int:
     is skipped whole, and each node keeps the nu texts of its suffixes that
     have none.  tsv streams; pretty and json print the count first, so keep
     the blocks."""
+    from .orbits import _bad_bits, _fill
+
     n, ell = args.n, args.ell
     chi = _resolve_chi(args, ell)
     bad = _bad_bits(n, ell, chi)
@@ -364,7 +365,11 @@ def _cmd_simples(args, out) -> int:
     return EXIT_OK
 
 
-def _random_character(rng: random.Random, ell: int) -> RationalCharacter:
+def _random_character(rng, ell: int) -> RationalCharacter:
+    from fractions import Fraction
+
+    from .params import RationalCharacter
+
     values = []
     for _ in range(ell):
         den = rng.randint(1, 12)
@@ -374,6 +379,8 @@ def _random_character(rng: random.Random, ell: int) -> RationalCharacter:
 
 
 def _cmd_semisimple(args, out) -> int:
+    from .report import semisimplicity_report
+
     if args.seed is not None and args.selftest is None:
         raise InputError("--seed only applies to --selftest")
     if args.selftest is not None:
@@ -383,6 +390,8 @@ def _cmd_semisimple(args, out) -> int:
             raise InputError("--selftest draws its own characters; drop --chi/--kappa")
         if args.format != "pretty":
             raise InputError("--selftest prints one plain line; drop --format")
+        import random
+
         rng = random.Random(args.seed)
         for _ in range(args.selftest):
             chi = _random_character(rng, args.ell)
@@ -428,6 +437,8 @@ def _cmd_semisimple(args, out) -> int:
 
 
 def _cmd_hyperplanes(args, out) -> int:
+    from .report import hyperplane_listing
+
     listing = hyperplane_listing(args.n, args.ell)
     _render(
         out,
@@ -453,6 +464,8 @@ def _cmd_hyperplanes(args, out) -> int:
 def _cmd_translate(args, out) -> int:
     if bool(args.chi) == bool(args.kappa):
         raise InputError("translate needs exactly one of --chi or --kappa")
+    from .params import chi_to_kappa, hecke_json, hecke_params, hecke_q
+
     # chi_to_kappa inverts kappa_to_chi exactly, so --kappa input round-trips.
     chi = _resolve_chi(args, args.ell)
     kp = chi_to_kappa(chi)

@@ -59,11 +59,9 @@ from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain, repeat
 from math import gcd
 from operator import or_
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from ._frozen import Frozen
-from .abelian import FGAbelianGroup
-from .params import RationalCharacter
 from .partitions import (
     MultiPartition,
     Partition,
@@ -74,6 +72,10 @@ from .partitions import (
     shifted_residue,
 )
 from .rootlattice import DimVector, delta
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .abelian import FGAbelianGroup
+    from .params import RationalCharacter
 
 Coords = tuple[int, ...]
 
@@ -238,6 +240,8 @@ def _class_set_pi1(ell: int, mask: int) -> FGAbelianGroup:
     the edges of the mask's bits.  `potential[v]` is the voltage from
     `parent[v]` to v; an edge inside a component closes a cycle, and its
     voltage goes into g."""
+    from .abelian import FGAbelianGroup
+
     parent = list(range(ell))
     potential = [0] * ell
     components, g = ell, 0

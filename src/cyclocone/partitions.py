@@ -14,7 +14,9 @@ in `orbits`, is the sum of the string vectors of those classes.
 All enumeration functions use one fixed order so that reports and test
 fixtures are byte-stable: partitions are listed by size ascending and, within
 a size, by descending lexicographic order on the part tuples, e.g. for size
-four: [4], [3,1], [2,2], [2,1,1], [1,1,1,1].
+four: [4], [3,1], [2,2], [2,1,1], [1,1,1,1].  `count_multipartitions`
+counts the ell-multipartitions of n from their generating function and
+lists none of them.
 """
 
 from __future__ import annotations
@@ -254,3 +256,22 @@ def enumerate_multipartitions(n: int, ell: int) -> Iterator[MultiPartition]:
 
     for combo in fill(0, n):
         yield MultiPartition(combo)
+
+
+@lru_cache(maxsize=None)
+def count_multipartitions(n: int, ell: int) -> int:
+    """Size of the set of ell-multipartitions of n, listing none of them.
+
+    The generating function is the product over k of (1 - x^k)^(-ell); each
+    factor 1/(1 - x^k) is multiplied in place, ascending.
+    """
+    if ell < 1:
+        raise ValueError("cycle length must be positive")
+    if n < 0:
+        raise ValueError("total size must be nonnegative")
+    counts = [1] + [0] * n
+    for k in range(1, n + 1):
+        for _ in range(ell):
+            for m in range(k, n + 1):
+                counts[m] += counts[m - k]
+    return counts[n]

@@ -21,6 +21,11 @@ the table, one big-int of groups per class bit and per count bit.  A
 Fraction is built only for a value the report returns.  What depends only
 on (n, ell), the roots in closed form, the table and its index, is built
 once; the index only when a character first needs it.
+
+`CriteriaDisagreement` and `Pi1Disagreement` are defined in `errors`, which
+loads no layer, and `count_multipartitions`, a plain partition count, in
+`partitions`; all three are re-exported here.  The pi1 group class is
+imported for annotations only, so a report loads no `abelian`.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .abelian import FGAbelianGroup
+# Re-exported: the errors and count_multipartitions are also names of report.
+from .errors import CriteriaDisagreement, Pi1Disagreement
 from .orbits import (
     OrbitLabel,
     PlacedComponent,
@@ -50,39 +56,11 @@ from .params import (
     hecke_json,
     hecke_params,
 )
-from .partitions import Partition
+from .partitions import Partition, count_multipartitions
 from .rootlattice import DimVector, _root_forms, generate_Rn
 
-
-class CriteriaDisagreement(RuntimeError):
-    """Raised when the three semi-simplicity criteria fail to agree."""
-
-    def __init__(self, n, ell, chi, verdict_roots, verdict_hecke, verdict_counting):
-        self.n, self.ell, self.chi = n, ell, chi
-        self.verdict_roots, self.verdict_hecke = verdict_roots, verdict_hecke
-        self.verdict_counting = verdict_counting
-        # `--chi=` keeps a leading minus sign from reading as an option.
-        super().__init__(
-            f"criteria disagree at n={n}, ell={ell}, chi={chi}: "
-            f"roots={verdict_roots}, hecke={verdict_hecke}, "
-            f"counting={verdict_counting}; reproduce with: "
-            f"cyclocone semisimple -n {n} -l {ell} --chi={chi}"
-        )
-
-
-class Pi1Disagreement(RuntimeError):
-    """Raised when the closed-form pi1 of a label differs from the Smith
-    normal form of its string-vector matrix."""
-
-    def __init__(self, label: OrbitLabel, closed_form, smith):
-        # Partition texts hold digits, commas, brackets and semicolons only,
-        # so single quotes make them one shell word each.
-        super().__init__(
-            f"pi1 of {label} at ell={label.ell} disagrees: "
-            f"closed form {closed_form}, Smith normal form {smith}; "
-            f"reproduce with: cyclocone pi1 -n {label.n} -l {label.ell} "
-            f"--lambda '{label.lam}' --nu '{label.nu}'"
-        )
+if TYPE_CHECKING:  # pragma: no cover
+    from .abelian import FGAbelianGroup
 
 
 class SemisimplicityReport(NamedTuple):
@@ -132,25 +110,6 @@ class SemisimplicityReport(NamedTuple):
             "kappa": self.kappa.to_json(),
             "hecke": hecke_json(*self.hecke),
         }
-
-
-@lru_cache(maxsize=None)
-def count_multipartitions(n: int, ell: int) -> int:
-    """Size of the set of ell-multipartitions of n, listing none of them.
-
-    The generating function is the product over k of (1 - x^k)^(-ell); each
-    factor 1/(1 - x^k) is multiplied in place, ascending.
-    """
-    if ell < 1:
-        raise ValueError("cycle length must be positive")
-    if n < 0:
-        raise ValueError("total size must be nonnegative")
-    counts = [1] + [0] * n
-    for k in range(1, n + 1):
-        for _ in range(ell):
-            for m in range(k, n + 1):
-                counts[m] += counts[m - k]
-    return counts[n]
 
 
 @lru_cache(maxsize=None)

@@ -9,12 +9,13 @@ character pairings.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ._frozen import Frozen
 
 if TYPE_CHECKING:  # pragma: no cover
+    from fractions import Fraction
+
     from .params import RationalCharacter
 
 
@@ -186,6 +187,8 @@ def pair(chi: "RationalCharacter", alpha: DimVector) -> Fraction:
     The framing coordinate of alpha is ignored: characters live on the
     unframed group.
     """
+    from fractions import Fraction
+
     values = chi.values
     if len(values) != alpha.ell:
         raise ValueError(

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from first principles, separate from
 the library code paths it checks: determinants via fraction-free elimination,
-partition counts via the bounded-part recurrence, the root set via the
+partition counts via the bounded-part recurrence, partitions and
+multipartitions by a plain recursion on the largest part, the root set via the
 abstract positive-root filter, residues and string vectors via a plain box
 scan, cokernels via determinantal divisors, Q_chi counts via a walk over
 the string-class table's groups, and the Hecke product via a
@@ -121,27 +122,49 @@ def shifted_residue_scan(
     return tuple(counts)
 
 
+def partitions_recursive(n: int, max_part: int | None = None):
+    """Every partition of n with parts <= max_part, as a descending tuple,
+    by choosing the largest part first."""
+    if max_part is None:
+        max_part = n
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in partitions_recursive(n - first, first):
+            yield (first, *rest)
+
+
+def multipartitions_recursive(n: int, ell: int):
+    """Every ell-tuple of partitions (descending tuples) of total size n."""
+    if ell == 1:
+        yield from ((parts,) for parts in partitions_recursive(n))
+        return
+    for size in range(n + 1):
+        for head in partitions_recursive(size):
+            for tail in multipartitions_recursive(n - size, ell - 1):
+                yield (head, *tail)
+
+
 def brute_force_orbit_pairs(
     n: int, ell: int
 ) -> set[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
     """All (lambda, nu) with |lambda| + |nu| = n*ell meeting the residue law.
 
     Double loop over every partition of every admissible size and every
-    multipartition of the complement, with residues recomputed by the
-    scan-based oracles above.
+    multipartition of the complement, both from the plain recursive
+    generators above, with residues recomputed by the scan-based oracles.
     """
-    from cyclocone.partitions import enumerate_multipartitions, enumerate_partitions
-
     out = set()
     total = n * ell
     target = (n,) * ell
-    for lam in enumerate_partitions(total):
-        lam_res = residue_scan(lam.parts, ell)
-        for nu in enumerate_multipartitions(total - lam.size, ell):
-            comps = tuple(c.parts for c in nu)
-            sres = shifted_residue_scan(comps, ell)
-            if tuple(a + b for a, b in zip(lam_res, sres)) == target:
-                out.add((lam.parts, comps))
+    for size in range(total + 1):
+        for lam in partitions_recursive(size):
+            lam_res = residue_scan(lam, ell)
+            for comps in multipartitions_recursive(total - size, ell):
+                sres = shifted_residue_scan(comps, ell)
+                if tuple(a + b for a, b in zip(lam_res, sres)) == target:
+                    out.add((lam, comps))
     return out
 
 

@@ -10,7 +10,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cyclocone.abelian as abelian_module
 import cyclocone.cli as cli_module
+import cyclocone.orbits as orbits_module
 import cyclocone.report as report_module
 from cyclocone.abelian import FGAbelianGroup
 from cyclocone.cli import _build_parser, run
@@ -501,7 +503,7 @@ class TestExitCodeContract:
             raise KeyError("boom")
 
         # The orbits table reads the label walk directly.
-        monkeypatch.setattr(cli_module, "_fill", crash)
+        monkeypatch.setattr(orbits_module, "_fill", crash)
         code, out, err = invoke(["orbits", "-n", "1", "-l", "1"])
         assert code == 4
         assert out == ""
@@ -632,13 +634,18 @@ class TestDisagreementReproducer:
         assert command == "cyclocone semisimple -n 2 -l 1 --chi=1/2"
         assert invoke(command.split()[1:])[0] == 3
 
-    @pytest.mark.parametrize("side", ["fundamental_group", "cokernel"])
+    @pytest.mark.parametrize(
+        "module, side",
+        [(orbits_module, "fundamental_group"), (abelian_module, "cokernel")],
+        ids=["fundamental_group", "cokernel"],
+    )
     def test_pi1_mismatch_exits_three_with_a_reproducing_command(
-        self, monkeypatch, side
+        self, monkeypatch, module, side
     ):
         # The pi1 command computes the closed form and the Smith normal form
         # of the string-vector matrix; break either and they must disagree.
-        monkeypatch.setattr(cli_module, side, lambda arg: FGAbelianGroup(7))
+        # It imports both from their defining modules when it runs.
+        monkeypatch.setattr(module, side, lambda arg: FGAbelianGroup(7))
         code, out, err = invoke(["pi1", "-l", "1", "--lambda", "[]", "--nu", "[2]"])
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and err.startswith("internal error: ")

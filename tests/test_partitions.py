@@ -15,7 +15,9 @@ from cyclocone.partitions import (
 
 from oracles import (
     multipartition_count,
+    multipartitions_recursive,
     partition_count,
+    partitions_recursive,
     residue_scan,
     shifted_residue_scan,
 )
@@ -167,6 +169,12 @@ class TestEnumeration:
         for n in range(12):
             assert len(partitions_of(n)) == partition_count(n)
 
+    def test_equals_the_recursive_oracle(self):
+        for n in range(12):
+            oracle = list(partitions_recursive(n))
+            assert len(oracle) == len(set(oracle)) == partition_count(n)
+            assert set(partitions_of(n)) == set(oracle)
+
     def test_no_duplicates(self):
         seen = list(enumerate_partitions(9))
         assert len(seen) == len(set(seen))
@@ -199,3 +207,11 @@ class TestMultipartitionEnumeration:
         assert sum(1 for _ in enumerate_multipartitions(n, ell)) == (
             multipartition_count(n, ell)
         )
+
+    @pytest.mark.parametrize("n,ell", [(3, 1), (4, 2), (3, 3), (2, 5)])
+    def test_equals_the_recursive_oracle(self, n, ell):
+        oracle = list(multipartitions_recursive(n, ell))
+        assert len(oracle) == len(set(oracle)) == multipartition_count(n, ell)
+        assert {
+            tuple(c.parts for c in mp) for mp in enumerate_multipartitions(n, ell)
+        } == set(oracle)
