@@ -10,19 +10,23 @@ i >= 0, of length l, is fixed up to isomorphism by its string class
 the content convention of `partitions`, which owns it; lambda is placed the
 same way at index 0.  String class (top, length) is bit (length - 1) * ell +
 top of a class mask, top read as 0 when ell divides the length: one bit per
-string vector.  The per-size `PlacedComponent` records that the label walk
-and the table that counts labels per mask both read, the pi1 cache and the
-pairing test share this numbering.
+string vector.  The `PlacedComponent` records, one cache of them per
+(ell, index, size, width) each with its packed residue (_placed_of_size),
+are summed and ORed from per-row tables of every class's packed vector
+and bit (_row_table); they, the pi1 cache and the pairing test share this
+numbering.
 
-The label walk (_fill) and that table read one step graph (_step_graph), in
-which equal residues left share one node.  Its residues are packed ints,
-one field of W = (n*ell).bit_length() + 1 bits a vertex with a guard bit at
-the top of each, so a record is tested against a residue by one
+The label walk (_fill) and the table that counts labels per mask
+(_string_class_table) read one step graph (_step_graph) of those records,
+in which equal residues left share one node.  Its residues are packed
+ints, one field of W = (n*ell).bit_length() + 1 bits a vertex with a guard
+bit at the top of each, so a record is tested against a residue by one
 subtraction and one mask (_fits).  The walk stops at the node of nu
 component max(ell - 2, 0): each such node lists once the ways to place the
 components left (the last two, or the one when ell = 1) with their texts
 and masks, and every prefix that reaches it reads that list, so a table row
-is a prefix's texts joined with one entry.
+is a prefix's texts joined with one entry.  The table folds the graph from
+its last component back, counting each node's completions once per mask.
 
 The fundamental group is the cokernel Z^ell / L of the lattice L spanned
 by the string vectors of a label's mask, the OR of its components', and a
@@ -58,7 +62,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain, repeat
 from math import gcd
-from operator import or_
+from operator import getitem, or_
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from ._frozen import Frozen
@@ -66,6 +70,7 @@ from .partitions import (
     MultiPartition,
     Partition,
     _component_classes,
+    _rotated_residue,
     _string_coords,
     partitions_of,
     residue,
@@ -166,29 +171,6 @@ def _class_text(top: int, length: int, ell: int) -> str:
     return str(DimVector._trusted(_string_coords(top, length, ell)))
 
 
-def _placed(
-    ell: int, index: int, partition: Partition, base: Coords
-) -> PlacedComponent:
-    """`partition` placed at vertex `index`, given its residue `base` at
-    vertex 0.  Placing a diagram at vertex i rotates every string vector, so
-    the residue, by sigma^i; only the mask is derived per index."""
-    classes = _component_classes(ell, index, partition.parts)
-    mask = reduce(or_, (_class_bit(*c, ell) for c in classes), 0)
-    return PlacedComponent(partition, index, base[-index:] + base[:-index], mask)
-
-
-@lru_cache(maxsize=None)
-def _placed_of_size(ell: int, index: int, size: int) -> Components:
-    """The one cache of records: the partitions of `size` placed at `index`,
-    in the order of partitions_of.  Vertex 0 makes the Partitions and their
-    residues; every other index places those."""
-    if index:
-        vertex0 = _placed_of_size(ell, 0, size)
-        return tuple(_placed(ell, index, c.partition, c.shifted) for c in vertex0)
-    partitions = map(Partition, partitions_of(size))
-    return tuple(_placed(ell, 0, p, residue(p, ell).coords) for p in partitions)
-
-
 def _component_strings(comp: PlacedComponent) -> tuple[StringSummand, ...]:
     """The string summands of a record, one per row, from its index and parts."""
     ell, index = len(comp.shifted), comp.index
@@ -200,8 +182,15 @@ def _component_strings(comp: PlacedComponent) -> tuple[StringSummand, ...]:
 
 
 def _placed_nu(ell: int, nu: MultiPartition) -> Components:
-    """The components of nu as records, built for one query and kept nowhere."""
-    return tuple(_placed(ell, i, p, residue(p, ell).coords) for i, p in enumerate(nu))
+    """The components of nu as records, built for one query and kept nowhere:
+    each residue and mask from the string classes of the component's rows."""
+    out = []
+    for index, partition in enumerate(nu):
+        classes = _component_classes(ell, index, partition.parts)
+        mask = reduce(or_, (_class_bit(*c, ell) for c in classes), 0)
+        shifted = _rotated_residue(ell, classes)
+        out.append(PlacedComponent(partition, index, shifted, mask))
+    return tuple(out)
 
 
 def _strings(components: Components) -> tuple[StringSummand, ...]:
@@ -290,13 +279,57 @@ def _pack(coords: Coords, width: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _packed_of_size(ell: int, index: int, size: int, width: int) -> tuple[int, ...]:
-    """The `shifted` residues of _placed_of_size(ell, index, size), in its
-    order, packed at `width` bits a vertex: what _fits reads.  The width
-    follows n*ell and the records serve every n, so the packed residues
-    are kept per width beside them."""
-    records = _placed_of_size(ell, index, size)
-    return tuple([_pack(comp.shifted, width) for comp in records])
+def _row_table(ell: int, width: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(vectors, bits): vectors[top][length] is the string vector of the
+    class (top, length) packed at `width` bits a vertex and bits[top][length]
+    its class bit, for every length below 2**(width - 1), the largest a
+    field holds; length 0, no row, is 0 in both."""
+    lengths = range(1, 1 << width - 1)
+    vectors, bits = [], []
+    for top in range(ell):
+        coords = [_string_coords(top, k, ell) for k in lengths]
+        vectors.append([0] + [_pack(c, width) for c in coords])
+        bits.append([0] + [_class_bit(top, k, ell) for k in lengths])
+    return vectors, bits
+
+
+@lru_cache(maxsize=None)
+def _placed_of_size(
+    ell: int, index: int, size: int, width: int
+) -> tuple[tuple[int, ...], Components]:
+    """The one cache of records: (packed residues, records) of the
+    partitions of `size` placed at `index`, both in the order of
+    partitions_of, the residues packed at `width` bits a vertex as _fits
+    reads them.
+
+    Row j of a diagram at `index` has the string class
+    (index + j - 1 mod ell, length), so a record's mask ORs those classes'
+    bits from _row_table.  Vertex 0 makes the Partitions, trusted since
+    partitions_of gives their parts, and sums the classes' packed vectors
+    into each residue; every other index shares those Partitions and
+    rotates each residue by sigma^index, a shift of whole fields."""
+    vectors, bits = _row_table(ell, width)
+    tops = [bits[(index + j) % ell] for j in range(size)]
+    residues, records = [], []
+    if index:
+        shift, back = index * width, (ell - index) * width
+        full = (1 << ell * width) - 1
+        for packed, comp in zip(*_placed_of_size(ell, 0, size, width)):
+            partition, base = comp.partition, comp.shifted
+            mask = reduce(or_, map(getitem, tops, partition.parts), 0)
+            shifted = base[-index:] + base[:-index]
+            residues.append((packed << shift) & full | packed >> back)
+            records.append(PlacedComponent(partition, index, shifted, mask))
+        return tuple(residues), tuple(records)
+    rows = [vectors[j % ell] for j in range(size)]
+    low, fields = (1 << width) - 1, range(0, ell * width, width)
+    for parts in partitions_of(size):
+        packed = sum(map(getitem, rows, parts))
+        shifted = tuple([packed >> field & low for field in fields])
+        mask = reduce(or_, map(getitem, tops, parts), 0)
+        residues.append(packed)
+        records.append(PlacedComponent(Partition._trusted(parts), 0, shifted, mask))
+    return tuple(residues), tuple(records)
 
 
 def _fits(ell: int, index: int, remaining: int, sizes, width: int) -> list:
@@ -310,16 +343,13 @@ def _fits(ell: int, index: int, remaining: int, sizes, width: int) -> list:
     the packed record a field keeps its guard bit iff the record's
     coordinate is at most the remaining one, and no field borrows from the
     one above, so the record fits iff every guard bit is left, and clearing
-    them leaves the rest: one subtraction and one test per record.  A
-    partition supply pruned by residue would replace _placed_of_size here."""
+    them leaves the rest: one subtraction and one test per record."""
     guard = _pack((1 << width - 1,) * ell, width)
     top = remaining | guard
     return [
         (comp, rest ^ guard)
         for size in sizes
-        for packed, comp in zip(
-            _packed_of_size(ell, index, size, width), _placed_of_size(ell, index, size)
-        )
+        for packed, comp in zip(*_placed_of_size(ell, index, size, width))
         if (rest := top - packed) & guard == guard
     ]
 
@@ -455,26 +485,40 @@ def _string_class_table(n: int, ell: int) -> tuple[int, int, dict[int, int]]:
     _class_bit, so per character only the bits of the union need a pairing
     test, and counting reads the groups instead of the labels.
 
-    No label is built.  The table folds over the label walk's step graph
-    (_step_graph, reading the records' masks only), keeping
-    {id(node): (node, {mask: number of partial labels})}: the lambdas start
-    it at the nodes of nu component 0, and each component in turn moves
-    every state to the node its steps link to, until only None is left.
+    No label is built.  The table folds the label walk's step graph
+    (_step_graph, reading the records' masks only) backward, with no
+    recursion: the distinct nodes of each nu component are collected from
+    the lambdas, by identity, and then, from the last component back, each
+    node gets one {mask: number of ways to complete it}, merging
+    {m | comp.mask: count} over its steps from the dicts of the nodes they
+    link to (None, past the last component, counts as {0: 1}).  A layer's
+    dicts are dropped once the layer before it is done.  The table sums the
+    dicts of the nodes of component 0, each times the number of lambdas
+    that reach it and dropped once summed.
     """
-    states: dict[int, tuple] = {}
+    seeds: dict[int, list] = {}
     for _, node in _step_graph(n, ell):
-        masks = states.setdefault(id(node), (node, {0: 0}))[1]
-        masks[0] += 1
-    for _ in range(ell):
-        folded: dict[int, tuple] = {}
-        for node, masks in states.values():
+        seeds.setdefault(id(node), [node, 0])[1] += 1
+    layers = [[node for node, _ in seeds.values()]]
+    for _ in range(ell - 1):
+        following = {id(f): f for node in layers[-1] for _, f in node}
+        layers.append(list(following.values()))
+    done: dict[int, dict[int, int]] = {id(None): {0: 1}}
+    while layers:
+        counts = {}
+        for node in layers.pop():
+            into: dict[int, int] = {}
             for comp, following in node:
-                into = folded.setdefault(id(following), (following, {}))[1]
-                for mask, count in masks.items():
-                    mask |= comp.mask
-                    into[mask] = into.get(mask, 0) + count
-        states = folded
-    ((_, groups),) = states.values()
+                mask = comp.mask
+                for m, count in done[id(following)].items():
+                    m |= mask
+                    into[m] = into.get(m, 0) + count
+            counts[id(node)] = into
+        done = counts
+    groups: dict[int, int] = {}
+    for node, lambdas in seeds.values():
+        for mask, count in done.pop(id(node)).items():
+            groups[mask] = groups.get(mask, 0) + count * lambdas
     return ell, reduce(or_, groups, 0), groups
 
 

@@ -46,7 +46,7 @@ def _clear_enumeration_caches():
     orbits_module._string_class_table.cache_clear()
     orbits_module._class_set_pi1.cache_clear()
     orbits_module._placed_of_size.cache_clear()
-    orbits_module._packed_of_size.cache_clear()
+    orbits_module._row_table.cache_clear()
     orbits_module._string_coords.cache_clear()
     partitions_module.partitions_of.cache_clear()
 

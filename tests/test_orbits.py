@@ -200,18 +200,29 @@ class TestPlacedRecords:
     @pytest.mark.parametrize("ell", range(1, 7))
     def test_records_agree_with_box_scans(self, ell):
         # A record at index i takes its residue from the one at vertex 0,
-        # rotated by i; the scans place the diagram at i from its boxes.  A
-        # label query builds its own records, which must agree with the
-        # cached ones.
+        # rotated by i, and its mask from per-row class tables; the scans
+        # place the diagram at i from its boxes.  The packed residue is the
+        # rotated one at the given width (5 bits a vertex holds 8 with its
+        # guard bit).  A label query builds its own records, which must
+        # agree with the cached ones.
+        width = 5
         for size in range(9):
-            base = orbits_module._placed_of_size(ell, 0, size)
+            base = orbits_module._placed_of_size(ell, 0, size, width)[1]
             for index in range(ell):
-                records = orbits_module._placed_of_size(ell, index, size)
-                assert len(records) == len(partitions_of(size))
-                for parts, comp, vertex0 in zip(partitions_of(size), records, base):
+                residues, records = orbits_module._placed_of_size(
+                    ell, index, size, width
+                )
+                assert len(residues) == len(records) == len(partitions_of(size))
+                for parts, packed, comp, vertex0 in zip(
+                    partitions_of(size), residues, records, base
+                ):
                     assert comp.partition.parts == parts
+                    assert comp.index == index
                     components = ((),) * index + (parts,)
                     assert comp.shifted == shifted_residue_scan(components, ell)
+                    assert packed == sum(
+                        c << v * width for v, c in enumerate(comp.shifted)
+                    )
                     strings = orbits_module._component_strings(comp)
                     vectors = [s.vector.coords for s in strings]
                     assert vectors == string_vectors_scan(components, ell)
@@ -438,7 +449,8 @@ class TestStringClassTable:
 
     # (groups, labels, union bits, sha256 of repr(sorted(groups.items()))),
     # recorded while the table still placed components by a fold of its own,
-    # before it read the label walk's steps.
+    # before it read the label walk's steps; (4,5) and (2,7), where strings
+    # wrap the cycle, while the table still folded the step graph forward.
     PINS = {
         (5, 4): (
             24_056,
@@ -451,6 +463,18 @@ class TestStringClassTable:
             2_644_200,
             93,
             "9287f99b43493bf2176e36203155f3e591438da8b2ec062182d9e7ebc455a2d8",
+        ),
+        (4, 5): (
+            62_407,
+            4_833_372,
+            84,
+            "2cf662893955da192822cb92e1848f4c7bc2c81acd856252d307dcf8c71273d3",
+        ),
+        (2, 7): (
+            13_097,
+            275_854,
+            86,
+            "25e41b20157c3c5941cb77f359b91b81cf30349582a626211da926dc9a54eb4a",
         ),
     }
 
@@ -521,7 +545,7 @@ class TestPackedFits:
             records = [
                 comp
                 for size in sizes
-                for comp in orbits_module._placed_of_size(ell, index, size)
+                for comp in orbits_module._placed_of_size(ell, index, size, width)[1]
             ]
             largest = max([largest] + [max(comp.shifted) for comp in records])
             for remaining in itertools.product(range(n + 1), repeat=ell):

@@ -309,6 +309,7 @@ class TestCountingWithoutListing:
             orbits_module.enumerate_orbits,
             orbits_module._string_class_table,
             orbits_module._placed_of_size,
+            orbits_module._row_table,
             orbits_module._string_coords,
             count_multipartitions,
         ):
@@ -331,12 +332,17 @@ class TestCountingWithoutListing:
                 105,
             )
         # The table walks the placed records that the listing reads, but
-        # only their residues and masks: no record made its row texts.
-        assert orbits_module._placed_of_size.cache_info().currsize > 0
+        # only their residues and masks: no record made its row texts.  The
+        # records read here are the report's own, at the (4,4) graph's width
+        # of 6 bits a vertex: reading them builds none.
+        records = orbits_module._placed_of_size
+        misses = records.cache_info().misses
+        assert records.cache_info().currsize > 0
         for index in range(4):
             for size in range(17):
-                for comp in orbits_module._placed_of_size(4, index, size):
+                for comp in records(4, index, size, 6)[1]:
                     assert vars(comp).keys() == {"partition", "index", "shifted", "mask"}
+        assert records.cache_info().misses == misses
 
     # Per size: the number of labels, then (semisimple, simple_count) of each
     # seeded character below, all taken from the listing before counting
