@@ -34,19 +34,14 @@ _SOURCES = {
         "ariki_product_nonzero",
         "cherednik_semisimple",
         "chi_to_kappa",
-        "circle",
         "hecke_params",
         "hecke_q",
         "kappa_to_chi",
     ),
     "partitions": (
-        "Box",
         "MultiPartition",
         "Partition",
-        "content",
         "count_multipartitions",
-        "enumerate_multipartitions",
-        "enumerate_partitions",
         "residue",
         "shifted_residue",
     ),
@@ -59,11 +54,8 @@ _SOURCES = {
     ),
     "rootlattice": (
         "DimVector",
-        "RootSet",
         "delta",
-        "epsilon",
         "generate_Rn",
-        "is_integral_pairing",
         "pair",
     ),
 }
@@ -71,7 +63,7 @@ _SOURCES = {
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
 __all__ = sorted(_MODULE_OF)
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 
 def __getattr__(name: str):

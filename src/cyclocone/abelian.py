@@ -193,25 +193,6 @@ class FGAbelianGroup(Frozen):
                 raise ValueError(f"divisibility chain violated: {factors!r}")
         self._assign(int(free_rank), factors)
 
-    @classmethod
-    def cyclic(cls, order: int) -> FGAbelianGroup:
-        """Z/order, with Z/0 = Z and Z/1 trivial."""
-        order = abs(order)
-        if order == 0:
-            return cls(1)
-        if order == 1:
-            return cls(0)
-        return cls(0, (order,))
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
-
-    def torsion_order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
-
     def __repr__(self) -> str:
         return f"FGAbelianGroup({self.free_rank}, {self.invariant_factors!r})"
 

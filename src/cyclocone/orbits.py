@@ -10,11 +10,12 @@ i >= 0, of length l, is fixed up to isomorphism by its string class
 the content convention of `partitions`, which owns it; lambda is placed the
 same way at index 0.  String class (top, length) is bit (length - 1) * ell +
 top of a class mask, top read as 0 when ell divides the length: one bit per
-string vector.  The `PlacedComponent` records, one cache of them per
-(ell, index, size, width) each with its packed residue (_placed_of_size),
-are summed and ORed from per-row tables of every class's packed vector
-and bit (_row_table); they, the pi1 cache and the pairing test share this
-numbering.
+string vector.  A `PlacedComponent` record holds a partition, its index,
+ell and the class mask of its rows, nothing more; one cache per
+(ell, index, size, width) keeps the records beside their residues, packed
+ints (_placed_of_size).  Both are summed and ORed from per-row tables of
+every class's packed vector and bit (_row_table); the records, the pi1
+cache and the pairing test share this numbering.
 
 The label walk (_fill) and the table that counts labels per mask
 (_string_class_table) read one step graph (_step_graph) of those records,
@@ -70,7 +71,6 @@ from .partitions import (
     MultiPartition,
     Partition,
     _component_classes,
-    _rotated_residue,
     _string_coords,
     partitions_of,
     residue,
@@ -81,9 +81,6 @@ from .rootlattice import DimVector, delta
 if TYPE_CHECKING:  # pragma: no cover
     from .abelian import FGAbelianGroup
     from .params import RationalCharacter
-
-Coords = tuple[int, ...]
-
 
 class OrbitLabel(Frozen):
     """A pair (lambda; nu) with residue(lambda) + sres(nu) = n*delta."""
@@ -135,15 +132,16 @@ def _class_bit(top: int, length: int, ell: int) -> int:
 
 
 class PlacedComponent:
-    """A partition placed at vertex `index`: its residue rotated by the index
-    (`shifted`) and the class bits of its rows (`mask`), all that both walks
-    read.  A table row's texts, str(partition) and the "i:j:(v)" fragment of
-    each row, are made on first read, so counting never makes them."""
+    """A partition placed at vertex `index` of the cycle of length `ell`, with
+    the class bits of its rows (`mask`), all that both walks read of it; its
+    residue, packed, sits beside it in _placed_of_size.  A table row's texts,
+    str(partition) and the "i:j:(v)" fragment of each row, are made on first
+    read, so counting never makes them."""
 
-    def __init__(self, partition: Partition, index: int, shifted: Coords, mask: int):
+    def __init__(self, partition: Partition, index: int, ell: int, mask: int):
         self.partition = partition
         self.index = index
-        self.shifted = shifted
+        self.ell = ell
         self.mask = mask
 
     @cached_property
@@ -153,7 +151,7 @@ class PlacedComponent:
     def strings(self) -> list[tuple[int, int, str]]:
         """(index, row, vector text) per row: the one derivation of the
         summand texts of a table row, in every format."""
-        ell, index = len(self.shifted), self.index
+        ell, index = self.ell, self.index
         classes = _component_classes(ell, index, self.partition.parts)
         return [(index, j, _class_text(*c, ell)) for j, c in enumerate(classes, 1)]
 
@@ -173,7 +171,7 @@ def _class_text(top: int, length: int, ell: int) -> str:
 
 def _component_strings(comp: PlacedComponent) -> tuple[StringSummand, ...]:
     """The string summands of a record, one per row, from its index and parts."""
-    ell, index = len(comp.shifted), comp.index
+    ell, index = comp.ell, comp.index
     classes = _component_classes(ell, index, comp.partition.parts)
     return tuple(
         StringSummand(index, j, DimVector._trusted(_string_coords(top, length, ell)))
@@ -183,13 +181,12 @@ def _component_strings(comp: PlacedComponent) -> tuple[StringSummand, ...]:
 
 def _placed_nu(ell: int, nu: MultiPartition) -> Components:
     """The components of nu as records, built for one query and kept nowhere:
-    each residue and mask from the string classes of the component's rows."""
+    each mask from the string classes of the component's rows."""
     out = []
     for index, partition in enumerate(nu):
         classes = _component_classes(ell, index, partition.parts)
         mask = reduce(or_, (_class_bit(*c, ell) for c in classes), 0)
-        shifted = _rotated_residue(ell, classes)
-        out.append(PlacedComponent(partition, index, shifted, mask))
+        out.append(PlacedComponent(partition, index, ell, mask))
     return tuple(out)
 
 
@@ -273,7 +270,7 @@ def admits_monodromic_local_system(
     return not _label_mask(label) & _bad_bits(label.n, label.ell, chi)
 
 
-def _pack(coords: Coords, width: int) -> int:
+def _pack(coords: tuple[int, ...], width: int) -> int:
     """A residue as one int: coordinate v in the `width` bits from v*width."""
     return sum([c << v * width for v, c in enumerate(coords)])
 
@@ -315,20 +312,16 @@ def _placed_of_size(
         shift, back = index * width, (ell - index) * width
         full = (1 << ell * width) - 1
         for packed, comp in zip(*_placed_of_size(ell, 0, size, width)):
-            partition, base = comp.partition, comp.shifted
+            partition = comp.partition
             mask = reduce(or_, map(getitem, tops, partition.parts), 0)
-            shifted = base[-index:] + base[:-index]
             residues.append((packed << shift) & full | packed >> back)
-            records.append(PlacedComponent(partition, index, shifted, mask))
+            records.append(PlacedComponent(partition, index, ell, mask))
         return tuple(residues), tuple(records)
     rows = [vectors[j % ell] for j in range(size)]
-    low, fields = (1 << width) - 1, range(0, ell * width, width)
     for parts in partitions_of(size):
-        packed = sum(map(getitem, rows, parts))
-        shifted = tuple([packed >> field & low for field in fields])
         mask = reduce(or_, map(getitem, tops, parts), 0)
-        residues.append(packed)
-        records.append(PlacedComponent(Partition._trusted(parts), 0, shifted, mask))
+        residues.append(sum(map(getitem, rows, parts)))
+        records.append(PlacedComponent(Partition._trusted(parts), 0, ell, mask))
     return tuple(residues), tuple(records)
 
 

@@ -53,10 +53,6 @@ class RationalCharacter(Frozen):
         self._assign(vals)
 
     @classmethod
-    def zero(cls, ell: int) -> RationalCharacter:
-        return cls((Fraction(0),) * ell)
-
-    @classmethod
     def parse(cls, text: str) -> RationalCharacter:
         """Parse the comma syntax, e.g. `1/5,1/7`."""
         return cls(tuple(parse_rational(tok) for tok in text.split(",")))
@@ -75,10 +71,6 @@ class RationalCharacter(Frozen):
         by d, and then equals that pairing divided by d."""
         d = lcm(*(v.denominator for v in self.values))
         return d, tuple(v.numerator * (d // v.denominator) for v in self.values)
-
-    def delta_pairing(self) -> Fraction:
-        """The pairing with the all-ones vector, i.e. the coordinate sum."""
-        return sum(self.values, Fraction(0))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -166,8 +158,8 @@ class KappaParams(Frozen):
 class CircleElement(Frozen):
     """exp(2*pi*i*t) for rational t, stored as the canonical t in [0, 1).
 
-    Multiplication of circle elements is addition of the t's modulo one,
-    so equality and all vanishing tests are exact.
+    Multiplying circle elements adds their t's modulo one, so equality and
+    every vanishing test are exact rational congruences.
     """
 
     __slots__ = ("t",)
@@ -183,29 +175,11 @@ class CircleElement(Frozen):
         element._assign(Fraction(num % den, den))
         return element
 
-    def __mul__(self, other: CircleElement) -> CircleElement:
-        if not isinstance(other, CircleElement):
-            return NotImplemented
-        return CircleElement(self.t + other.t)
-
-    def inverse(self) -> CircleElement:
-        return CircleElement(-self.t)
-
-    def __pow__(self, exponent: int) -> CircleElement:
-        return CircleElement(self.t * exponent)
-
-    def is_one(self) -> bool:
-        return self.t == 0
-
     def __repr__(self) -> str:
         return f"CircleElement({str(self.t)!r})"
 
     def __str__(self) -> str:
         return str(self.t)
-
-
-def circle(t: Fraction | int | str) -> CircleElement:
-    return CircleElement(Fraction(t))
 
 
 def kappa_to_chi(kp: KappaParams, ell: int) -> RationalCharacter:
@@ -256,8 +230,9 @@ def hecke_params(
 ) -> tuple[CircleElement, CircleElement, tuple[CircleElement, ...]]:
     """Unit-circle parameters (q0, q1, u) attached to kappa coordinates.
 
-    q0 = circle(k00), q1 = -exp(2*pi*i*k01) with the sign absorbed as a half
-    rotation, and u_r = zeta^{-r} exp(2*pi*i*kappa_r) = circle(kappa_r - r/ell).
+    q0 = exp(2*pi*i*k00), q1 = -exp(2*pi*i*k01) with the sign absorbed as a
+    half rotation, and u_r = zeta^{-r} exp(2*pi*i*kappa_r), the angle
+    kappa_r - r/ell.
     Each angle is formed as an integer ratio and reduced modulo one there.
     """
     if kp.ell != ell:

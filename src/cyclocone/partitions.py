@@ -1,22 +1,20 @@
-"""Partitions, multipartitions, box contents and cyclic residues.
+"""Partitions, multipartitions and cyclic residues.
 
-Young diagram coordinates are pairs (i, j) with j the row index and i the
-position within the row: the diagram of a partition holds (i, j) whenever
-1 <= j <= number of rows and 1 <= i <= j-th part.  The content of the box
-(i, j) is j - i, so the first box of row j has content j - 1 and contents
-decrease along a row.
+The residue of a diagram counts its boxes by content modulo ell, the box
+in row j and position i within the row having content j - i: the first box
+of row j has content j - 1 and contents decrease along a row.
 
 This module owns that content convention: a diagram placed at cycle vertex
 `index` has the string class (index + j - 1 mod ell, length) per row j, and
 every residue, of lambda (index 0), of a shifted nu or of a placed component
 in `orbits`, is the sum of the string vectors of those classes.
 
-All enumeration functions use one fixed order so that reports and test
-fixtures are byte-stable: partitions are listed by size ascending and, within
-a size, by descending lexicographic order on the part tuples, e.g. for size
-four: [4], [3,1], [2,2], [2,1,1], [1,1,1,1].  `count_multipartitions`
-counts the ell-multipartitions of n from their generating function and
-lists none of them.
+`partitions_of` lists the partitions of one size in descending
+lexicographic order on the part tuples, e.g. for size four: [4], [3,1],
+[2,2], [2,1,1], [1,1,1,1]; the label walks read them in that order, which
+keeps reports byte-stable.  `count_multipartitions` counts the
+ell-multipartitions of n from their generating function and lists none of
+them.
 """
 
 from __future__ import annotations
@@ -24,22 +22,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 from operator import add
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from ._frozen import Frozen
 from .rootlattice import DimVector
-
-
-class Box(NamedTuple):
-    """A box of a Young diagram: `column` is the index within the row."""
-
-    column: int
-    row: int
-
-
-def content(box: Box) -> int:
-    """Content of a box, row index minus column index."""
-    return box.row - box.column
 
 
 class Partition(Frozen):
@@ -75,16 +61,6 @@ class Partition(Frozen):
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
-
-    def boxes(self) -> Iterator[Box]:
-        for j, part in enumerate(self.parts, start=1):
-            for i in range(1, part + 1):
-                yield Box(column=i, row=j)
-
-    def __contains__(self, box: Box) -> bool:
-        return 1 <= box.row <= len(self.parts) and 1 <= box.column <= self.parts[
-            box.row - 1
-        ]
 
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)!r})"
@@ -126,9 +102,6 @@ class MultiPartition(Frozen):
     def size(self) -> int:
         return sum(comp.size for comp in self.components)
 
-    def is_empty(self) -> bool:
-        return all(not comp for comp in self.components)
-
     def __len__(self) -> int:
         return len(self.components)
 
@@ -153,10 +126,6 @@ class MultiPartition(Frozen):
                 f"expected {ell} components, got {len(comps)} in {text!r}"
             )
         return cls(comps)
-
-    @classmethod
-    def empty(cls, ell: int) -> MultiPartition:
-        return cls((Partition(),) * ell)
 
 
 def _component_classes(
@@ -232,37 +201,6 @@ def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
             cur.append(take)
             rem -= take
     return tuple(out)
-
-
-def enumerate_partitions(max_size: int) -> Iterator[Partition]:
-    """All partitions of size 0..max_size, each exactly once."""
-    if max_size < 0:
-        raise ValueError("max_size must be nonnegative")
-    for size in range(max_size + 1):
-        for parts in partitions_of(size):
-            yield Partition(parts)
-
-
-def enumerate_multipartitions(n: int, ell: int) -> Iterator[MultiPartition]:
-    """All ell-tuples of partitions with total size exactly n."""
-    if ell < 1:
-        raise ValueError("cycle length must be positive")
-    if n < 0:
-        raise ValueError("total size must be nonnegative")
-
-    def fill(index: int, remaining: int) -> Iterator[tuple[Partition, ...]]:
-        if index == ell - 1:
-            for parts in partitions_of(remaining):
-                yield (Partition(parts),)
-            return
-        for size in range(remaining + 1):
-            for parts in partitions_of(size):
-                head = Partition(parts)
-                for tail in fill(index + 1, remaining - size):
-                    yield (head,) + tail
-
-    for combo in fill(0, n):
-        yield MultiPartition(combo)
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,11 @@ r is the multiplicity of the basis element sigma^r (equivalently the quiver
 vertex r).  Vectors optionally carry a framing multiplicity for the extra
 vertex used by framed dimension vectors; the framing never takes part in
 character pairings.
+
+`generate_Rn` lists the roots of the hyperplanes of the bound n as a plain
+tuple of `DimVector`s, each built from the closed form `_root_forms` gives
+it; a report pairs a character with those forms on integers, and `pair` is
+the exact rational pairing of one character with one vector.
 """
 
 from __future__ import annotations
@@ -43,20 +48,6 @@ class DimVector(Frozen):
     def ell(self) -> int:
         return len(self.coords)
 
-    def coordinate_sum(self) -> int:
-        return sum(self.coords)
-
-    def is_nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.coords)
-
-    def rotated(self, shift: int) -> DimVector:
-        """Multiplication by sigma^shift: coordinate r moves to r + shift."""
-        n = self.ell
-        shift %= n
-        return DimVector(
-            tuple(self.coords[(r - shift) % n] for r in range(n)), self.framing
-        )
-
     def _check_compatible(self, other: DimVector) -> None:
         if not isinstance(other, DimVector):
             raise TypeError(f"expected DimVector, got {type(other).__name__}")
@@ -68,13 +59,6 @@ class DimVector(Frozen):
         return DimVector(
             tuple(a + b for a, b in zip(self.coords, other.coords)),
             self.framing + other.framing,
-        )
-
-    def __sub__(self, other: DimVector) -> DimVector:
-        self._check_compatible(other)
-        return DimVector(
-            tuple(a - b for a, b in zip(self.coords, other.coords)),
-            self.framing - other.framing,
         )
 
     def __mul__(self, scalar: int) -> DimVector:
@@ -99,22 +83,6 @@ class DimVector(Frozen):
             return "inf+" + body
         return f"{self.framing}inf+" + body
 
-    @classmethod
-    def parse(cls, text: str) -> DimVector:
-        """Parse the `(1,0,1)` syntax, optionally prefixed by `inf+`."""
-        s = text.strip()
-        framing = 0
-        if "inf+" in s:
-            head, _, s = s.partition("inf+")
-            head = head.strip()
-            framing = 1 if head == "" else int(head)
-        if not (s.startswith("(") and s.endswith(")")):
-            raise ValueError(f"malformed dimension vector: {text!r}")
-        inner = s[1:-1].strip()
-        if not inner:
-            raise ValueError(f"malformed dimension vector: {text!r}")
-        return cls(tuple(int(tok) for tok in inner.split(",")), framing)
-
 
 def delta(ell: int) -> DimVector:
     """The all-ones vector, the minimal imaginary root of the cycle."""
@@ -123,32 +91,7 @@ def delta(ell: int) -> DimVector:
     return DimVector((1,) * ell)
 
 
-def epsilon(index: int, ell: int) -> DimVector:
-    """Coordinate vector at the given cycle vertex."""
-    if not 0 <= index < ell:
-        raise ValueError(f"vertex {index} out of range for cycle length {ell}")
-    return DimVector(tuple(1 if r == index else 0 for r in range(ell)))
-
-
-class RootSet(Frozen):
-    """The finite root list attached to the bound n on a cycle of length ell."""
-
-    __slots__ = ("roots", "n", "ell")
-
-    def __init__(self, roots: Sequence[DimVector], n: int, ell: int):
-        self._assign(tuple(roots), n, ell)
-
-    def __iter__(self) -> Iterator[DimVector]:
-        return iter(self.roots)
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def __repr__(self) -> str:
-        return f"RootSet(n={self.n}, ell={self.ell}, size={len(self.roots)})"
-
-
-def generate_Rn(n: int, ell: int) -> RootSet:
+def generate_Rn(n: int, ell: int) -> tuple[DimVector, ...]:
     """All positive roots with vertex-0 coefficient below n, plus n*delta.
 
     Generated from the closed-form union of three families: the imaginary
@@ -162,11 +105,10 @@ def generate_Rn(n: int, ell: int) -> RootSet:
         raise ValueError("bound n must be positive")
     if ell < 1:
         raise ValueError("cycle length must be positive")
-    roots = [
+    return tuple(
         DimVector._trusted((m,) * lo + (m + sign,) * (hi - lo) + (m,) * (ell - hi))
         for m, sign, lo, hi in _root_forms(n, ell)
-    ]
-    return RootSet(roots, n, ell)
+    )
 
 
 def _root_forms(n: int, ell: int) -> Iterator[tuple[int, int, int, int]]:
@@ -197,6 +139,3 @@ def pair(chi: "RationalCharacter", alpha: DimVector) -> Fraction:
         )
     return sum((v * c for v, c in zip(values, alpha.coords)), Fraction(0))
 
-
-def is_integral_pairing(chi: "RationalCharacter", alpha: DimVector) -> bool:
-    return pair(chi, alpha).denominator == 1

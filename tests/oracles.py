@@ -19,6 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
+from cyclocone.abelian import FGAbelianGroup
 from cyclocone.params import CircleElement, KappaParams, RationalCharacter
 
 
@@ -206,6 +207,13 @@ def count_walk(groups: dict[int, int], good: int) -> int:
     return sum(count for mask, count in groups.items() if mask & ~good == 0)
 
 
+def cyclic_group(order: int) -> FGAbelianGroup:
+    """Z/order in invariant factor form, with Z/0 = Z and Z/1 trivial."""
+    if order == 0:
+        return FGAbelianGroup(1)
+    return FGAbelianGroup(0, (order,) if order > 1 else ())
+
+
 def rank_over_rationals(columns: list[tuple[int, ...]], rows: int) -> int:
     """Rank of the matrix with the given columns, by Gaussian elimination
     that clears an entry by cross-multiplying (so it stays in integers)."""
@@ -282,7 +290,7 @@ def chi_to_kappa(chi: RationalCharacter) -> KappaParams:
     sum(kappa) = 0, and k00 = -k01 = (coordinate sum of chi)/2.
     """
     ell = chi.ell
-    k00 = chi.delta_pairing() / 2
+    k00 = sum(chi.values, Fraction(0)) / 2
     if ell == 1:
         return KappaParams(k00, -k00, (Fraction(0),))
     inv_ell = Fraction(1, ell)
@@ -300,8 +308,9 @@ def hecke_params(
 ) -> tuple[CircleElement, CircleElement, tuple[CircleElement, ...]]:
     """Unit-circle parameters (q0, q1, u) attached to kappa coordinates.
 
-    q0 = circle(k00), q1 = -exp(2*pi*i*k01) with the sign absorbed as a half
-    rotation, and u_r = zeta^{-r} exp(2*pi*i*kappa_r) = circle(kappa_r - r/ell).
+    q0 = exp(2*pi*i*k00), q1 = -exp(2*pi*i*k01) with the sign absorbed as a
+    half rotation, and u_r = zeta^{-r} exp(2*pi*i*kappa_r), the angle
+    kappa_r - r/ell.
     """
     if kp.ell != ell:
         raise ValueError(f"expected {ell} kappa entries, got {kp.ell}")
@@ -314,5 +323,6 @@ def hecke_params(
 
 
 def hecke_q(q0: CircleElement, q1: CircleElement) -> CircleElement:
-    """The deformation parameter q = -q0 * q1^{-1}, another half rotation."""
-    return CircleElement(Fraction(1, 2)) * q0 * q1.inverse()
+    """The deformation parameter q = -q0 * q1^{-1}, another half rotation:
+    its angle 1/2 + t0 - t1, summed on Fractions and reduced mod 1."""
+    return CircleElement((Fraction(1, 2) + q0.t - q1.t) % 1)

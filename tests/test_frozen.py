@@ -15,14 +15,12 @@ from cyclocone import (
     OrbitLabel,
     Partition,
     RationalCharacter,
-    RootSet,
 )
 from cyclocone._frozen import Frozen
 
 # Each entry builds a fresh, equal value on every call.
 MAKERS = {
     DimVector: lambda: DimVector((1, 0, 1), framing=1),
-    RootSet: lambda: RootSet([DimVector((1,))], 1, 1),
     Partition: lambda: Partition([2, 1]),
     MultiPartition: lambda: MultiPartition([Partition([1]), Partition()]),
     IntMatrix: lambda: IntMatrix(1, 2, [1, 2]),

@@ -12,7 +12,6 @@ from cyclocone.params import (
     ariki_product_nonzero,
     cherednik_semisimple,
     chi_to_kappa,
-    circle,
     hecke_params,
     hecke_q,
     kappa_to_chi,
@@ -92,18 +91,8 @@ class TestCommonDenominator:
 
 class TestCircle:
     def test_canonical_representative(self):
-        assert circle(Fraction(5, 4)).t == Fraction(1, 4)
-        assert circle(-1).t == 0
-
-    def test_group_laws(self):
-        a, b, c = circle(Fraction(1, 3)), circle(Fraction(1, 4)), circle(Fraction(5, 6))
-        assert (a * b) * c == a * (b * c)
-        assert a * circle(0) == a
-        assert (a * a.inverse()).is_one()
-
-    @given(fracs, st.integers(-6, 6))
-    def test_powers(self, t, m):
-        assert circle(t) ** m == circle(t * m)
+        assert CircleElement(Fraction(5, 4)).t == Fraction(1, 4)
+        assert CircleElement(-1).t == 0
 
 
 class TestKappaChiDictionary:
@@ -151,7 +140,7 @@ class TestKappaChiDictionary:
         ell = data.draw(st.integers(1, 5))
         chi = RationalCharacter(tuple(data.draw(fracs) for _ in range(ell)))
         kp = chi_to_kappa(chi)
-        assert chi.delta_pairing() == kp.k00 - kp.k01
+        assert sum(chi.values, Fraction(0)) == kp.k00 - kp.k01
 
     def test_printed_closed_form_has_centering_constant(self):
         # The closed-form inverse reads, for 1 <= i <= ell-1,
@@ -178,9 +167,9 @@ class TestHeckeParams:
     def test_all_zero_kappa(self):
         kp = KappaParams(0, 0, (0, 0))
         q0, q1, u = hecke_params(kp, 2)
-        assert q0 == circle(0)
-        assert q1 == circle(Fraction(1, 2))
-        assert u == (circle(0), circle(Fraction(1, 2)))
+        assert q0 == CircleElement(0)
+        assert q1 == CircleElement(Fraction(1, 2))
+        assert u == (CircleElement(0), CircleElement(Fraction(1, 2)))
 
     def test_q_is_k_difference(self):
         rng = random.Random(8)
@@ -191,13 +180,13 @@ class TestHeckeParams:
             k00 = random_fraction(rng)
             kp = KappaParams(k00, -k00, tuple(kappa))
             q0, q1, _ = hecke_params(kp, ell)
-            assert hecke_q(q0, q1) == circle(kp.k00 - kp.k01)
+            assert hecke_q(q0, q1) == CircleElement(kp.k00 - kp.k01)
 
     def test_q_identity_at_half(self):
         kp = KappaParams(Fraction(1, 2), Fraction(-1, 2), (0,))
         q0, q1, _ = hecke_params(kp, 1)
-        assert hecke_q(q0, q1) == circle(1)
-        assert hecke_q(q0, q1).is_one()
+        assert hecke_q(q0, q1) == CircleElement(1)
+        assert hecke_q(q0, q1).t == 0
 
 
 class TestIntegerPathAgainstFractionOracles:
@@ -250,7 +239,7 @@ class TestIntegerPathAgainstFractionOracles:
             self.assert_circles_equal(hecke_q(*got[:2]), oracles.hecke_q(*want[:2]))
 
     def test_from_ratio_reduces_modulo_one(self):
-        assert CircleElement.from_ratio(7, 4) == circle(Fraction(3, 4))
+        assert CircleElement.from_ratio(7, 4) == CircleElement(Fraction(3, 4))
         assert CircleElement.from_ratio(-1, 3).t == Fraction(2, 3)
         assert CircleElement.from_ratio(-6, 3).t == 0
         assert CircleElement.from_ratio(10, 4).t == Fraction(1, 2)
@@ -258,10 +247,10 @@ class TestIntegerPathAgainstFractionOracles:
 
 class TestAriki:
     def test_half_rotation_fails_at_n_two(self):
-        assert not ariki_product_nonzero(circle(Fraction(1, 2)), (circle(0),), 2)
+        assert not ariki_product_nonzero(CircleElement(Fraction(1, 2)), (CircleElement(0),), 2)
 
     def test_fifth_rotation_passes_at_n_two(self):
-        assert ariki_product_nonzero(circle(Fraction(1, 5)), (circle(0),), 2)
+        assert ariki_product_nonzero(CircleElement(Fraction(1, 5)), (CircleElement(0),), 2)
 
     @pytest.mark.parametrize(
         "q, u, n",
@@ -277,7 +266,7 @@ class TestAriki:
     def test_edge_cases_match_the_scan(self, q, u, n):
         u = [Fraction(x) for x in u]
         assert ariki_product_nonzero(
-            circle(q), tuple(map(circle, u)), n
+            CircleElement(q), tuple(map(CircleElement, u)), n
         ) == ariki_nonzero_scan(Fraction(q), u, n)
 
     def test_matches_the_scan(self):
@@ -290,14 +279,14 @@ class TestAriki:
             n = rng.randint(1, 5)
             q = random_fraction(rng)
             u = [random_fraction(rng) for _ in range(ell)]
-            got = ariki_product_nonzero(circle(q), tuple(map(circle, u)), n)
+            got = ariki_product_nonzero(CircleElement(q), tuple(map(CircleElement, u)), n)
             assert got == ariki_nonzero_scan(q, u, n), (q, u, n)
             verdicts.add(got)
         assert verdicts == {True, False}
 
     def test_equal_u_values_fail(self):
-        u = (circle(Fraction(1, 3)), circle(Fraction(1, 3)))
-        assert not ariki_product_nonzero(circle(Fraction(1, 7)), u, 1)
+        u = (CircleElement(Fraction(1, 3)), CircleElement(Fraction(1, 3)))
+        assert not ariki_product_nonzero(CircleElement(Fraction(1, 7)), u, 1)
 
 
 class TestCherednik:
@@ -434,7 +423,7 @@ class TestIntegerHeckeVerdict:
         verdicts = set()
         for n in range(1, 7):
             for ell in range(1, 7):
-                roots = generate_Rn(6, ell).roots
+                roots = generate_Rn(6, ell)
                 for _ in range(15):
                     chi = RationalCharacter(
                         [random_fraction(rng, max_den=60, max_num=90) for _ in range(ell)]

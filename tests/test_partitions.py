@@ -2,12 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclocone.partitions import (
-    Box,
     MultiPartition,
     Partition,
-    content,
-    enumerate_multipartitions,
-    enumerate_partitions,
+    count_multipartitions,
     partitions_of,
     residue,
     shifted_residue,
@@ -37,21 +34,19 @@ partition_strategy = st.lists(st.integers(1, 8), max_size=6).map(
 
 
 class TestContent:
+    """The box in row j at position i has content j - i; the residue counts
+    the boxes by content modulo ell, so a single box shows its content."""
+
     def test_corner_box(self):
-        assert content(Box(column=1, row=1)) == 0
+        assert residue(P(1), 5).coords == (1, 0, 0, 0, 0)
 
     def test_second_column(self):
-        assert content(Box(column=2, row=1)) == -1
+        # The first row's boxes have contents 0 and -1 = 4 mod 5.
+        assert residue(P(2), 5).coords == (1, 0, 0, 0, 1)
 
     def test_third_row(self):
-        assert content(Box(column=1, row=3)) == 2
-
-    def test_membership(self):
-        lam = P(3, 1)
-        assert Box(column=3, row=1) in lam
-        assert Box(column=1, row=2) in lam
-        assert Box(column=2, row=2) not in lam
-        assert Box(column=1, row=3) not in lam
+        # One box in each of three rows: contents 0, 1 and 2.
+        assert residue(P(1, 1, 1), 5).coords == (1, 1, 1, 0, 0)
 
 
 class TestPartitionBasics:
@@ -81,10 +76,6 @@ class TestPartitionBasics:
         with pytest.raises(ValueError):
             MultiPartition.parse("[2];[]", ell=3)
 
-    def test_boxes_count_is_size(self):
-        lam = P(4, 2, 1)
-        assert sum(1 for _ in lam.boxes()) == lam.size
-
 
 class TestResidue:
     def test_empty_partition(self):
@@ -99,12 +90,13 @@ class TestResidue:
         assert residue(P(2), 3).coords == (1, 0, 1)
 
     def test_mod_one_counts_boxes(self):
-        for lam in enumerate_partitions(7):
-            assert residue(lam, 1).coords == (lam.size,)
+        for size in range(8):
+            for parts in partitions_of(size):
+                assert residue(Partition(parts), 1).coords == (size,)
 
     @given(partition_strategy, st.integers(1, 6))
     def test_coordinate_sum_is_size(self, lam, ell):
-        assert residue(lam, ell).coordinate_sum() == lam.size
+        assert sum(residue(lam, ell).coords) == lam.size
 
     @given(partition_strategy, st.integers(1, 6))
     def test_matches_box_scan(self, lam, ell):
@@ -151,16 +143,21 @@ class TestShiftedResidue:
         assert shifted_residue(nu, ell).coords == scan
 
 
+def up_to(max_size):
+    """The part tuples of every size up to max_size, sizes ascending."""
+    return [parts for size in range(max_size + 1) for parts in partitions_of(size)]
+
+
 class TestEnumeration:
     def test_max_size_zero(self):
-        assert list(enumerate_partitions(0)) == [Partition(())]
+        assert up_to(0) == [()]
 
     def test_max_size_two(self):
-        assert [p.parts for p in enumerate_partitions(2)] == [(), (1,), (2,), (1, 1)]
+        assert up_to(2) == [(), (1,), (2,), (1, 1)]
 
     def test_max_size_five_count(self):
         # p(0) + ... + p(5) = 1 + 1 + 2 + 3 + 5 + 7
-        assert sum(1 for _ in enumerate_partitions(5)) == 19
+        assert len(up_to(5)) == 19
 
     def test_order_within_size(self):
         assert partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
@@ -176,42 +173,39 @@ class TestEnumeration:
             assert set(partitions_of(n)) == set(oracle)
 
     def test_no_duplicates(self):
-        seen = list(enumerate_partitions(9))
+        seen = up_to(9)
         assert len(seen) == len(set(seen))
 
     def test_deterministic(self):
-        first = [p.parts for p in enumerate_partitions(6)]
-        second = [p.parts for p in enumerate_partitions(6)]
-        assert first == second
+        first = up_to(6)
+        partitions_of.cache_clear()
+        assert up_to(6) == first
 
 
 class TestMultipartitionEnumeration:
+    """count_multipartitions against the recursive listing of the oracle."""
+
     def test_five_pairs_of_size_two(self):
-        assert sum(1 for _ in enumerate_multipartitions(2, 2)) == 5
+        assert count_multipartitions(2, 2) == 5
 
     def test_size_zero(self):
-        out = list(enumerate_multipartitions(0, 3))
-        assert out == [MultiPartition.empty(3)]
+        assert list(multipartitions_recursive(0, 3)) == [((), (), ())]
+        assert count_multipartitions(0, 3) == 1
 
     def test_single_component(self):
-        out = [mp[0].parts for mp in enumerate_multipartitions(2, 1)]
-        assert out == [(2,), (1, 1)]
+        assert list(multipartitions_recursive(2, 1)) == [((2,),), ((1, 1),)]
+        assert count_multipartitions(2, 1) == 2
 
     def test_no_duplicates_and_total_size(self):
-        out = list(enumerate_multipartitions(4, 3))
-        assert len(out) == len(set(out))
-        assert all(mp.size == 4 for mp in out)
+        out = list(multipartitions_recursive(4, 3))
+        assert len(out) == len(set(out)) == count_multipartitions(4, 3)
+        assert all(sum(map(sum, mp)) == 4 for mp in out)
 
     @pytest.mark.parametrize("n,ell", [(3, 1), (4, 2), (3, 3), (2, 5)])
     def test_counts_against_convolution(self, n, ell):
-        assert sum(1 for _ in enumerate_multipartitions(n, ell)) == (
-            multipartition_count(n, ell)
-        )
+        assert count_multipartitions(n, ell) == multipartition_count(n, ell)
 
     @pytest.mark.parametrize("n,ell", [(3, 1), (4, 2), (3, 3), (2, 5)])
     def test_equals_the_recursive_oracle(self, n, ell):
         oracle = list(multipartitions_recursive(n, ell))
-        assert len(oracle) == len(set(oracle)) == multipartition_count(n, ell)
-        assert {
-            tuple(c.parts for c in mp) for mp in enumerate_multipartitions(n, ell)
-        } == set(oracle)
+        assert len(oracle) == len(set(oracle)) == count_multipartitions(n, ell)

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 import cyclocone.orbits as orbits_module
-import cyclocone.partitions as partitions_module
 import cyclocone.report as report_module
 from cyclocone.abelian import FGAbelianGroup
 from cyclocone.orbits import (
@@ -15,7 +14,6 @@ from cyclocone.orbits import (
     enumerate_Q_chi,
 )
 from cyclocone.params import RationalCharacter
-from cyclocone.partitions import enumerate_multipartitions
 from cyclocone.report import (
     CriteriaDisagreement,
     OrbitRow,
@@ -30,6 +28,7 @@ from oracles import (
     brute_force_orbit_pairs,
     cokernel_by_minors,
     multipartition_count,
+    multipartitions_recursive,
     random_fraction,
     string_vectors_scan,
 )
@@ -288,7 +287,7 @@ class TestMultipartitionCount:
     )
     def test_agrees_with_listing(self, n, ell):
         assert count_multipartitions(n, ell) == sum(
-            1 for _ in enumerate_multipartitions(n, ell)
+            1 for _ in multipartitions_recursive(n, ell)
         )
 
     def test_agrees_with_convolution_oracle(self):
@@ -317,7 +316,6 @@ class TestCountingWithoutListing:
         monkeypatch.setattr(orbits_module, "enumerate_orbits", refuse)
         monkeypatch.setattr(orbits_module, "_fill_labels", refuse)
         monkeypatch.setattr(orbits_module, "_component_strings", refuse)
-        monkeypatch.setattr(partitions_module, "enumerate_multipartitions", refuse)
         # The counts were taken from the listing before counting stopped
         # listing.
         for values, semisimple, simple_count in [
@@ -332,7 +330,8 @@ class TestCountingWithoutListing:
                 105,
             )
         # The table walks the placed records that the listing reads, but
-        # only their residues and masks: no record made its row texts.  The
+        # only their masks, beside their packed residues: no record made its
+        # row texts, and none holds a residue of its own.  The
         # records read here are the report's own, at the (4,4) graph's width
         # of 6 bits a vertex: reading them builds none.
         records = orbits_module._placed_of_size
@@ -341,7 +340,7 @@ class TestCountingWithoutListing:
         for index in range(4):
             for size in range(17):
                 for comp in records(4, index, size, 6)[1]:
-                    assert vars(comp).keys() == {"partition", "index", "shifted", "mask"}
+                    assert vars(comp).keys() == {"partition", "index", "ell", "mask"}
         assert records.cache_info().misses == misses
 
     # Per size: the number of labels, then (semisimple, simple_count) of each
