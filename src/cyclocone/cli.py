@@ -324,10 +324,10 @@ def _cmd_pi1(args, out) -> int:
 def _cmd_simples(args, out) -> int:
     """The labels of Q_chi from the label walk, one block of entry texts per
     prefix.  A label is in Q_chi when its mask has no bad bit, a class (of
-    length <= n*ell) that chi pairs with non-integrally, so a prefix with one
-    is skipped whole, and each node keeps the nu texts of its suffixes that
-    have none.  tsv streams; pretty and json print the count first, so keep
-    the blocks."""
+    length <= n*ell) that chi pairs with non-integrally; the walk runs over
+    the step graph without the records that have one, so every prefix and
+    every suffix it meets is printed.  tsv streams; pretty and json print
+    the count first, so keep the blocks."""
     from .orbits import _bad_bits, _fill
 
     n, ell = args.n, args.ell
@@ -342,15 +342,14 @@ def _cmd_simples(args, out) -> int:
     count = 0
 
     def close(suffixes):
-        return [nu[:-1] for nu, mask in suffixes if not mask & bad]
+        return [nu[:-1] for nu, _ in suffixes]
 
     def entries():
         nonlocal count
-        for seed, nu, mask, good in _fill(n, ell, "", _nu_text, close):
-            if good and not mask & bad:
-                count += len(good)
-                head = f"{lead}{seed.text}{mid}{nu}"
-                yield glue.join([f"{head}{tail}{end}" for tail in good])
+        for seed, nu, _, tails in _fill(n, ell, "", _nu_text, close, bad):
+            count += len(tails)
+            head = f"{lead}{seed.text}{mid}{nu}"
+            yield glue.join([f"{head}{tail}{end}" for tail in tails])
 
     if args.format == "tsv":
         _write(out, chain(["lambda\tnu\n"], entries()))

@@ -19,15 +19,18 @@ cache and the pairing test share this numbering.
 
 The label walk (_fill) and the table that counts labels per mask
 (_string_class_table) read one step graph (_step_graph) of those records,
-in which equal residues left share one node.  Its residues are packed
-ints, one field of W = (n*ell).bit_length() + 1 bits a vertex with a guard
-bit at the top of each, so a record is tested against a residue by one
-subtraction and one mask (_fits).  The walk stops at the node of nu
-component max(ell - 2, 0): each such node lists once the ways to place the
-components left (the last two, or the one when ell = 1) with their texts
-and masks, and every prefix that reaches it reads that list, so a table row
-is a prefix's texts joined with one entry.  The table folds the graph from
-its last component back, counting each node's completions once per mask.
+in which equal residues left share one node.  The graph's residues are
+packed ints, one field of W = (n*ell).bit_length() + 1 bits a vertex with a
+guard bit at the top of each, so a record is tested against a residue by
+one subtraction and one mask (_fits).  At a character the walk's graph
+keeps no nu record with a bit that chi pairs with non-integrally
+(_bad_bits), so it meets the labels of Q_chi and no other.  The walk stops
+at the node of nu component max(ell - 2, 0): each such node lists once the
+ways to place the components left (the last two, or the one when ell = 1)
+with their texts and masks, and every prefix that reaches it reads that
+list, so a table row is a prefix's texts joined with one entry.  The table
+folds the graph from its last component back, counting each node's
+completions once per mask.
 
 The fundamental group is the cokernel Z^ell / L of the lattice L spanned
 by the string vectors of a label's mask, the OR of its components', and a
@@ -262,11 +265,6 @@ def admits_monodromic_local_system(
     label: OrbitLabel, chi: RationalCharacter
 ) -> bool:
     """Whether chi pairs integrally with every string summand vector."""
-    if chi.ell != label.ell:
-        raise ValueError(
-            f"character has {chi.ell} entries, label lives on a cycle "
-            f"of length {label.ell}"
-        )
     return not _label_mask(label) & _bad_bits(label.n, label.ell, chi)
 
 
@@ -325,12 +323,13 @@ def _placed_of_size(
     return tuple(residues), tuple(records)
 
 
-def _fits(ell: int, index: int, remaining: int, sizes, width: int) -> list:
+def _fits(ell: int, index: int, remaining: int, sizes, width: int, bad: int) -> list:
     """(record, rest) per placed record at `index` of the given sizes whose
-    residue fits under `remaining`, rest the residue left over, both packed
-    at `width` bits a vertex with every coordinate below 2**(width - 1).
-    The one placement of a diagram on the cycle: _step_graph places lambda
-    (index 0, so unrotated) and every nu component through it.
+    residue fits under `remaining` and whose mask misses `bad`, rest the
+    residue left over, both packed at `width` bits a vertex with every
+    coordinate below 2**(width - 1).  The one placement of a diagram on the
+    cycle: _step_graph places lambda (index 0, so unrotated) and every nu
+    component through it.
 
     A guard bit sits at the top of each field.  In (remaining | guard) less
     the packed record a field keeps its guard bit iff the record's
@@ -343,20 +342,22 @@ def _fits(ell: int, index: int, remaining: int, sizes, width: int) -> list:
         (comp, rest ^ guard)
         for size in sizes
         for packed, comp in zip(*_placed_of_size(ell, index, size, width))
-        if (rest := top - packed) & guard == guard
+        if (rest := top - packed) & guard == guard and not comp.mask & bad
     ]
 
 
-def _step_graph(n: int, ell: int) -> tuple:
+def _step_graph(n: int, ell: int, bad=0) -> tuple:
     """(lambda record, steps of nu component 0) per lambda that some nu
     completes, in the order of enumerate_orbits.  The steps of component i
     are a tuple of (record, steps of component i + 1), and (record, None)
     at the last component, which takes up all that is left; one tuple per
-    residue left, shared by every prefix that leaves it.
+    residue left, shared by every prefix that leaves it.  A nu record whose
+    mask meets `bad` is never kept; lambda is not filtered, since its
+    classes are no part of a label's mask.
 
-    Built layer by layer, with no recursion: the fits of each residue go
-    forward, the residue each leaves interned in the next layer's dict of
-    residues, few of them distinct; then each layer is linked to the one
+    Built layer by layer, with no recursion: the kept fits of each residue
+    go forward, the residue each leaves interned in the next layer's dict
+    of residues, few of them distinct; then each layer is linked to the one
     after it, from the last back, and a placement that no later layer
     completes is never linked, so no walk meets a dead end.  Residues are
     packed ints (_pack) of W = (n*ell).bit_length() + 1 bits a vertex: no
@@ -370,6 +371,7 @@ def _step_graph(n: int, ell: int) -> tuple:
     layers, residues = [], {start: None}
     for index in range(-1, ell):
         fits, following = {}, {}
+        skip = bad if index >= 0 else 0
         intern = following.setdefault
         for remaining in residues:
             # lambda (index -1, placed at 0) runs through sizes n*ell down to
@@ -378,7 +380,7 @@ def _step_graph(n: int, ell: int) -> tuple:
             sizes = range(total if index == ell - 1 else 0, total + 1)
             if index < 0:
                 sizes = reversed(sizes)
-            placed = _fits(ell, max(index, 0), remaining, sizes, width)
+            placed = _fits(ell, max(index, 0), remaining, sizes, width, skip)
             fits[remaining] = [(comp, intern(rest, rest)) for comp, rest in placed]
         layers.append(fits)
         residues = following
@@ -393,18 +395,18 @@ def _step_graph(n: int, ell: int) -> tuple:
     return linked.get(start, ())
 
 
-def _fill(n: int, ell: int, root, push, close=None) -> Iterator[tuple]:
+def _fill(n: int, ell: int, root, push, close=None, bad=0) -> Iterator[tuple]:
     """(lambda record, state, mask, suffixes) per lambda and prefix (nu
-    components 0..k-1, k = max(ell - 2, 0)), in enumeration order: state is
-    push folded over the prefix from root, mask ORs its class masks, and
-    suffixes, close() of _suffixes of the prefix's node (the steps of
-    component k), holds the ways to finish the label, each closing one.
-    The suffixes are built on a node's first visit and shared by every
-    prefix that reaches it.  The one label walk: an explicit stack of
-    (steps, state, mask) over _step_graph, so each state is made once per
-    push and no depth recurses."""
+    components 0..k-1, k = max(ell - 2, 0)) of the labels whose mask misses
+    `bad`, in enumeration order: state is push folded over the prefix from
+    root, mask ORs its class masks, and suffixes, close() of _suffixes of
+    the prefix's node (the steps of component k), the ways to finish the
+    label, is never empty.  Suffixes are built on a node's first visit and
+    shared by every prefix that reaches it.  The one label walk: a stack of
+    (steps, state, mask) over _step_graph(n, ell, bad), so each state is
+    made once per push and no depth recurses."""
     built = {}
-    for seed, steps in _step_graph(n, ell):
+    for seed, steps in _step_graph(n, ell, bad):
         stack = [(steps, root, 0)]
         while stack:
             steps, state, mask = stack.pop()
@@ -440,19 +442,12 @@ def _suffixes(node: tuple, root, push) -> list[tuple]:
     return out
 
 
-def _fill_labels(
-    n: int, ell: int, chi: RationalCharacter | None = None
-) -> Iterator[tuple[Partition, Components, int, bool | None]]:
-    """(lambda, nu components, class mask, chi-monodromic flag or None) per
-    label of enumerate_orbits; the flag tests the mask against _bad_bits."""
-    if chi is not None and chi.ell != ell:
-        raise ValueError(f"character has {chi.ell} entries, expected {ell}")
-    bad = None if chi is None else _bad_bits(n, ell, chi)
-    for seed, head, mask, suffixes in _fill(n, ell, (), lambda h, c: (*h, c)):
-        for tail, tail_mask in suffixes:
-            full = mask | tail_mask
-            flag = None if bad is None else not full & bad
-            yield seed.partition, head + tail, full, flag
+def _fill_labels(n: int, ell: int, bad=0) -> Iterator[tuple]:
+    """(lambda, nu components, class mask) per label of enumerate_orbits
+    whose mask misses `bad`, read off _fill over the filtered step graph."""
+    for seed, head, mask, tails in _fill(n, ell, (), lambda h, c: (*h, c), None, bad):
+        for tail, tail_mask in tails:
+            yield seed.partition, head + tail, mask | tail_mask
 
 
 @lru_cache(maxsize=None)
@@ -465,7 +460,7 @@ def enumerate_orbits(n: int, ell: int) -> tuple[OrbitLabel, ...]:
     nu therefore come first.
     """
     labels = _fill_labels(n, ell)
-    return tuple(_orbit_label(lam, comps, n) for lam, comps, _, _ in labels)
+    return tuple(_orbit_label(lam, comps, n) for lam, comps, _ in labels)
 
 
 @lru_cache(maxsize=None)
@@ -553,8 +548,11 @@ def _non_integral_mask(ell: int, mask: int, d: int, scaled) -> int:
 def _bad_bits(n: int, ell: int, chi: RationalCharacter) -> int:
     """The bits of every string class a label of (n, ell) can have (a row
     is at most n*ell long, so its bit is below n*ell*ell) that chi pairs
-    with non-integrally.  Each bit is decided on its own, so a label
-    admits a chi-monodromic local system exactly when its mask has none."""
+    with non-integrally, the one check of chi's length for a walk or a
+    label.  Each bit is decided on its own, so a label admits a
+    chi-monodromic local system exactly when its mask has none."""
+    if chi.ell != ell:
+        raise ValueError(f"character has {chi.ell} entries, expected {ell}")
     full = (1 << max(n, 0) * ell * ell) - 1
     return _non_integral_mask(ell, full, *chi.common_denominator())
 
@@ -565,10 +563,10 @@ def enumerate_Q_chi(
     """The labels admitting a chi-monodromic local system.
 
     Its length is the number of simple objects of the admissible category
-    at the character chi.  Only those labels are built.
-    """
-    rows = _fill_labels(n, ell, chi)
-    return [_orbit_label(lam, comps, n) for lam, comps, _, flag in rows if flag]
+    at the character chi.  The walk meets only these labels: its step
+    graph keeps no record with a bit of _bad_bits."""
+    rows = _fill_labels(n, ell, _bad_bits(n, ell, chi))
+    return [_orbit_label(lam, comps, n) for lam, comps, _ in rows]
 
 
 def count_Q_chi(n: int, ell: int, chi: RationalCharacter) -> int:

@@ -41,6 +41,7 @@ from .orbits import (
     OrbitLabel,
     PlacedComponent,
     StringSummand,
+    _bad_bits,
     _class_set_pi1,
     _count_Q_chi,
     _fill_labels,
@@ -223,5 +224,7 @@ def orbit_report(
 ) -> Iterator[OrbitRow]:
     """One OrbitRow per orbit label, in enumeration order, built as it is
     read; pi1 depends only on the label's class mask and is cached per mask."""
-    for lam, components, mask, flag in _fill_labels(n, ell, chi):
+    bad = None if chi is None else _bad_bits(n, ell, chi)
+    for lam, components, mask in _fill_labels(n, ell):
+        flag = None if bad is None else not mask & bad
         yield OrbitRow(lam, components, _class_set_pi1(ell, mask), flag)

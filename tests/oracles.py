@@ -136,36 +136,72 @@ def partitions_recursive(n: int, max_part: int | None = None):
             yield (first, *rest)
 
 
-def multipartitions_recursive(n: int, ell: int):
-    """Every ell-tuple of partitions (descending tuples) of total size n."""
+def multipartitions_recursive(n: int, ell: int, keep=None, index: int = 0):
+    """Every ell-tuple of partitions (descending tuples) of total size n;
+    with keep, only those whose component i (counted from `index`) has
+    keep(i, parts), a component that fails never being extended."""
     if ell == 1:
-        yield from ((parts,) for parts in partitions_recursive(n))
+        yield from (
+            (parts,)
+            for parts in partitions_recursive(n)
+            if keep is None or keep(index, parts)
+        )
         return
     for size in range(n + 1):
         for head in partitions_recursive(size):
-            for tail in multipartitions_recursive(n - size, ell - 1):
-                yield (head, *tail)
+            if keep is None or keep(index, head):
+                for tail in multipartitions_recursive(
+                    n - size, ell - 1, keep, index + 1
+                ):
+                    yield (head, *tail)
 
 
 def brute_force_orbit_pairs(
-    n: int, ell: int
+    n: int, ell: int, chi_values=None
 ) -> set[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
     """All (lambda, nu) with |lambda| + |nu| = n*ell meeting the residue law.
 
     Double loop over every partition of every admissible size and every
     multipartition of the complement, both from the plain recursive
-    generators above, with residues recomputed by the scan-based oracles.
+    generators above (the multipartitions listed once per size), with
+    residues recomputed by the scan-based oracles.  Given the values of a
+    character, only the pairs whose every string vector pairs integrally
+    with it (pairs_integrally), each nu component tested as it is made.
     """
+    keep = None
+    if chi_values is not None:
+
+        def keep(index, parts):
+            vectors = component_vectors_scan(index, parts, ell)
+            return all(pairs_integrally(chi_values, v) for v in vectors)
+
     out = set()
     total = n * ell
     target = (n,) * ell
     for size in range(total + 1):
+        nus = [
+            (comps, shifted_residue_scan(comps, ell))
+            for comps in multipartitions_recursive(total - size, ell, keep)
+        ]
         for lam in partitions_recursive(size):
             lam_res = residue_scan(lam, ell)
-            for comps in multipartitions_recursive(total - size, ell):
-                sres = shifted_residue_scan(comps, ell)
+            for comps, sres in nus:
                 if tuple(a + b for a, b in zip(lam_res, sres)) == target:
                     out.add((lam, comps))
+    return out
+
+
+def component_vectors_scan(
+    index: int, parts: tuple[int, ...], ell: int
+) -> list[tuple[int, ...]]:
+    """One vector per row of the component at `index`: its boxes' shifted
+    contents."""
+    out = []
+    for row, part in enumerate(parts, start=1):
+        counts = [0] * ell
+        for col in range(1, part + 1):
+            counts[(index + row - col) % ell] += 1
+        out.append(tuple(counts))
     return out
 
 
@@ -173,14 +209,28 @@ def string_vectors_scan(
     components: tuple[tuple[int, ...], ...], ell: int
 ) -> list[tuple[int, ...]]:
     """One vector per row of every component: its boxes' shifted contents."""
-    out = []
-    for i, parts in enumerate(components):
-        for row, part in enumerate(parts, start=1):
-            counts = [0] * ell
-            for col in range(1, part + 1):
-                counts[(i + row - col) % ell] += 1
-            out.append(tuple(counts))
-    return out
+    return [
+        vector
+        for i, parts in enumerate(components)
+        for vector in component_vectors_scan(i, parts, ell)
+    ]
+
+
+def pairs_integrally(chi_values, vector: tuple[int, ...]) -> bool:
+    """Whether sum(chi_values[v] * vector[v]) is an integer, in Fractions."""
+    return sum(Fraction(c) * x for c, x in zip(chi_values, vector)).denominator == 1
+
+
+def bad_mask_scan(chi_values, n: int, ell: int) -> int:
+    """The bits below n*ell*ell (every class of a row at most n*ell long)
+    whose string vector, from mask_vectors, does not pair integrally with
+    the character of the given values."""
+    bad = 0
+    for k in range(n * ell * ell):
+        (vector,) = mask_vectors(ell, 1 << k)
+        if not pairs_integrally(chi_values, vector):
+            bad |= 1 << k
+    return bad
 
 
 def mask_vectors(ell: int, mask: int) -> list[tuple[int, ...]]:
@@ -237,10 +287,10 @@ def cokernel_by_minors(
 
     D_i is the gcd of all i x i minors; the rank r is the largest i with
     D_i != 0, and the invariant factors are d_i = D_i / D_{i-1}, i <= r.
-    Ranks come from elimination over the rationals: no size above the rank
-    is scanned, nor a set of rows of lower rank than the size (all those
-    minors are 0).  A gcd that reaches 1 stays 1, so the scan of a size
-    stops there.
+    The rank comes from elimination over the rationals, and no size above
+    it is scanned.  A column that is 0 on a set of rows is left out of that
+    set's minors, which it would make 0.  A gcd that reaches 1 stays 1, so
+    the scan of a size stops there.
     """
     rank = rank_over_rationals(columns, rows)
     divisors = [1]
@@ -249,9 +299,7 @@ def cokernel_by_minors(
         minors = (
             det_int([[c[r] for c in cs] for r in rs])
             for rs in combinations(range(rows), size)
-            if rank_over_rationals([[c[r] for r in rs] for c in columns], size)
-            == size
-            for cs in combinations(columns, size)
+            for cs in combinations([c for c in columns if any(c[r] for r in rs)], size)
         )
         for minor in minors:
             d = gcd(d, minor)

@@ -21,15 +21,21 @@ from cyclocone.orbits import (
 )
 from cyclocone.params import RationalCharacter
 from cyclocone.partitions import MultiPartition, Partition, partitions_of
-from cyclocone.report import count_multipartitions, semisimplicity_report
+from cyclocone.report import (
+    count_multipartitions,
+    orbit_report,
+    semisimplicity_report,
+)
 from cyclocone.rootlattice import DimVector, generate_Rn, pair
 
 from oracles import (
+    bad_mask_scan,
     brute_force_orbit_pairs,
     cokernel_by_minors,
     count_walk,
     cyclic_group,
     mask_vectors,
+    pairs_integrally,
     random_fraction,
     shifted_residue_scan,
     string_vectors_scan,
@@ -109,7 +115,7 @@ class TestEnumeration:
         expected = sorted(brute_force_orbit_pairs(n, ell), key=key)
         walked = [
             (lam.parts, tuple(comp.partition.parts for comp in comps))
-            for lam, comps, _, _ in orbits_module._fill_labels(n, ell)
+            for lam, comps, _ in orbits_module._fill_labels(n, ell)
         ]
         assert walked == expected
         assert [
@@ -122,26 +128,32 @@ class TestEnumeration:
     )
     def test_fill_labels_equal_the_brute_force_pairs(self, n, ell):
         # At ell <= 2 the walk has no prefix: every label comes whole from
-        # the suffixes of a node of component 0.  Labels, masks and flags
-        # against the oracle's double loop and its box scans.
+        # the suffixes of a node of component 0.  Labels and masks against
+        # the oracle's double loop and its box scans; the monodromic flags
+        # of orbit_report's rows, which read the same walk, against pairs.
+        rows = list(orbits_module._fill_labels(n, ell))
+        pairs = [
+            (lam.parts, tuple(comp.partition.parts for comp in comps))
+            for lam, comps, _ in rows
+        ]
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == brute_force_orbit_pairs(n, ell)
+        for (_, nu), (_, _, mask) in zip(pairs, rows):
+            assert set(mask_vectors(ell, mask)) == set(string_vectors_scan(nu, ell))
         rng = random.Random(10 * n + ell)
         characters = [chi_of(*["1/2"] * ell)] + [
             RationalCharacter(tuple(random_fraction(rng, max_den=4) for _ in range(ell)))
             for _ in range(2)
         ]
         for chi in characters:
-            rows = list(orbits_module._fill_labels(n, ell, chi))
-            pairs = [
-                (lam.parts, tuple(comp.partition.parts for comp in comps))
-                for lam, comps, _, _ in rows
+            report = list(orbit_report(n, ell, chi))
+            assert [(r.lam, r.components) for r in report] == [
+                (lam, comps) for lam, comps, _ in rows
             ]
-            assert len(set(pairs)) == len(pairs)
-            assert set(pairs) == brute_force_orbit_pairs(n, ell)
-            for (_, nu), (_, _, mask, flag) in zip(pairs, rows):
+            for (_, nu), row in zip(pairs, report):
                 vectors = string_vectors_scan(nu, ell)
-                assert set(mask_vectors(ell, mask)) == set(vectors)
                 integral = all(pair(chi, DimVector(v)).denominator == 1 for v in vectors)
-                assert flag == integral
+                assert row.monodromic == integral
 
     def test_sizes_add_up(self):
         for lab in enumerate_orbits(2, 3):
@@ -363,6 +375,27 @@ class TestMonodromy:
         with pytest.raises(ValueError):
             admits_monodromic_local_system(lab, chi_of("1/2", "1/2"))
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda chi: enumerate_Q_chi(2, 1, chi),
+            lambda chi: count_Q_chi(2, 1, chi),
+            lambda chi: next(orbit_report(2, 1, chi)),
+            lambda chi: admits_monodromic_local_system(label((), ((2,),), 2, 1), chi),
+            lambda chi: semisimplicity_report(2, 1, chi),
+        ],
+        ids=[
+            "enumerate_Q_chi",
+            "count_Q_chi",
+            "orbit_report",
+            "admits_monodromic_local_system",
+            "semisimplicity_report",
+        ],
+    )
+    def test_every_chi_entry_refuses_a_length_mismatch(self, entry):
+        with pytest.raises(ValueError, match="character has 2 entries"):
+            entry(chi_of("1/2", "1/2"))
+
     def test_gcd_criterion_mod_one(self):
         rng = random.Random(3)
         for lab in enumerate_orbits(4, 1):
@@ -416,7 +449,7 @@ class TestStringClassTable:
         # checks the fold, not the placing; the brute-force test below does.
         groups = orbits_module._string_class_table(n, ell)[2]
         filled = Counter(
-            mask for _, _, mask, _ in orbits_module._fill_labels(n, ell)
+            mask for _, _, mask in orbits_module._fill_labels(n, ell)
         )
         assert dict(groups) == filled
 
@@ -486,10 +519,10 @@ class TestStringClassTable:
         assert got == self.PINS[n, ell]
 
 
-def step_layers(n, ell):
-    """The distinct nodes of _step_graph(n, ell) reached at each nu
+def step_layers(n, ell, bad=0):
+    """The distinct nodes of _step_graph(n, ell, bad) reached at each nu
     component, by identity: layer i holds the steps of component i."""
-    layer = {id(node): node for _, node in orbits_module._step_graph(n, ell)}
+    layer = {id(node): node for _, node in orbits_module._step_graph(n, ell, bad)}
     layers = []
     for _ in range(ell):
         layers.append(list(layer.values()))
@@ -497,19 +530,63 @@ def step_layers(n, ell):
     return layers
 
 
+# Characters that filter the step graph, per ell: each leaves out some nu
+# records and keeps others.
+FILTERING_CHARACTERS = {
+    1: [("1/2",), ("1/3",)],
+    2: [("1/2", "1/2"), ("1/3", "0")],
+    3: [("1/2", "0", "1/2"), ("1/3", "1/3", "1/3")],
+    4: [
+        ("1/5", "1/7", "2/3", "-1/2"),
+        ("0", "1/2", "0", "1/3"),
+        ("1/2", "1/2", "1/3", "-1/3"),
+    ],
+}
+STEP_GRAPH_CASES = [
+    pytest.param(n, ell, None, id=f"{n}-{ell}")
+    for n, ell in [(n, ell) for n in range(5) for ell in range(1, 5)] + [(1, 7)]
+] + [
+    pytest.param(n, ell, values, id=f"{n}-{ell}-chi={','.join(values)}")
+    for n, ell in [(n, ell) for n in range(4) for ell in range(1, 4)] + [(4, 4)]
+    for values in FILTERING_CHARACTERS[ell]
+]
+
+
 class TestStepGraph:
-    @pytest.mark.parametrize(
-        "n, ell", [(n, ell) for n in range(5) for ell in range(1, 5)] + [(1, 7)]
-    )
-    def test_every_reachable_step_completes(self, n, ell):
+    @pytest.mark.parametrize("n, ell, values", STEP_GRAPH_CASES)
+    def test_every_reachable_step_completes(self, n, ell, values):
         # No walk meets an empty step tuple at any depth, and a step links
-        # to None exactly at the last component.
-        assert orbits_module._step_graph(n, ell)
-        for index, nodes in enumerate(step_layers(n, ell)):
+        # to None exactly at the last component.  With a character, bad is
+        # the oracle's mask of the classes it pairs with non-integrally, and
+        # no nu record of the filtered graph has a bad bit.
+        bad = 0 if values is None else bad_mask_scan(values, n, ell)
+        assert orbits_module._step_graph(n, ell, bad)
+        for index, nodes in enumerate(step_layers(n, ell, bad)):
             for node in nodes:
                 assert isinstance(node, tuple) and node
-                for _, following in node:
+                for comp, following in node:
+                    assert not comp.mask & bad
                     assert (following is None) == (index == ell - 1)
+        if values is None and max(n, ell) > 3:
+            return  # the unfiltered double loop is too slow beyond (3,3)
+        # The walk over the filtered graph lists exactly the oracle's pairs
+        # that pass its integrality test; up to (3,3) the oracle's pruned
+        # double loop is checked against its filtered full one too.
+        listed = [
+            (lam.parts, tuple(comp.partition.parts for comp in comps))
+            for lam, comps, _ in orbits_module._fill_labels(n, ell, bad)
+        ]
+        expected = brute_force_orbit_pairs(n, ell, values)
+        assert len(set(listed)) == len(listed)
+        assert set(listed) == expected
+        if values is not None and max(n, ell) <= 3:
+            assert expected == {
+                (lam, nu)
+                for lam, nu in brute_force_orbit_pairs(n, ell)
+                if all(
+                    pairs_integrally(values, v) for v in string_vectors_scan(nu, ell)
+                )
+            }
 
     @pytest.mark.parametrize("n, ell", [(2, 3), (3, 3), (2, 4)])
     def test_equal_residues_share_one_node(self, n, ell):
@@ -556,7 +633,7 @@ class TestPackedFits:
                     for comp, shifted in records
                     if all(r >= s for r, s in zip(remaining, shifted))
                 ]
-                got = orbits_module._fits(ell, index, pack(remaining), sizes, width)
+                got = orbits_module._fits(ell, index, pack(remaining), sizes, width, 0)
                 assert [(comp, unpack(rest)) for comp, rest in got] == expected
         assert largest == n * ell or (ell > 1 and n > 0)
 
