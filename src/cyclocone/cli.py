@@ -109,15 +109,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_chi(args, ell: int, required: bool = True) -> RationalCharacter | None:
     chi_text = getattr(args, "chi", None)
     kappa_text = getattr(args, "kappa", None)
-    if chi_text and kappa_text:
+    if chi_text is not None and kappa_text is not None:
         raise InputError("--chi and --kappa are mutually exclusive")
-    if not (chi_text or kappa_text):
+    if chi_text is None and kappa_text is None:
         if required:
             raise InputError("one of --chi or --kappa is required")
         return None
     from .params import KappaParams, RationalCharacter, kappa_to_chi
 
-    if kappa_text:
+    if kappa_text is not None:
         return kappa_to_chi(KappaParams.parse(kappa_text, ell), ell)
     chi = RationalCharacter.parse(chi_text)
     if chi.ell != ell:
@@ -205,9 +205,10 @@ def _orbit_pieces(n: int, ell: int, chi, fmt: str):
     lines, or its JSON entries joined), plus the head and the totals.  The
     walk keeps per prefix its nu text ("a;b;") and its nonempty summand
     texts (json: summand-item fragments), each followed by a separator, and
-    per node the same texts of each suffix without the last separator, with
-    its mask.  A row is one f-string of those, the lambda text and the pi1
-    and flag texts of its mask.  Partition texts need no escapes."""
+    per residue left the same texts of each suffix without the last
+    separator, with its mask.  A row is one f-string of those, the lambda
+    text and the pi1 and flag texts of its mask.  Partition texts need no
+    escapes."""
     from .orbits import _bad_bits, _class_set_pi1, _fill
     from .partitions import count_multipartitions
 
@@ -385,7 +386,7 @@ def _cmd_semisimple(args, out) -> int:
     if args.selftest is not None:
         if args.selftest < 1:
             raise InputError("--selftest COUNT must be positive")
-        if args.chi or args.kappa:
+        if args.chi is not None or args.kappa is not None:
             raise InputError("--selftest draws its own characters; drop --chi/--kappa")
         if args.format != "pretty":
             raise InputError("--selftest prints one plain line; drop --format")
@@ -461,7 +462,7 @@ def _cmd_hyperplanes(args, out) -> int:
 
 
 def _cmd_translate(args, out) -> int:
-    if bool(args.chi) == bool(args.kappa):
+    if (args.chi is None) == (args.kappa is None):
         raise InputError("translate needs exactly one of --chi or --kappa")
     from .params import chi_to_kappa, hecke_json, hecke_params, hecke_q
 

@@ -18,19 +18,21 @@ every class's packed vector and bit (_row_table); the records, the pi1
 cache and the pairing test share this numbering.
 
 The label walk (_fill) and the table that counts labels per mask
-(_string_class_table) read one step graph (_step_graph) of those records,
-in which equal residues left share one node.  The graph's residues are
+(_string_class_table) read one step graph (_step_graph) of those records:
+a list of layers, one for lambda and one per nu component, each a dict
+from a residue left to the steps placed against it, (record, residue
+left) pairs, so equal residues left are one key.  The graph's residues are
 packed ints, one field of W = (n*ell).bit_length() + 1 bits a vertex with a
 guard bit at the top of each, so a record is tested against a residue by
 one subtraction and one mask (_fits).  At a character the walk's graph
 keeps no nu record with a bit that chi pairs with non-integrally
 (_bad_bits), so it meets the labels of Q_chi and no other.  The walk stops
-at the node of nu component max(ell - 2, 0): each such node lists once the
-ways to place the components left (the last two, or the one when ell = 1)
-with their texts and masks, and every prefix that reaches it reads that
-list, so a table row is a prefix's texts joined with one entry.  The table
-folds the graph from its last component back, counting each node's
-completions once per mask.
+at the layer of nu component max(ell - 2, 0): each residue there lists
+once the ways to place the components left (the last two, or the one when
+ell = 1) with their texts and masks, and every prefix that leaves it reads
+that list, so a table row is a prefix's texts joined with one entry.  The
+table folds the layers from the last one back, counting the completions
+of each residue once per mask.
 
 The fundamental group is the cokernel Z^ell / L of the lattice L spanned
 by the string vectors of a label's mask, the OR of its components', and a
@@ -346,31 +348,33 @@ def _fits(ell: int, index: int, remaining: int, sizes, width: int, bad: int) -> 
     ]
 
 
-def _step_graph(n: int, ell: int, bad=0) -> tuple:
-    """(lambda record, steps of nu component 0) per lambda that some nu
-    completes, in the order of enumerate_orbits.  The steps of component i
-    are a tuple of (record, steps of component i + 1), and (record, None)
-    at the last component, which takes up all that is left; one tuple per
-    residue left, shared by every prefix that leaves it.  A nu record whose
+def _step_graph(n: int, ell: int, bad=0) -> list[dict[int, list]]:
+    """The labels' steps as layers keyed by packed residue: layers[0] maps
+    n*delta to [(lambda record, residue left)], in the order of
+    enumerate_orbits, and layers[i + 1] maps each residue left before nu
+    component i to [(record of component i, residue left)].  Every key of
+    every layer is reached from n*delta and has a step, and every residue
+    left is a key of the next layer, or 0 after the last one, which takes
+    up all that is left; so no walk meets a dead end.  A nu record whose
     mask meets `bad` is never kept; lambda is not filtered, since its
     classes are no part of a label's mask.
 
-    Built layer by layer, with no recursion: the kept fits of each residue
-    go forward, the residue each leaves interned in the next layer's dict
-    of residues, few of them distinct; then each layer is linked to the one
-    after it, from the last back, and a placement that no later layer
-    completes is never linked, so no walk meets a dead end.  Residues are
-    packed ints (_pack) of W = (n*ell).bit_length() + 1 bits a vertex: no
-    coordinate exceeds n*ell < 2**(W - 1), which _fits' guard bits need."""
+    Built with no recursion: the kept fits of each residue go forward, the
+    residue each leaves interned in the next layer's keys, few of them
+    distinct; then each layer is rebuilt from the last back with only the
+    steps whose residue left the rebuilt layer after it keeps, and without
+    the residues left with no step.  Residues are packed ints (_pack) of
+    W = (n*ell).bit_length() + 1 bits a vertex: no coordinate exceeds
+    n*ell < 2**(W - 1), which _fits' guard bits need."""
     if ell < 1:
         raise ValueError("cycle length must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
     width = (n * ell).bit_length() + 1
     low, start = (1 << width) - 1, _pack((n,) * ell, width)
-    layers, residues = [], {start: None}
+    layers, residues = [], [start]
     for index in range(-1, ell):
-        fits, following = {}, {}
+        layer, following = {}, {}
         skip = bad if index >= 0 else 0
         intern = following.setdefault
         for remaining in residues:
@@ -381,18 +385,18 @@ def _step_graph(n: int, ell: int, bad=0) -> tuple:
             if index < 0:
                 sizes = reversed(sizes)
             placed = _fits(ell, max(index, 0), remaining, sizes, width, skip)
-            fits[remaining] = [(comp, intern(rest, rest)) for comp, rest in placed]
-        layers.append(fits)
+            layer[remaining] = [(comp, intern(rest, rest)) for comp, rest in placed]
+        layers.append(layer)
         residues = following
-    linked = dict.fromkeys(residues)
-    while layers:
-        nodes = {}
-        for remaining, steps in layers.pop().items():
-            node = tuple([(c, linked[r]) for c, r in steps if r in linked])
-            if node:
-                nodes[remaining] = node
-        linked = nodes
-    return linked.get(start, ())
+    kept = {0}
+    for index in reversed(range(ell + 1)):
+        pruned = {}
+        for remaining, steps in layers[index].items():
+            steps = [step for step in steps if step[1] in kept]
+            if steps:
+                pruned[remaining] = steps
+        layers[index] = kept = pruned
+    return layers
 
 
 def _fill(n: int, ell: int, root, push, close=None, bad=0) -> Iterator[tuple]:
@@ -400,45 +404,46 @@ def _fill(n: int, ell: int, root, push, close=None, bad=0) -> Iterator[tuple]:
     components 0..k-1, k = max(ell - 2, 0)) of the labels whose mask misses
     `bad`, in enumeration order: state is push folded over the prefix from
     root, mask ORs its class masks, and suffixes, close() of _suffixes of
-    the prefix's node (the steps of component k), the ways to finish the
-    label, is never empty.  Suffixes are built on a node's first visit and
-    shared by every prefix that reaches it.  The one label walk: a stack of
-    (steps, state, mask) over _step_graph(n, ell, bad), so each state is
-    made once per push and no depth recurses."""
-    built = {}
-    for seed, steps in _step_graph(n, ell, bad):
-        stack = [(steps, root, 0)]
+    the residue the prefix leaves, the ways to finish the label, is never
+    empty.  Suffixes are built on a residue's first visit and shared by
+    every prefix that leaves it.  The one label walk: a stack of
+    (depth, residue, state, mask) over the layers of
+    _step_graph(n, ell, bad), so each state is made once per push and no
+    depth recurses."""
+    layers = _step_graph(n, ell, bad)
+    # Stop at the layer of component k: ell = 1, or the next is the last.
+    stop, built = max(ell - 1, 1), {}
+    [lambdas] = layers[0].values()
+    for seed, rest in lambdas:
+        stack = [(1, rest, root, 0)]
         while stack:
-            steps, state, mask = stack.pop()
-            following = steps[0][1]
-            # Stop at component k: ell = 1, or the next component is the last.
-            if following is None or following[0][1] is None:
-                suffixes = built.get(id(steps))
+            depth, remaining, state, mask = stack.pop()
+            if depth == stop:
+                suffixes = built.get(remaining)
                 if suffixes is None:
-                    suffixes = _suffixes(steps, root, push)
+                    suffixes = _suffixes(layers[stop:], remaining, root, push)
                     if close is not None:
                         suffixes = close(suffixes)
-                    built[id(steps)] = suffixes
+                    built[remaining] = suffixes
                 yield seed, state, mask, suffixes
                 continue
             stack += [
-                (following, push(state, comp), mask | comp.mask)
-                for comp, following in reversed(steps)
+                (depth + 1, rest, push(state, comp), mask | comp.mask)
+                for comp, rest in reversed(layers[depth][remaining])
             ]
 
 
-def _suffixes(node: tuple, root, push) -> list[tuple]:
-    """(state, mask) per way to place the components that a node's steps
-    and those after it cover (the last two, or the one when ell = 1), in
-    walk order: state is push folded over them from root, mask ORs theirs."""
+def _suffixes(tail: list[dict], remaining: int, root, push) -> list[tuple]:
+    """(state, mask) per way to place the components of the last one or two
+    layers (`tail`) from the residue `remaining`, in walk order: state is
+    push folded over them from root, mask ORs theirs."""
     out = []
-    for comp, following in node:
-        state = push(root, comp)
-        if following is None:
-            out.append((state, comp.mask))
+    for comp, rest in tail[0][remaining]:
+        state, mask = push(root, comp), comp.mask
+        if len(tail) == 1:
+            out.append((state, mask))
         else:
-            mask = comp.mask
-            out += [(push(state, last), mask | last.mask) for last, _ in following]
+            out += [(push(state, last), mask | last.mask) for last, _ in tail[1][rest]]
     return out
 
 
@@ -473,40 +478,37 @@ def _string_class_table(n: int, ell: int) -> tuple[int, int, dict[int, int]]:
     _class_bit, so per character only the bits of the union need a pairing
     test, and counting reads the groups instead of the labels.
 
-    No label is built.  The table folds the label walk's step graph
-    (_step_graph, reading the records' masks only) backward, with no
-    recursion: the distinct nodes of each nu component are collected from
-    the lambdas, by identity, and then, from the last component back, each
-    node gets one {mask: number of ways to complete it}, merging
-    {m | comp.mask: count} over its steps from the dicts of the nodes they
-    link to (None, past the last component, counts as {0: 1}).  A layer's
-    dicts are dropped once the layer before it is done.  The table sums the
-    dicts of the nodes of component 0, each times the number of lambdas
-    that reach it and dropped once summed.
+    No label is built.  The table folds the layers of the label walk's
+    step graph (_step_graph, reading the records' masks only) from the last
+    one back, with no recursion: each residue of a nu layer gets one
+    {mask: number of ways to finish from it}, merging {m | comp.mask: count}
+    over its steps from the dicts of the residues they leave (0, after the
+    last layer, counts as {0: 1}), and a layer and the dicts of the one
+    after it are dropped once it is folded.  The table then sums the dict
+    of each residue left by some lambda, times the number of lambdas that
+    leave it, and drops each dict once it is summed.
     """
-    seeds: dict[int, list] = {}
-    for _, node in _step_graph(n, ell):
-        seeds.setdefault(id(node), [node, 0])[1] += 1
-    layers = [[node for node, _ in seeds.values()]]
-    for _ in range(ell - 1):
-        following = {id(f): f for node in layers[-1] for _, f in node}
-        layers.append(list(following.values()))
-    done: dict[int, dict[int, int]] = {id(None): {0: 1}}
-    while layers:
+    layers = _step_graph(n, ell)
+    done: dict[int, dict[int, int]] = {0: {0: 1}}
+    while len(layers) > 1:
         counts = {}
-        for node in layers.pop():
+        for remaining, steps in layers.pop().items():
             into: dict[int, int] = {}
-            for comp, following in node:
+            for comp, rest in steps:
                 mask = comp.mask
-                for m, count in done[id(following)].items():
+                for m, count in done[rest].items():
                     m |= mask
                     into[m] = into.get(m, 0) + count
-            counts[id(node)] = into
+            counts[remaining] = into
         done = counts
+    [placed] = layers.pop().values()
+    lambdas: dict[int, int] = {}
+    for _, rest in placed:
+        lambdas[rest] = lambdas.get(rest, 0) + 1
     groups: dict[int, int] = {}
-    for node, lambdas in seeds.values():
-        for mask, count in done.pop(id(node)).items():
-            groups[mask] = groups.get(mask, 0) + count * lambdas
+    for rest, count_lambdas in lambdas.items():
+        for mask, count in done.pop(rest).items():
+            groups[mask] = groups.get(mask, 0) + count * count_lambdas
     return ell, reduce(or_, groups, 0), groups
 
 

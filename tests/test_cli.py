@@ -71,6 +71,10 @@ class TestOrbitsCommand:
         assert lines[0].endswith("\tmonodromic")
         flags = [line.split("\t")[-1] for line in lines[1:]]
         assert flags == ["true", "true", "false", "true", "false"]
+        # An empty --chi= is a malformed character, not an absent one.
+        code, out, err = invoke(["orbits", "-n", "2", "-l", "2", "--chi="])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_byte_identical_runs(self):
         args = ["orbits", "-n", "2", "-l", "2", "--format", "json"]
@@ -236,9 +240,10 @@ class TestSimplesCommand:
     @pytest.mark.parametrize("n, ell", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
     def test_labels_dropped_by_their_last_two_components(self, n, ell):
         # The walk hands each prefix the suffixes (the last two components)
-        # of its node whose masks have no bad bit.  Each character below
-        # drops some label whose first ell - 2 components pair integrally,
-        # so the suffix filter alone decides it, and keeps some other.
+        # of the residue it leaves whose masks have no bad bit.  Each
+        # character below drops some label whose first ell - 2 components
+        # pair integrally, so the suffix filter alone decides it, and keeps
+        # some other.
         k = max(ell - 2, 0)
         labels = [
             (
@@ -417,6 +422,11 @@ class TestTranslateCommand:
         code, _, err = invoke(["translate", "-l", "1"])
         assert code == 2
         assert "exactly one" in err
+        # An empty --chi= is given, so it is one too many.
+        argv = ["translate", "-l", "2", "--chi=", "--kappa=k00=1/3,k=1/4,-1/4"]
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "")
+        assert "exactly one" in err
 
 
 class TestInputValidation:
@@ -445,9 +455,16 @@ class TestExitCodeContract:
         assert err.count("\n") == 1 and err.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "character", [["--chi", "1/2,1/3"], ["--kappa", "k00=1/3,k=1/4,-1/4"]]
+        "character",
+        [
+            ["--chi", "1/2,1/3"],
+            ["--kappa", "k00=1/3,k=1/4,-1/4"],
+            ["--chi="],
+            ["--kappa="],
+        ],
     )
     def test_selftest_rejects_a_given_character(self, character):
+        # An empty value is given too, not absent.
         code, out, err = invoke(
             ["semisimple", "-n", "1", "-l", "2", "--selftest", "2"] + character
         )

@@ -37,6 +37,7 @@ from oracles import (
     mask_vectors,
     pairs_integrally,
     random_fraction,
+    residue_scan,
     shifted_residue_scan,
     string_vectors_scan,
 )
@@ -128,9 +129,10 @@ class TestEnumeration:
     )
     def test_fill_labels_equal_the_brute_force_pairs(self, n, ell):
         # At ell <= 2 the walk has no prefix: every label comes whole from
-        # the suffixes of a node of component 0.  Labels and masks against
-        # the oracle's double loop and its box scans; the monodromic flags
-        # of orbit_report's rows, which read the same walk, against pairs.
+        # the suffixes of a residue of the layer of component 0.  Labels and
+        # masks against the oracle's double loop and its box scans; the
+        # monodromic flags of orbit_report's rows, which read the same walk,
+        # against pairs.
         rows = list(orbits_module._fill_labels(n, ell))
         pairs = [
             (lam.parts, tuple(comp.partition.parts for comp in comps))
@@ -520,13 +522,25 @@ class TestStringClassTable:
 
 
 def step_layers(n, ell, bad=0):
-    """The distinct nodes of _step_graph(n, ell, bad) reached at each nu
-    component, by identity: layer i holds the steps of component i."""
-    layer = {id(node): node for _, node in orbits_module._step_graph(n, ell, bad)}
-    layers = []
-    for _ in range(ell):
-        layers.append(list(layer.values()))
-        layer = {id(f): f for node in layers[-1] for _, f in node}
+    """The layers of _step_graph(n, ell, bad), checked against each other:
+    layer 0 is keyed by n*delta alone, every kept residue has a step, and
+    every step's residue left is a key of the next layer, or 0 after the
+    last one.  Residues are compared unpacked, one coordinate a vertex."""
+    layers = orbits_module._step_graph(n, ell, bad)
+    width = (n * ell).bit_length() + 1
+
+    def unpack(value):
+        assert value >> ell * width == 0
+        return tuple(value >> v * width & (1 << width) - 1 for v in range(ell))
+
+    assert len(layers) == ell + 1
+    assert [unpack(key) for key in layers[0]] == [(n,) * ell]
+    for index, layer in enumerate(layers):
+        following = layers[index + 1] if index < ell else {0: None}
+        for steps in layer.values():
+            assert isinstance(steps, list) and steps
+            for _, rest in steps:
+                assert rest in following
     return layers
 
 
@@ -555,18 +569,16 @@ STEP_GRAPH_CASES = [
 class TestStepGraph:
     @pytest.mark.parametrize("n, ell, values", STEP_GRAPH_CASES)
     def test_every_reachable_step_completes(self, n, ell, values):
-        # No walk meets an empty step tuple at any depth, and a step links
-        # to None exactly at the last component.  With a character, bad is
-        # the oracle's mask of the classes it pairs with non-integrally, and
-        # no nu record of the filtered graph has a bad bit.
+        # No walk meets a residue with no step at any depth, and the last
+        # layer leaves 0.  With a character, bad is the oracle's mask of
+        # the classes it pairs with non-integrally, and no nu record of the
+        # filtered graph has a bad bit.
         bad = 0 if values is None else bad_mask_scan(values, n, ell)
-        assert orbits_module._step_graph(n, ell, bad)
-        for index, nodes in enumerate(step_layers(n, ell, bad)):
-            for node in nodes:
-                assert isinstance(node, tuple) and node
-                for comp, following in node:
+        layers = step_layers(n, ell, bad)
+        for layer in layers[1:]:
+            for steps in layer.values():
+                for comp, _ in steps:
                     assert not comp.mask & bad
-                    assert (following is None) == (index == ell - 1)
         if values is None and max(n, ell) > 3:
             return  # the unfiltered double loop is too slow beyond (3,3)
         # The walk over the filtered graph lists exactly the oracle's pairs
@@ -588,12 +600,27 @@ class TestStepGraph:
                 )
             }
 
-    @pytest.mark.parametrize("n, ell", [(2, 3), (3, 3), (2, 4)])
-    def test_equal_residues_share_one_node(self, n, ell):
-        # Equal nodes at one depth would be equal residues left, which
-        # must share one tuple.
-        for nodes in step_layers(n, ell):
-            assert len(set(nodes)) == len(nodes)
+    @pytest.mark.parametrize("n, ell", [(2, 3), (3, 3), (2, 4), (3, 1), (3, 2)])
+    def test_close_runs_once_per_stop_residue(self, n, ell):
+        # The walk stops at the layer of component max(ell - 2, 0) and
+        # builds the ways to finish a label once per residue the prefix
+        # leaves: every prefix that leaves the same residue, computed here
+        # from its diagrams, gets the one list close() made for it.
+        closed = []
+
+        def close(suffixes):
+            closed.append(suffixes)
+            return suffixes
+
+        seen = {}
+        walk = orbits_module._fill(n, ell, (), lambda h, c: (*h, c), close)
+        for seed, head, _, suffixes in walk:
+            used = residue_scan(seed.partition.parts, ell)
+            placed = shifted_residue_scan(tuple(c.partition.parts for c in head), ell)
+            left = tuple(n - a - b for a, b in zip(used, placed))
+            assert seen.setdefault(left, suffixes) is suffixes
+        assert len(closed) == len(seen)
+        assert len(seen) == len(step_layers(n, ell)[max(ell - 1, 1)])
 
 
 class TestPackedFits:
