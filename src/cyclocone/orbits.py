@@ -19,20 +19,13 @@ cache and the pairing test share this numbering.
 
 The label walk (_fill) and the table that counts labels per mask
 (_string_class_table) read one step graph (_step_graph) of those records:
-a list of layers, one for lambda and one per nu component, each a dict
-from a residue left to the steps placed against it, (record, residue
-left) pairs, so equal residues left are one key.  The graph's residues are
-packed ints, one field of W = (n*ell).bit_length() + 1 bits a vertex with a
-guard bit at the top of each, so a record is tested against a residue by
-one subtraction and one mask (_fits).  At a character the walk's graph
-keeps no nu record with a bit that chi pairs with non-integrally
-(_bad_bits), so it meets the labels of Q_chi and no other.  The walk stops
-at the layer of nu component max(ell - 2, 0): each residue there lists
-once the ways to place the components left (the last two, or the one when
-ell = 1) with their texts and masks, and every prefix that leaves it reads
-that list, so a table row is a prefix's texts joined with one entry.  The
-table folds the layers from the last one back, counting the completions
-of each residue once per mask.
+a layer for lambda and one per nu component, each a dict from a packed
+residue left to its (record, residue left) steps; a record fits under a
+residue by one subtraction and one mask (_fits).  At a character the
+walk's graph keeps no nu record with a bit that chi pairs with
+non-integrally (_bad_bits), so it meets the labels of Q_chi and no other.
+In the bit numbering one more lap of a string is ell**2 bits up, so the
+pairing test reads a mask a window at a time (_window_plan).
 
 The fundamental group is the cokernel Z^ell / L of the lattice L spanned
 by the string vectors of a label's mask, the OR of its components', and a
@@ -352,18 +345,16 @@ def _step_graph(n: int, ell: int, bad=0) -> list[dict[int, list]]:
     """The labels' steps as layers keyed by packed residue: layers[0] maps
     n*delta to [(lambda record, residue left)], in the order of
     enumerate_orbits, and layers[i + 1] maps each residue left before nu
-    component i to [(record of component i, residue left)].  Every key of
-    every layer is reached from n*delta and has a step, and every residue
-    left is a key of the next layer, or 0 after the last one, which takes
-    up all that is left; so no walk meets a dead end.  A nu record whose
-    mask meets `bad` is never kept; lambda is not filtered, since its
-    classes are no part of a label's mask.
+    component i to [(record of component i, residue left)].  Every key is
+    reached from n*delta and has a step, and every residue left is a key
+    of the next layer (0 after the last), so no walk meets a dead end.  A
+    nu record whose mask meets `bad` is never kept; lambda, whose classes
+    are no part of a label's mask, is not filtered.
 
-    Built with no recursion: the kept fits of each residue go forward, the
-    residue each leaves interned in the next layer's keys, few of them
-    distinct; then each layer is rebuilt from the last back with only the
-    steps whose residue left the rebuilt layer after it keeps, and without
-    the residues left with no step.  Residues are packed ints (_pack) of
+    Built with no recursion: the kept fits of each residue go forward, each
+    residue left interned in the next layer's keys; then each layer is
+    rebuilt from the last back keeping only the steps whose residue left
+    the rebuilt layer after it keeps.  Residues are packed ints (_pack) of
     W = (n*ell).bit_length() + 1 bits a vertex: no coordinate exceeds
     n*ell < 2**(W - 1), which _fits' guard bits need."""
     if ell < 1:
@@ -470,24 +461,18 @@ def enumerate_orbits(n: int, ell: int) -> tuple[OrbitLabel, ...]:
 
 @lru_cache(maxsize=None)
 def _string_class_table(n: int, ell: int) -> tuple[int, int, dict[int, int]]:
-    """The labels of (n, ell) counted per class mask.
+    """The labels of (n, ell) counted per class mask: (ell, union of the
+    masks, {mask: count}), the dict shared by every caller and not to be
+    changed.  A group counts the labels whose string vectors are exactly
+    the bits of its mask, so per character only the union's bits need a
+    pairing test, and counting reads the groups, not the labels.
 
-    Returns (ell, union of the masks, {mask: count}); the dict is shared by
-    every caller and must not be changed.  A group counts the labels whose
-    string vectors are exactly the bits of its mask, in the numbering of
-    _class_bit, so per character only the bits of the union need a pairing
-    test, and counting reads the groups instead of the labels.
-
-    No label is built.  The table folds the layers of the label walk's
-    step graph (_step_graph, reading the records' masks only) from the last
-    one back, with no recursion: each residue of a nu layer gets one
-    {mask: number of ways to finish from it}, merging {m | comp.mask: count}
-    over its steps from the dicts of the residues they leave (0, after the
-    last layer, counts as {0: 1}), and a layer and the dicts of the one
-    after it are dropped once it is folded.  The table then sums the dict
-    of each residue left by some lambda, times the number of lambdas that
-    leave it, and drops each dict once it is summed.
-    """
+    No label is built.  The layers of _step_graph are folded from the last
+    one back: each residue of a nu layer gets {mask: ways to finish from
+    it}, merged over its steps from the dicts of the residues they leave
+    (0, after the last layer, counts as {0: 1}), each layer dropped once
+    folded; then the dict of each residue lambdas leave is summed times
+    their number and dropped."""
     layers = _step_graph(n, ell)
     done: dict[int, dict[int, int]] = {0: {0: 1}}
     while len(layers) > 1:
@@ -513,36 +498,45 @@ def _string_class_table(n: int, ell: int) -> tuple[int, int, dict[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _pairing_rows(ell: int, mask: int) -> tuple[tuple[int, int, int, int], ...]:
-    """(bit, laps, end, start) per bit of a class mask, for pairing its
-    string vectors with c = d*chi: the string (top, length) of bit k pairs
-    with c as laps*sum(c) plus the cyclic window of length % ell entries of
-    c ending at top, which is prefix[end] - prefix[start] over the prefix
-    sums of c written twice.  Only a few masks come here, the union of a
-    table and the class range of an (n, ell)."""
-    rows = []
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        k = bit.bit_length() - 1
-        laps, width = divmod(k // ell + 1, ell)
-        end = k % ell + ell + 1
-        rows.append((bit, laps, end, end - width))
-    return tuple(rows)
+def _window_plan(ell: int, mask: int) -> tuple[tuple[int, ...], tuple]:
+    """(spreads, windows) of a class mask for pairing its string vectors
+    with c = d*chi.  Bit k = laps*ell**2 + shift, shift = (w - 1)*ell + top
+    with 1 <= w <= ell, is the string (top, laps*ell + w): laps*delta plus
+    the cyclic window of the w entries of c ending at top, prefix[end] -
+    prefix[start] over the prefix sums of c written twice, end = top +
+    ell + 1 and start = end - w.  So a window's bits are the comb of laps
+    spreads[m] = 1 << m*ell**2 shifted, and a window is (start, end, shift,
+    its bits of the mask), for the few masks that come here: a table's
+    union and the class range of an (n, ell)."""
+    square = ell * ell
+    spreads = tuple(1 << m * square for m in range(-(-mask.bit_length() // square)))
+    windows = []
+    for shift in range(square):
+        if bits := mask & sum(spreads) << shift:
+            end = shift % ell + ell + 1
+            windows.append((end - shift // ell - 1, end, shift, bits))
+    return spreads, tuple(windows)
 
 
 def _non_integral_mask(ell: int, mask: int, d: int, scaled) -> int:
     """The bits of a class mask whose string vectors chi pairs with
-    non-integrally, read from d and scaled = d*chi (d the common
-    denominator of chi) and the cached _pairing_rows of the mask: the one
-    pairing test of counting, listing and the monodromic flags."""
+    non-integrally, from d, c = scaled = d*chi (d the common denominator)
+    and the mask's _window_plan: the one pairing test of counting, listing
+    and the monodromic flags.  m*sum(c) + window is divisible by d for the
+    laps m with -m*sum(c) = window mod d, so one table from -m*sum(c) mod d
+    to those laps' spreads gives a window's good bits by one lookup."""
+    spreads, windows = _window_plan(ell, mask)
     prefix = [0, *accumulate(scaled * 2)]
     total = prefix[ell]
-    return sum(
+    solved, r = {}, 0
+    for spread in spreads:
+        solved[r] = solved.get(r, 0) | spread
+        r = (r - total) % d
+    get = solved.get
+    return mask ^ sum(
         [
-            bit
-            for bit, laps, end, start in _pairing_rows(ell, mask)
-            if (laps * total + prefix[end] - prefix[start]) % d
+            bits & get((prefix[end] - prefix[start]) % d, 0) << shift
+            for start, end, shift, bits in windows
         ]
     )
 
@@ -576,14 +570,13 @@ def count_Q_chi(n: int, ell: int, chi: RationalCharacter) -> int:
 
     A group counts iff its mask lies inside the good bits, those of the
     union that chi pairs with integrally.  With k good bits and G groups,
-    the counts of the 2**k submasks of the good bits are looked up when
-    2**k * 64 <= G (k <= 6 at (4,4)); otherwise the bit-sliced index of
-    the table, built by _sliced_index on the first such call for (n, ell),
-    counts them in a few big-int operations per bad bit and count bit.
-    The crossover was measured in-process (Python 3.11, 2 vCPUs, medians
-    over random good bits): at (4,4), G = 6,090, a submask sum took 10 us
-    at k = 6 and 20 us at k = 7, a sliced count 16 us whatever k; at (4,5),
-    G = 62,407, 87 us and 170 us at k = 9 and 10 against 100 us.
+    the 2**k submasks of the good bits are looked up when 2**k * 64 <= G;
+    otherwise the bit-sliced index (_sliced_index, built on the first such
+    call) counts in a few big-int operations per window and count bit.
+    In-process (Python 3.11, 2 vCPUs, medians of 40 characters per k): at
+    (4,4), G = 6,090, a submask sum took 6.6 us at k = 6 and 13 us at k = 7,
+    a sliced count 8.2-8.4 us; at (4,5), G = 62,407, 29 and 56 us at k = 8
+    and 9 against 43-45 us, 12 us lost at k = 9 that no one factor fixes.
     """
     if chi.ell != ell:
         raise ValueError(f"character has {chi.ell} entries, expected {ell}")
@@ -614,43 +607,50 @@ def _count_submasks(groups: dict[int, int], good: int) -> int:
 
 def _transpose(values: list[int], width: int) -> list[int]:
     """One int per bit j < width, whose bit len(values) - 1 - i is bit j of
-    values[i]: each block of values is written as one binary text, and
-    every column is a strided slice of it, parsed by int(., 2)."""
-    spec = f"0{width}b"
+    values[i]: each block of values is written as one binary text, "0b1"
+    and the width bits of each (bin() with a bit set above them, twice as
+    fast as format()), and every column is a strided slice of it, parsed
+    by int(., 2)."""
+    top, stride = 1 << width, width + 3
     columns = [0] * width
     for start in range(0, len(values), 1 << 16):
         block = values[start : start + (1 << 16)]
-        text = "".join(map(format, block, repeat(spec)))
+        text = "".join(map(bin, map(top.__or__, block)))
         for j, column in enumerate(columns):
-            columns[j] = column << len(block) | int(text[width - 1 - j :: width], 2)
+            columns[j] = column << len(block) | int(text[stride - 1 - j :: stride], 2)
     return columns
 
 
 @lru_cache(maxsize=None)
 def _sliced_index(n: int, ell: int) -> tuple[int, tuple, tuple[int, ...]]:
     """The string-class table of (n, ell) sliced by bits, each group one bit
-    position in every int: (the number of labels, (bit, the groups whose
-    mask has it) per bit of the union, (the groups whose count has bit j)
-    per j).  The groups are placed by falling count from bit 0 up, so the
-    ints of the high count bits, held by few groups, are short.  Built from
-    the table only when a count needs it: 6 ms at (4,4), 0.1 s at (4,5)
-    and 1 s at (5,5), where its ints take 5 MB."""
+    position in every int: (the number of labels, per window of the
+    union's _window_plan (its bits, the groups whose mask meets them,
+    (bit, the groups whose mask has it) per bit), per count bit j the
+    groups whose count has it).  Groups sit by falling count from bit 0
+    up, so the high count bits' ints are short.  Built only when a count
+    needs it: 6 ms at (4,4), 0.1 s at (4,5), 1 s and 5 MB at (5,5)."""
     _, union, groups = _string_class_table(n, ell)
     masks = sorted(groups, key=groups.__getitem__)
     counts = list(map(groups.__getitem__, masks))
     columns = _transpose(masks, union.bit_length())
-    sliced = tuple((1 << j, c) for j, c in enumerate(columns) if union >> j & 1)
+    windows = []
+    for *_, bits in _window_plan(ell, union)[1]:
+        sliced = [(1 << j, c) for j, c in enumerate(columns) if bits >> j & 1]
+        windows.append((bits, reduce(or_, [c for _, c in sliced]), tuple(sliced)))
     weights = _transpose(counts, counts[-1].bit_length())
-    return sum(counts), sliced, tuple(weights)
+    return sum(counts), tuple(windows), tuple(weights)
 
 
 def _count_sliced(index: tuple[int, tuple, tuple[int, ...]], bad: int) -> int:
-    """The labels of the groups whose mask has no bad bit, from the sliced
-    index: the OR of the bad bits' ints marks the groups left out, and the
-    count bits of those are summed and taken off the total."""
-    total, sliced, weights = index
+    """The labels of the groups whose mask has no bad bit: the OR of the
+    ints of the wholly bad windows and of the other bad bits marks the
+    groups left out, whose count bits are summed off the total."""
+    total, windows, weights = index
     out = 0
-    for bit, column in sliced:
-        if bad & bit:
+    for bits, column, sliced in windows:
+        if (bad & bits) == bits:
             out |= column
+        elif bad & bits:
+            out |= reduce(or_, [column for bit, column in sliced if bad & bit])
     return total - sum([(w & out).bit_count() << j for j, w in enumerate(weights)])

@@ -5,17 +5,11 @@ characters chi = (chi_0, ..., chi_{ell-1}), the kappa coordinates
 (k00, k01, kappa_0, ..., kappa_{ell-1}) constrained by k00 + k01 = 0 and
 sum(kappa) = 0, and the multiplicative parameters (q0, q1, u_0, ..., u_{ell-1})
 on the unit circle.  Circle numbers are handled additively in Q/Z, so every
-"lies in Z" test is an exact rational congruence.
-
-The translations run on integers.  chi_to_kappa works on chi over its
-common denominator d (`RationalCharacter.common_denominator`), the integer
-numerators d*chi, and builds one Fraction per kappa entry.  hecke_params and
-hecke_q take the numerator and denominator of each angle, reduce the
-numerator modulo the denominator and build each circle element once
-(`CircleElement.from_ratio`).  One integer core, _product_nonzero, decides
-the product: ariki_product_nonzero modulo the common denominator of its
-circle numbers, and _chi_product_nonzero, for a report, on d*chi modulo
-D = d*ell with no kappa or circle element built.
+"lies in Z" test is an exact rational congruence.  The translations run on
+integer numerators over common denominators, each circle element built
+once (`CircleElement.from_ratio`), and one integer core, _product_nonzero,
+decides the product: for ariki_product_nonzero, and for a report on d*chi
+modulo d*ell with no kappa or circle element built (_chi_product_nonzero).
 """
 
 from __future__ import annotations
@@ -29,16 +23,23 @@ from ._frozen import Frozen
 
 
 def _fraction(value: Fraction | int | str) -> Fraction:
-    """Fraction(value), with a Fraction passed through as it is."""
-    return value if type(value) is Fraction else Fraction(value)
+    """Fraction(value), a Fraction passed through and text parsed."""
+    if type(value) is Fraction:
+        return value
+    return parse_rational(value) if isinstance(value, str) else Fraction(value)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse `a/b` or a plain integer `a` into an exact fraction."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational: {text!r}") from exc
+    """Parse `a/b` or a plain integer `a` (ASCII digits, a sign on a, spaces
+    around) into an exact fraction; an exponent is refused unexpanded."""
+    num, slash, den = text.strip().partition("/")
+    a, b = (num[1:] if num[:1] in ("+", "-") else num), (den if slash else "1")
+    if a.isdigit() and a.isascii() and b.isdigit() and b.isascii():
+        try:
+            return Fraction(int(num), int(b))
+        except (ValueError, ZeroDivisionError):  # b = 0, or too many digits
+            pass
+    raise ValueError(f"malformed rational: {text!r}")
 
 
 class RationalCharacter(Frozen):
@@ -47,7 +48,7 @@ class RationalCharacter(Frozen):
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[Fraction | int | str]):
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(map(_fraction, values))
         if not vals:
             raise ValueError("a character needs at least one entry")
         self._assign(vals)
@@ -69,8 +70,9 @@ class RationalCharacter(Frozen):
         integer numerators over it.  The pairing of chi with an integer
         vector is integral iff the integer pairing with d*chi is divisible
         by d, and then equals that pairing divided by d."""
-        d = lcm(*(v.denominator for v in self.values))
-        return d, tuple(v.numerator * (d // v.denominator) for v in self.values)
+        ratios = [v.as_integer_ratio() for v in self.values]
+        d = lcm(*[b for _, b in ratios])
+        return d, tuple([a * (d // b) for a, b in ratios])
 
     def __len__(self) -> int:
         return len(self.values)
@@ -95,9 +97,9 @@ class KappaParams(Frozen):
 
     def __init__(
         self,
-        k00: Fraction | int,
-        k01: Fraction | int,
-        kappa: Sequence[Fraction | int],
+        k00: Fraction | int | str,
+        k01: Fraction | int | str,
+        kappa: Sequence[Fraction | int | str],
     ):
         k00, k01 = _fraction(k00), _fraction(k01)
         kappa = tuple(map(_fraction, kappa))
@@ -198,28 +200,22 @@ def kappa_to_chi(kp: KappaParams, ell: int) -> RationalCharacter:
     return RationalCharacter(values)
 
 
-def _anchored(d: int, scaled: Sequence[int]) -> list[int]:
-    """d*ell times the kappa coordinates of chi anchored at kappa_1 = 0,
-    from c = d*chi over its common denominator d:
-    p_{i+1 mod ell} = i*d - ell*(c_1 + ... + c_i) for 0 <= i < ell."""
-    ell = len(scaled)
-    by_i = [i * d - ell * s for i, s in enumerate(accumulate(scaled[1:], initial=0))]
-    return by_i[-1:] + by_i[:-1]
-
-
 def chi_to_kappa(chi: RationalCharacter) -> KappaParams:
     """The unique kappa coordinates translating back to the given character.
 
     Solves the defining linear system: the cyclic differences
     kappa_i - kappa_{i+1} = chi_i - 1/ell for i >= 1, the normalization
-    sum(kappa) = 0, and k00 = -k01 = (coordinate sum of chi)/2.  With
-    S = sum(c) and the anchored p of _anchored on c = d*chi,
-    k00 = S/(2d) and kappa_r = (ell*p_r - sum(p)) / (d*ell^2).
+    sum(kappa) = 0, and k00 = -k01 = (coordinate sum of chi)/2.  On
+    c = d*chi, with S = sum(c) and s_i = c_1 + ... + c_i (s_0 = 0), the
+    solution anchored at kappa_1 = 0, times d*ell, is
+    p_{i+1 mod ell} = i*d - ell*s_i, so k00 = S/(2d) and
+    kappa_r = (ell*p_r - sum(p)) / (d*ell^2).
     """
     d, scaled = chi.common_denominator()
     ell = len(scaled)
     k00 = Fraction(sum(scaled), 2 * d)
-    anchored = _anchored(d, scaled)
+    by_i = [i * d - ell * s for i, s in enumerate(accumulate(scaled[1:], initial=0))]
+    anchored = by_i[-1:] + by_i[:-1]
     shift, den = sum(anchored), d * ell * ell
     kappa = tuple(Fraction(ell * p - shift, den) for p in anchored)
     return KappaParams(k00, -k00, kappa)
@@ -293,17 +289,19 @@ def _product_nonzero(Q: int, U: Sequence[int], D: int, n: int) -> bool:
     if D // gcd(Q, D) <= n:
         return False
     powers = {k * Q % D for k in range(-n + 1, n)}
-    return not any((a - b) % D in powers for a, b in combinations(U, 2))
+    return powers.isdisjoint([(a - b) % D for a, b in combinations(U, 2)])
 
 
 def _chi_product_nonzero(d: int, scaled: Sequence[int], n: int) -> bool:
     """The product test at the Hecke parameters of chi, on c = d*chi with no
-    kappa or circle element built.  With S = sum(c) and p from _anchored,
+    kappa or circle element built.  With S, p and s_i as in chi_to_kappa,
     q = e(S/d) and u_r = e((ell*p_r - sum(p) - r*d*ell) / (d*ell^2)); sum(p)
-    cancels in u_i/u_j, so dividing out ell decides the product modulo
-    D = d*ell, with Q = S*ell and U_r = p_r - r*d."""
+    cancels in u_i/u_j, so the product is decided modulo D = d*ell, with
+    Q = S*ell and U_r = p_r - r*d = -d - ell*s_(r-1 mod ell) mod D.  Only
+    differences of U's over unordered pairs meet a set closed under
+    negation, so U = ell*s_i, 0 <= i < ell, decides the same."""
     ell = len(scaled)
-    U = [p - r * d for r, p in enumerate(_anchored(d, scaled))]
+    U = [ell * s for s in accumulate(scaled[1:], initial=0)]
     return _product_nonzero(sum(scaled) * ell, U, d * ell, n)
 
 

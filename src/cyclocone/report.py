@@ -6,21 +6,10 @@ root side, the product criterion on the Hecke side, and the counting
 criterion comparing the number of simple objects with the number of
 multipartitions.  The three verdicts provably agree; a disagreement would
 falsify the implementation, so it raises instead of being reconciled.
-
-Per character all three run on integers over the common denominator d of
-chi, with c = d*chi and its prefix sums P[k] = c_0 + ... + c_{k-1}.  Every
-root is m*delta + sign*(eps_lo + ... + eps_{hi-1}), so its pairing with c is
-m*P[ell] + sign*(P[hi] - P[lo]); the Hecke product is decided on c modulo
-D = d*ell (params._chi_product_nonzero), and kappa and the Hecke parameters
-are built only when a report's kappa or hecke is read; counting pairs c with
-the string vectors of the string-class table by cyclic windows of prefix
-sums, read from rows cached per table, then sums the counts of the table's
-groups that have no bad bit: over the submasks of the k good bits when
-2**k * 64 is at most the number of groups, else from a bit-sliced index of
-the table, one big-int of groups per class bit and per count bit.  A
-Fraction is built only for a value the report returns.  What depends only
-on (n, ell), the roots in closed form, the table and its index, is built
-once; the index only when a character first needs it.
+All three run on integers over the common denominator d of chi, and roots
+and string classes alike are tested a window at a time, each on its own
+closed form (_roots, orbits._window_plan).  Only what depends on (n, ell)
+is cached; no cache is keyed by the character.
 
 `CriteriaDisagreement` and `Pi1Disagreement` are defined in `errors`, which
 loads no layer, and `count_multipartitions`, a plain partition count, in
@@ -113,13 +102,23 @@ class SemisimplicityReport(NamedTuple):
         }
 
 
+# Shared Fraction(k) for violated roots' integer values; one takes 0.75 us.
+_integer = lru_cache(maxsize=256)(Fraction)
+
+
 @lru_cache(maxsize=None)
-def _roots(n: int, ell: int) -> tuple[tuple[DimVector, int, int, int, int], ...]:
-    """(alpha, m, sign, lo, hi) per root of generate_Rn(n, ell), in its order:
-    alpha = m*delta + sign*(eps_lo + ... + eps_{hi-1}), the closed form it
-    was built from (sign = lo = hi = 0 for m*delta itself)."""
-    roots = generate_Rn(n, ell)
-    return tuple((alpha, *form) for alpha, form in zip(roots, _root_forms(n, ell)))
+def _roots(n: int, ell: int) -> tuple[tuple[int, int, int, int, tuple], ...]:
+    """generate_Rn(n, ell) by window: (sign, lo, hi, laps, ((position, m,
+    alpha) per root)), alpha = m*delta + sign*(eps_lo + ... + eps_{hi-1})
+    (0, 0, 0 for m*delta) at that position, laps the OR of its 1 << m."""
+    groups: dict[tuple[int, ...], list] = {}
+    roots = zip(generate_Rn(n, ell), _root_forms(n, ell))
+    for position, (alpha, (m, *window)) in enumerate(roots):
+        groups.setdefault(tuple(window), []).append((position, m, alpha))
+    return tuple(
+        (*window, sum([1 << m for _, m, _ in members]), tuple(members))
+        for window, members in groups.items()
+    )
 
 
 def semisimplicity_report(
@@ -127,12 +126,12 @@ def semisimplicity_report(
 ) -> SemisimplicityReport:
     """Run all three criteria and package the evidence.
 
-    A root alpha is violated iff the integer pairing of alpha with d*chi,
-    d the common denominator of chi, is divisible by d; the pairing is read
-    from the prefix sums of d*chi, and only the violated roots get a
-    Fraction, the pairing divided by d.  The Hecke product is decided on
-    d*chi modulo d*ell, and _count_Q_chi counts from the string-class table
-    on the same d and d*chi.
+    With c = d*chi, T = sum(c) and P its prefix sums, the root m*delta +
+    sign*(eps_lo + ... + eps_{hi-1}) is violated iff m*T + sign*(P[hi] -
+    P[lo]) is divisible by d, so one table from -m*T mod d to its m's finds
+    a window's violated m's by one lookup; each gets its Fraction value.
+    The Hecke product is decided on c modulo d*ell (_chi_product_nonzero)
+    and _count_Q_chi counts on the same d and c.
 
     Raises CriteriaDisagreement if the verdicts differ; this is the
     falsification signal and is never swallowed.
@@ -147,11 +146,21 @@ def semisimplicity_report(
     d, scaled = chi.common_denominator()
     prefix = [0, *accumulate(scaled)]
     total = prefix[ell]
-    violated = tuple(
-        (alpha, Fraction(s // d))
-        for alpha, m, sign, lo, hi in _roots(n, ell)
-        if (s := m * total + sign * (prefix[hi] - prefix[lo])) % d == 0
+    solved, r = {}, 0
+    for m in range(n + 1):
+        solved[r] = solved.get(r, 0) | 1 << m
+        r = (r - total) % d
+    get = solved.get
+    found = sorted(
+        [
+            (position, alpha, _integer((m * total + window) // d))
+            for sign, lo, hi, laps, members in _roots(n, ell)
+            if (hits := laps & get((window := sign * (prefix[hi] - prefix[lo])) % d, 0))
+            for position, m, alpha in members
+            if hits >> m & 1
+        ]
     )
+    violated = tuple([(alpha, value) for _, alpha, value in found])
     verdict_roots = not violated
 
     verdict_hecke = _chi_product_nonzero(d, scaled, n)
@@ -165,17 +174,10 @@ def semisimplicity_report(
             n, ell, chi, verdict_roots, verdict_hecke, verdict_counting
         )
 
+    # Positional, in field order: keywords take twice as long.
     return SemisimplicityReport(
-        n=n,
-        ell=ell,
-        chi=chi,
-        verdict_roots=verdict_roots,
-        verdict_hecke=verdict_hecke,
-        verdict_counting=verdict_counting,
-        violated_roots=violated,
-        simple_count=simple_count,
-        pell_count=pell_count,
-        chi_integral=d == 1,
+        n, ell, chi, verdict_roots, verdict_hecke, verdict_counting,
+        violated, simple_count, pell_count, d == 1,
     )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from cyclocone.abelian import FGAbelianGroup
 from cyclocone.params import CircleElement, KappaParams, RationalCharacter
@@ -249,6 +249,64 @@ def mask_vectors(ell: int, mask: int) -> list[tuple[int, ...]]:
                 counts[(top - step) % ell] += 1
             out.append(tuple(counts))
     return out
+
+
+def onto_hyperplanes(rng, chi, roots):
+    """chi moved by one or two coordinates so that it pairs integrally
+    with every root given (with the first alone when the two roots are
+    proportional on every pair of coordinates)."""
+    values = list(chi)
+    miss = [
+        rng.randint(-3, 3) - sum(v * x for v, x in zip(values, alpha.coords))
+        for alpha in roots
+    ]
+    a = roots[0].coords
+    if len(roots) == 2:
+        b = roots[1].coords
+        for r in range(len(values)):
+            for s in range(r + 1, len(values)):
+                det = a[r] * b[s] - a[s] * b[r]
+                if det:
+                    values[r] += (miss[0] * b[s] - miss[1] * a[s]) / det
+                    values[s] += (a[r] * miss[1] - b[r] * miss[0]) / det
+                    return RationalCharacter(values)
+    r = next(i for i, coeff in enumerate(a) if coeff)
+    values[r] += miss[0] / a[r]
+    return RationalCharacter(values)
+
+
+def lap_families(ell: int, n: int, rng, size: int = 6) -> dict[str, list]:
+    """Characters for which one window of a pairing is solved by several
+    laps, `size` per family where the family exists, by d, the least
+    common denominator of chi, and T, the coordinate sum of d*chi.  A
+    string or root of laps m and window w pairs integrally iff
+    m*T + w = 0 mod d, which holds for every m of one class modulo the
+    period d / gcd(T, d), the denominator of sum(chi).
+
+    - "integral": d = 1, so every vector pairs integrally.
+    - "sum in Z": d > 1 and T = 0 mod d, period 1 (needs ell >= 2).
+    - "periodic": a period p with 2 <= p <= n/2, so that two laps m and
+      m + p <= n solve a window whatever its class.  With ell >= 2 the
+      first entries are odd over 2p, so d carries more factors of 2 than
+      p and gcd(T, d) = d/p > 1.
+    """
+    families: dict[str, list] = {"integral": [], "sum in Z": [], "periodic": []}
+    for _ in range(size):
+        families["integral"].append(
+            RationalCharacter([rng.randint(-5, 5) for _ in range(ell)])
+        )
+        head = [random_fraction(rng, max_den=6) for _ in range(ell - 1)]
+        if ell > 1:
+            last = rng.randint(-3, 3) - sum(head, Fraction(0))
+            if any(v.denominator > 1 for v in head):
+                families["sum in Z"].append(RationalCharacter(head + [last]))
+        if n >= 4:
+            period = rng.randint(2, n // 2)
+            odd = [Fraction(2 * rng.randint(-6, 5) + 1, 2 * period) for _ in head]
+            numerator = rng.choice([a for a in range(1, period) if gcd(a, period) == 1])
+            last = Fraction(numerator, period) - sum(odd, Fraction(0))
+            families["periodic"].append(RationalCharacter(odd + [last]))
+    return families
 
 
 def count_walk(groups: dict[int, int], good: int) -> int:

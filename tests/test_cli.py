@@ -3,9 +3,11 @@ import io
 import json
 import os
 import random
+import resource
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -544,6 +546,41 @@ class TestExitCodeContract:
             "simples -n 3 -l 4 --chi 0,0,0,0 --format pretty",
             b"23682 simple objects at chi=0,0,0,0\n",
         )
+
+
+class TestRationalGrammar:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "semisimple -n 1 -l 1 --chi 1e999999999",
+            "semisimple -n 1 -l 1 --chi 0.5",
+            "translate -l 2 --kappa k00=1e999999999,k=1/4,-1/4",
+        ],
+    )
+    def test_refused_within_a_second(self, command):
+        # Fraction() reads exponents, and 10**999999999 took seconds and
+        # memory before failing; the README grammar has no exponent or
+        # decimal point, so these are bad input, refused up front.  A child
+        # process, so that a regression is stopped by the timeout and by a
+        # 1 GB address space instead of taking the suite's memory.
+        src = os.path.dirname(os.path.dirname(cli_module.__file__))
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "cyclocone.cli", *command.split()],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=cap_memory,
+            timeout=10,
+        )
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert done.stderr.decode().startswith("error: malformed rational")
+        assert elapsed < 1.0
 
 
 def assert_closed_stdout_exits_four(command, first_line):

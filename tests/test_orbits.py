@@ -34,6 +34,7 @@ from oracles import (
     cokernel_by_minors,
     count_walk,
     cyclic_group,
+    lap_families,
     mask_vectors,
     pairs_integrally,
     random_fraction,
@@ -889,3 +890,45 @@ class TestNonIntegralMask:
             d, scaled = chi.common_denominator()
             got = orbits_module._non_integral_mask(ell, mask, d, scaled)
             assert got == self.scan(ell, mask, chi)
+
+    @staticmethod
+    def most_laps(ell, good):
+        """The most good bits of one window: bits whose strings differ by
+        whole laps, the same (top, length % ell), or length % ell = 0."""
+        windows = Counter()
+        for k in range(good.bit_length()):
+            if good >> k & 1:
+                w = (k // ell + 1) % ell
+                windows[k % ell if w else 0, w] += 1
+        return max(windows.values(), default=0)
+
+    @pytest.mark.parametrize(
+        "n, ell", [(n, ell) for ell in (1, 2) for n in range(1, 7)] + [(3, 6)]
+    )
+    def test_several_laps_solve_one_window(self, n, ell):
+        # m*T + w = 0 mod d holds for every lap m of one class modulo the
+        # period d / gcd(T, d), so one window's lookup must give it every
+        # such lap, on the table's union and on every class of (n, ell).
+        union = orbits_module._string_class_table(n, ell)[1]
+        full = (1 << n * ell * ell) - 1
+        families = lap_families(ell, n, random.Random(59 * n + ell))
+        for family, characters in families.items():
+            most = 0
+            for chi in characters:
+                d, scaled = chi.common_denominator()
+                for mask in (union, full):
+                    got = orbits_module._non_integral_mask(ell, mask, d, scaled)
+                    assert got == self.scan(ell, mask, chi), (family, str(chi))
+                assert orbits_module._bad_bits(n, ell, chi) == got
+                assert got == bad_mask_scan(chi.values, n, ell)
+                if family == "integral":
+                    assert got == 0
+                most = max(most, self.most_laps(ell, full & ~got))
+            if characters and n > 1:
+                assert most >= 2, family
+        if ell > 1 and n > 3:
+            # Several laps also through gcd(T, d) > 1, not only d <= n.
+            assert any(
+                gcd(sum(c.common_denominator()[1]), c.common_denominator()[0]) > 1
+                for c in families["periodic"]
+            )

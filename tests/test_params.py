@@ -20,7 +20,7 @@ from cyclocone.params import (
 from cyclocone.rootlattice import generate_Rn, pair
 
 import oracles
-from oracles import ariki_nonzero_scan, random_fraction
+from oracles import ariki_nonzero_scan, onto_hyperplanes, random_fraction
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
@@ -37,6 +37,31 @@ class TestParsing:
             parse_rational("1/0")
         with pytest.raises(ValueError):
             parse_rational("ham")
+
+    def test_rational_grammar(self):
+        # `a/b` or `a`, an optional sign on a, whitespace around.
+        assert parse_rational(" +2/4 ") == Fraction(1, 2)
+        assert parse_rational("-7/14") == Fraction(-1, 2)
+        assert parse_rational("\t12\n") == Fraction(12)
+        # What Fraction() would also read is refused, the exponents before
+        # any power of ten is built.
+        for text in [
+            "0.5", "1e3", "1e999999999", "1.5e-2", "1_000", "1/-2", "+-1",
+            "- 1", "1 /2", "inf", "nan", "\u0663", "1/2/3", "", "9" * 5000,
+        ]:
+            with pytest.raises(ValueError, match="malformed rational"):
+                parse_rational(text)
+
+    def test_text_entries_take_the_grammar(self):
+        # Strings given to the constructors go through parse_rational too.
+        assert RationalCharacter([" 1/2", "-3"]).values == (Fraction(1, 2), -3)
+        for bad in ["0.5", "1e999999999"]:
+            with pytest.raises(ValueError, match="malformed rational"):
+                RationalCharacter(["1/3", bad])
+            with pytest.raises(ValueError, match="malformed rational"):
+                KappaParams(bad, 0, (0,))
+            with pytest.raises(ValueError, match="malformed rational"):
+                KappaParams(0, 0, (bad, 0))
 
     def test_character(self):
         chi = RationalCharacter.parse("1/5,1/7")
@@ -375,27 +400,6 @@ class TestIntegerHeckeVerdict:
         assert got == self.oracle(chi, n), (str(chi), n)
         return got
 
-    @staticmethod
-    def onto_hyperplanes(rng, chi, roots):
-        """chi moved by one or two coordinates so that it pairs integrally
-        with every root given (with the first alone when the two roots are
-        proportional on every pair of coordinates)."""
-        values = list(chi)
-        miss = [rng.randint(-3, 3) - pair(chi, alpha) for alpha in roots]
-        a = roots[0].coords
-        if len(roots) == 2:
-            b = roots[1].coords
-            for r in range(len(values)):
-                for s in range(r + 1, len(values)):
-                    det = a[r] * b[s] - a[s] * b[r]
-                    if det:
-                        values[r] += (miss[0] * b[s] - miss[1] * a[s]) / det
-                        values[s] += (a[r] * miss[1] - b[r] * miss[0]) / det
-                        return RationalCharacter(values)
-        r = next(i for i, coeff in enumerate(a) if coeff)
-        values[r] += miss[0] / a[r]
-        return RationalCharacter(values)
-
     def test_random_characters_match_the_oracle(self):
         rng = random.Random(97)
         verdicts = set()
@@ -429,7 +433,7 @@ class TestIntegerHeckeVerdict:
                         [random_fraction(rng, max_den=60, max_num=90) for _ in range(ell)]
                     )
                     picked = rng.sample(roots, walls)
-                    chi = self.onto_hyperplanes(rng, chi, picked)
+                    chi = onto_hyperplanes(rng, chi, picked)
                     assert pair(chi, picked[0]).denominator == 1
                     verdicts.add(self.check(chi, n))
         assert verdicts == {True, False}

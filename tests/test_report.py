@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from cyclocone.orbits import (
     enumerate_orbits,
     enumerate_Q_chi,
 )
-from cyclocone.params import RationalCharacter
+from cyclocone.params import RationalCharacter, cherednik_semisimple
 from cyclocone.report import (
     CriteriaDisagreement,
     OrbitRow,
@@ -24,11 +25,14 @@ from cyclocone.report import (
 )
 from cyclocone.rootlattice import generate_Rn, pair
 
+import oracles
 from oracles import (
     brute_force_orbit_pairs,
     cokernel_by_minors,
+    lap_families,
     multipartition_count,
     multipartitions_recursive,
+    onto_hyperplanes,
     random_fraction,
     string_vectors_scan,
 )
@@ -145,21 +149,100 @@ class TestSemisimplicityReport:
         assert verdicts == {True, False}
 
 
+SEVERAL_LAPS = [(n, ell) for ell in (1, 2) for n in range(1, 7)] + [(3, 6)]
+
+
+class TestSeveralLapsSolveOneWindow:
+    """Roots are grouped by window, m*delta + (one window), and one lookup
+    per window must find every m that makes it integral: several when the
+    period d / gcd(T, d) of chi is small (oracles.lap_families)."""
+
+    @pytest.mark.parametrize("n, ell", SEVERAL_LAPS)
+    def test_violated_roots_match_the_pairing_scan(self, n, ell):
+        roots = generate_Rn(n, ell)
+        families = lap_families(ell, n, random.Random(61 * n + ell))
+        for family, characters in families.items():
+            shared = False
+            for chi in characters:
+                expected = tuple(
+                    (alpha, value)
+                    for alpha in roots
+                    if (value := pair(chi, alpha)).denominator == 1
+                )
+                got = semisimplicity_report(n, ell, chi).violated_roots
+                assert got == expected, (family, str(chi))
+                assert all(type(value) is Fraction for _, value in got)
+                if family == "integral":
+                    assert len(got) == len(roots)
+                # Two violated roots a whole number of deltas apart share
+                # their window.
+                shared |= any(
+                    len({x - y for x, y in zip(a.coords, b.coords)}) == 1
+                    for (a, _), (b, _) in itertools.combinations(got, 2)
+                )
+            if characters and n > 1:
+                assert shared, family
+
+
+class TestRoadmapFamilies:
+    """Integral characters, and characters on one or two root hyperplanes
+    of R_n, are never semi-simple; the report's verdict must equal the
+    Cherednik criterion on kappa from the oracle's Fraction translation,
+    and the hyperplanes' roots must be among the violated ones."""
+
+    @pytest.mark.parametrize("walls", [0, 1, 2])
+    def test_report_against_cherednik(self, walls):
+        rng = random.Random(71 + walls)
+        sizes = [(n, ell) for n in range(1, 5) for ell in range(1, 5)] + [(3, 6)]
+        for n, ell in sizes:
+            roots = generate_Rn(n, ell)
+            for _ in range(4):
+                if walls == 0:
+                    chi = RationalCharacter([rng.randint(-4, 4) for _ in range(ell)])
+                    picked = list(roots)
+                else:
+                    chi = RationalCharacter(
+                        [random_fraction(rng, max_den=60, max_num=90) for _ in range(ell)]
+                    )
+                    picked = rng.sample(roots, min(walls, len(roots)))
+                    chi = onto_hyperplanes(rng, chi, picked)
+                    if pair(chi, picked[-1]).denominator != 1:
+                        picked = picked[:1]  # proportional roots: one wall
+                report = semisimplicity_report(n, ell, chi)
+                kp = oracles.chi_to_kappa(chi)
+                assert not report.semisimple
+                assert report.semisimple == cherednik_semisimple(kp, n, ell)
+                violated = [alpha for alpha, _ in report.violated_roots]
+                assert all(alpha in violated for alpha in picked)
+                if walls == 0:
+                    assert report.chi_integral
+                    assert len(report.violated_roots) == len(roots)
+
+
 class TestRootClosedForms:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_every_root_is_rebuilt_from_its_closed_form(self, n):
         # alpha = m*delta + sign*(eps_lo + ... + eps_{hi-1}), in the order of
         # generate_Rn, for every cycle up to length 7.
+        # Grouped by window (sign, lo, hi), each root keeps its position.
         for ell in range(1, 8):
             stored = report_module._roots(n, ell)
-            assert [entry[0] for entry in stored] == list(generate_Rn(n, ell))
-            for alpha, m, sign, lo, hi in stored:
+            assert len({entry[:3] for entry in stored}) == len(stored)
+            rebuilt = {}
+            for sign, lo, hi, laps, members in stored:
                 assert sign in (-1, 0, 1)
                 assert (sign == 0) == (lo == hi) and 0 <= lo <= hi <= ell
-                coords = [m] * ell
-                for r in range(lo, hi):
-                    coords[r] += sign
-                assert tuple(coords) == alpha.coords
+                ms = [m for _, m, _ in members]
+                assert ms == sorted(set(ms))
+                assert laps == sum(1 << m for m in ms)
+                for position, m, alpha in members:
+                    coords = [m] * ell
+                    for r in range(lo, hi):
+                        coords[r] += sign
+                    assert tuple(coords) == alpha.coords
+                    rebuilt[position] = alpha
+            assert [rebuilt[k] for k in sorted(rebuilt)] == list(generate_Rn(n, ell))
+            assert sorted(rebuilt) == list(range(len(rebuilt)))
 
 
 class TestHyperplaneListing:
