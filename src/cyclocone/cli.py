@@ -10,11 +10,20 @@ early, or an unexpected internal error).
 Each command imports the layers it runs when it runs, so a process loads
 only those: `translate` loads `params` alone, and `orbits` without a
 character loads no `params` or `report`.
+
+`main()`, the process entry point, calls `gc.freeze()` once the output is
+flushed, just before it exits: the collections Python runs while it
+finalizes skip frozen objects, so a process ends as soon as its bytes are
+out instead of walking every object it and its imports made.  Only
+`main()` freezes, because the process ends right after; `run()`, which the
+library, the tests and in-process callers use, leaves the collector as it
+is.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from functools import cache
@@ -555,6 +564,10 @@ def main() -> None:
         # the interpreter's final flush does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_ABORTED
+    # Nothing is left to print and the process is about to end, so spare it
+    # the finalizing collections: they skip the frozen generation.  Never in
+    # run(), whose callers live on and must keep collecting cycles.
+    gc.freeze()
     sys.exit(code)
 
 

@@ -570,13 +570,18 @@ def count_Q_chi(n: int, ell: int, chi: RationalCharacter) -> int:
 
     A group counts iff its mask lies inside the good bits, those of the
     union that chi pairs with integrally.  With k good bits and G groups,
-    the 2**k submasks of the good bits are looked up when 2**k * 64 <= G;
-    otherwise the bit-sliced index (_sliced_index, built on the first such
-    call) counts in a few big-int operations per window and count bit.
-    In-process (Python 3.11, 2 vCPUs, medians of 40 characters per k): at
-    (4,4), G = 6,090, a submask sum took 6.6 us at k = 6 and 13 us at k = 7,
-    a sliced count 8.2-8.4 us; at (4,5), G = 62,407, 29 and 56 us at k = 8
-    and 9 against 43-45 us, 12 us lost at k = 9 that no one factor fixes.
+    the 2**k submasks of the good bits are looked up when
+    2**k <= 32 + G // 160; otherwise the bit-sliced index (_sliced_index,
+    built on the first such call) counts in a few big-int operations per
+    window and count bit.  A submask sum costs about 0.05-0.1 us a probe,
+    a sliced count a few us plus a part that grows with G, hence the two
+    terms.  In-process (Python 3.11, 2 vCPUs, medians of 40 characters per
+    k), the rule sums submasks up to k = 5 below G = 5,120 (2.4-3.2 against
+    3.8-6.9 us sliced from (2,3) to (3,4)); up to k = 6 at (4,4), G = 6,090
+    (4.3 against 10.2 us; 12.3 against 10.8 us at k = 7); up to k = 7 at
+    (5,4), G = 24,056 (13 against 20 us; 26 against 21 us at k = 8); and up
+    to k = 8 at (4,5), (3,6) and (2,8), G = 62,407, 55,501 and 47,582 (24-26
+    against 39-43 us; 49-53 against 39-44 us at k = 9).
     """
     if chi.ell != ell:
         raise ValueError(f"character has {chi.ell} entries, expected {ell}")
@@ -589,7 +594,7 @@ def _count_Q_chi(n: int, ell: int, d: int, scaled) -> int:
     _, union, groups = _string_class_table(n, ell)
     bad = _non_integral_mask(ell, union, d, scaled)
     good = union ^ bad
-    if 1 << good.bit_count() << 6 <= len(groups):
+    if 1 << good.bit_count() <= 32 + len(groups) // 160:
         return _count_submasks(groups, good)
     return _count_sliced(_sliced_index(n, ell), bad)
 

@@ -1,4 +1,6 @@
 import contextlib
+import gc
+import hashlib
 import io
 import json
 import os
@@ -599,6 +601,69 @@ def assert_closed_stdout_exits_four(command, first_line):
     err = child.stderr.read().decode()
     assert child.wait(timeout=60) == 4
     assert "Traceback" not in err
+
+
+def run_child(argv, stdout=subprocess.PIPE):
+    """Run `python ARGV...` with the package on its path, stderr through a
+    pipe."""
+    src = os.path.dirname(os.path.dirname(cli_module.__file__))
+    return subprocess.run(
+        [sys.executable, *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+
+
+class TestMainProcess:
+    """main() freezes the collector once the output is flushed, so the
+    process skips its finalizing collections; the bytes and the exit code
+    must not change, and run(), which callers in a living process use, must
+    not freeze."""
+
+    def test_orbit_table_bytes_and_exit_zero(self):
+        # The digest of the (3,4) table in perfbench/expected.json.
+        done = run_child("-m cyclocone.cli orbits -n 3 -l 4 --format tsv".split())
+        assert done.returncode == 0
+        assert done.stderr == b""
+        assert hashlib.sha256(done.stdout).hexdigest() == (
+            "b42b8000a8e9c21e9b9e4dd10e85aff8fd48102a21c650a7eb87cd2c84945bbd"
+        )
+
+    def test_not_semisimple_exits_one(self):
+        done = run_child("-m cyclocone.cli semisimple -n 2 -l 1 --chi 1/2".split())
+        assert done.returncode == 1
+        assert done.stderr == b""
+        assert done.stdout.startswith(b"semi-simple: no\n")
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_main_freezes_before_it_exits(self, closed):
+        # An atexit handler runs after main() has raised SystemExit and
+        # before the interpreter finalizes; it reports the freeze on stderr,
+        # on the normal path and when no reader is left for stdout.
+        script = "\n".join([
+            "import atexit, gc, sys",
+            "from cyclocone.cli import main",
+            "frozen = lambda: gc.get_freeze_count() > 0",
+            "atexit.register(lambda: print('frozen', frozen(), file=sys.stderr))",
+            "sys.argv = 'cyclocone orbits -n 2 -l 2 --format tsv'.split()",
+            "main()",
+        ])
+        if closed:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as stdout:
+                done = run_child(["-c", script], stdout=stdout)
+        else:
+            done = run_child(["-c", script])
+        assert done.stderr == b"frozen True\n"
+        assert done.returncode == (4 if closed else 0)
+
+    def test_run_leaves_the_collector_unfrozen(self):
+        code, out, _ = invoke(["orbits", "-n", "2", "-l", "2", "--format", "tsv"])
+        assert code == 0 and out.startswith("lambda\tnu\t")
+        assert gc.get_freeze_count() == 0
 
 
 FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=12)

@@ -761,11 +761,47 @@ class TestCountPaths:
                 return original(*args)
 
             monkeypatch.setattr(orbits_module, name, record)
-        # 6,090 groups at (4,4): 2**6 * 64 <= 6,090 < 2**7 * 64.
+        # 6,090 groups at (4,4): 2**6 <= 32 + 6,090 // 160 = 70 < 2**7.
         count_Q_chi(4, 4, chi_of("1/97", "1/97", "1/97", "1/97"))  # 0 good bits
         count_Q_chi(4, 4, chi_of("1/2", "1/2", "1/3", "-1/3"))  # 12
         count_Q_chi(4, 4, chi_of(0, 0, 0, 0))  # 52
         assert taken == ["_count_submasks", "_count_sliced", "_count_sliced"]
+
+    @pytest.mark.parametrize(
+        "n, ell, most", [(2, 3, 5), (3, 4, 5), (4, 4, 6), (5, 4, 7), (4, 5, 8)]
+    )
+    def test_the_submask_sum_is_taken_up_to_its_crossover(
+        self, n, ell, most, monkeypatch
+    ):
+        # `most` is the largest number of good bits whose submasks are
+        # summed.  At (4,4), where chi-sweep counts, it is 6, as it was
+        # under the rule 2**k * 64 <= G, so no pool character changes path.
+        # The two paths agree wherever both are cheap enough to run.
+        _, union, groups = orbits_module._string_class_table(n, ell)
+        submasks = orbits_module._count_submasks
+        sliced = orbits_module._count_sliced
+        index = orbits_module._sliced_index(n, ell)
+        taken = []
+        for original in (submasks, sliced):
+
+            def record(*args, original=original):
+                taken.append(original.__name__)
+                return original(*args)
+
+            monkeypatch.setattr(orbits_module, original.__name__, record)
+        bits = [1 << j for j in range(union.bit_length()) if union >> j & 1]
+        for k in range(len(bits) + 1):
+            good = sum(bits[:k])
+            monkeypatch.setattr(
+                orbits_module, "_non_integral_mask", lambda *_, bad=union ^ good: bad
+            )
+            count = orbits_module._count_Q_chi(n, ell, 1, (0,) * ell)
+            assert count == sliced(index, union ^ good)
+            if k <= 12:
+                assert count == submasks(groups, good)
+        assert taken == ["_count_submasks"] * (most + 1) + ["_count_sliced"] * (
+            len(bits) - most
+        )
 
     def test_a_count_below_the_crossover_builds_no_index(self):
         index = orbits_module._sliced_index
