@@ -1,4 +1,5 @@
-"""Base class of the package's immutable value objects."""
+"""Base class of the package's immutable value objects, and the one owner of
+building a value from fields known to be valid, unchecked (`_trusted`)."""
 
 from __future__ import annotations
 
@@ -19,6 +20,13 @@ class Frozen:
         cls._key = attrgetter(*cls.__slots__)
         # The slot descriptors' setters get past the guard below.
         cls._setters = [getattr(cls, name).__set__ for name in cls.__slots__]
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """A value of cls from its fields in slot order, not re-validated."""
+        value = object.__new__(cls)
+        value._assign(*fields)
+        return value
 
     def _assign(self, *values) -> None:
         for setter, value in zip(self._setters, values):

@@ -160,10 +160,7 @@ def _render(out, fmt: str, obj, header: list[str], rows, pretty) -> None:
     a format that is not printed is never built.
     """
     if fmt == "json":
-        import json
-
-        encoder = json.JSONEncoder(ensure_ascii=False, indent=2)
-        pieces = chain(encoder.iterencode(obj()), ["\n"])
+        pieces = [_nested_json(obj(), 0), "\n"]
     elif fmt == "tsv":
         pieces = map("{}\n".format, chain(["\t".join(header)], map("\t".join, rows())))
     else:
@@ -177,11 +174,18 @@ def _cell(value) -> str:
 
 def _nested_json(value, depth: int) -> str:
     """json.dumps(value, indent=2) as it reads `depth` levels deep inside a
-    larger indent=2 document: the same text with every line indented."""
+    larger indent=2 document: the same text with every line indented.  At
+    depth 0 it is the whole document, the one JSON path of every command."""
     import json
 
     text = json.dumps(value, ensure_ascii=False, indent=2)
     return text.replace("\n", "\n" + "  " * depth)
+
+
+def _json_head(n: int, ell: int, chi) -> str:
+    """The opening of an orbits or simples JSON document, through its chi."""
+    chi_json = _nested_json(None if chi is None else chi.to_json(), 1)
+    return f'{{\n  "n": {n},\n  "ell": {ell},\n  "chi": {chi_json},\n'
 
 
 def _json_list(entries):
@@ -270,8 +274,7 @@ def _orbit_pieces(n: int, ell: int, chi, fmt: str):
             ])
 
     if as_json:
-        chi_json = _nested_json(None if chi is None else chi.to_json(), 1)
-        yield f'{{\n  "n": {n},\n  "ell": {ell},\n  "chi": {chi_json},\n  "orbits": ['
+        yield f'{_json_head(n, ell, chi)}  "orbits": ['
     elif fmt == "tsv":
         yield "lambda\tnu\tpi1\tsummands" + ("\n" if chi is None else "\tmonodromic\n")
     else:
@@ -367,9 +370,8 @@ def _cmd_simples(args, out) -> int:
         blocks = list(entries())
         _write(out, chain([f"{count} simple objects at chi={chi}\n"], blocks))
     else:
-        blocks, chi_json = list(entries()), _nested_json(chi.to_json(), 1)
-        head = f'{{\n  "n": {n},\n  "ell": {ell},\n  "chi": {chi_json},\n'
-        head += f'  "count": {count},\n  "labels": ['
+        blocks = list(entries())
+        head = f'{_json_head(n, ell, chi)}  "count": {count},\n  "labels": ['
         _write(out, chain([head], _json_list(blocks), ["\n}\n"]))
     return EXIT_OK
 

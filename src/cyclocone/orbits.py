@@ -15,7 +15,10 @@ ell and the class mask of its rows, nothing more; one cache per
 (ell, index, size, width) keeps the records beside their residues, packed
 ints (_placed_of_size).  Both are summed and ORed from per-row tables of
 every class's packed vector and bit (_row_table); the records, the pi1
-cache and the pairing test share this numbering.
+cache and the pairing test share this numbering.  Records exist only in
+that cache: a query on one label (decompose, fundamental_group,
+admits_monodromic_local_system) reads its rows' classes in one pass
+(_label_classes) and builds none.
 
 The label walk (_fill) and the table that counts labels per mask
 (_string_class_table) read one step graph (_step_graph) of those records:
@@ -23,7 +26,9 @@ a layer for lambda and one per nu component, each a dict from a packed
 residue left to its (record, residue left) steps; a record fits under a
 residue by one subtraction and one mask (_fits).  At a character the
 walk's graph keeps no nu record with a bit that chi pairs with
-non-integrally (_bad_bits), so it meets the labels of Q_chi and no other.
+non-integrally (_bad_bits), so it meets the labels of Q_chi and no other;
+chi's length is checked where it is scaled, by
+`RationalCharacter.common_denominator(ell)`.
 In the bit numbering one more lap of a string is ell**2 bits up, so the
 pairing test reads a mask a window at a time (_window_plan).
 
@@ -59,7 +64,7 @@ reads c and g off the bits of a mask in one pass.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, chain, repeat
+from itertools import accumulate
 from math import gcd
 from operator import getitem, or_
 from typing import TYPE_CHECKING, Iterator, NamedTuple
@@ -95,13 +100,6 @@ class OrbitLabel(Frozen):
                 f"residues of ({lam}; {nu}) do not add up to {n}*delta"
             )
         self._assign(lam, nu, n, ell)
-
-    @classmethod
-    def _trusted(cls, lam, nu, n, ell):
-        # Enumeration guarantees the residue identity; skip re-deriving it.
-        label = object.__new__(cls)
-        label._assign(lam, nu, n, ell)
-        return label
 
     def __repr__(self) -> str:
         return f"OrbitLabel({self.lam!r}, {self.nu!r}, n={self.n}, ell={self.ell})"
@@ -164,47 +162,43 @@ Components = tuple[PlacedComponent, ...]
 @lru_cache(maxsize=None)
 def _class_text(top: int, length: int, ell: int) -> str:
     """The string vector of a class as DimVector.__str__ writes it."""
-    return str(DimVector._trusted(_string_coords(top, length, ell)))
-
-
-def _component_strings(comp: PlacedComponent) -> tuple[StringSummand, ...]:
-    """The string summands of a record, one per row, from its index and parts."""
-    ell, index = comp.ell, comp.index
-    classes = _component_classes(ell, index, comp.partition.parts)
-    return tuple(
-        StringSummand(index, j, DimVector._trusted(_string_coords(top, length, ell)))
-        for j, (top, length) in enumerate(classes, 1)
-    )
-
-
-def _placed_nu(ell: int, nu: MultiPartition) -> Components:
-    """The components of nu as records, built for one query and kept nowhere:
-    each mask from the string classes of the component's rows."""
-    out = []
-    for index, partition in enumerate(nu):
-        classes = _component_classes(ell, index, partition.parts)
-        mask = reduce(or_, (_class_bit(*c, ell) for c in classes), 0)
-        out.append(PlacedComponent(partition, index, ell, mask))
-    return tuple(out)
-
-
-def _strings(components: Components) -> tuple[StringSummand, ...]:
-    return tuple(chain.from_iterable(map(_component_strings, components)))
+    return str(DimVector._trusted(_string_coords(top, length, ell), 0))
 
 
 def _orbit_label(lam: Partition, components: Components, n: int) -> OrbitLabel:
+    # The walk guarantees the residue identity; it is not re-derived.
     nu = MultiPartition(comp.partition for comp in components)
     return OrbitLabel._trusted(lam, nu, n, len(components))
 
 
+def _label_classes(label: OrbitLabel) -> Iterator[tuple[int, int, int, int]]:
+    """(index, row, top, length) per row of each nu component of a label, in
+    component and row order: the one pass over a label's rows for a query
+    on one label, which builds no record."""
+    ell = label.ell
+    for index, partition in enumerate(label.nu):
+        classes = _component_classes(ell, index, partition.parts)
+        for row, (top, length) in enumerate(classes, 1):
+            yield index, row, top, length
+
+
 def decompose(label: OrbitLabel) -> SummandDecomposition:
     """Framed summand plus one string summand per row of each nu component."""
-    framed = DimVector(residue(label.lam, label.ell).coords, framing=1)
-    return SummandDecomposition(framed, _strings(_placed_nu(label.ell, label.nu)))
+    ell = label.ell
+    framed = DimVector(residue(label.lam, ell).coords, framing=1)
+    strings = tuple(
+        StringSummand(
+            index, row, DimVector._trusted(_string_coords(top, length, ell), 0)
+        )
+        for index, row, top, length in _label_classes(label)
+    )
+    return SummandDecomposition(framed, strings)
 
 
 def _label_mask(label: OrbitLabel) -> int:
-    return reduce(or_, (comp.mask for comp in _placed_nu(label.ell, label.nu)), 0)
+    ell = label.ell
+    bits = [_class_bit(top, length, ell) for _, _, top, length in _label_classes(label)]
+    return reduce(or_, bits, 0)
 
 
 def fundamental_group(label: OrbitLabel) -> FGAbelianGroup:
@@ -371,7 +365,10 @@ def _step_graph(n: int, ell: int, bad=0) -> list[dict[int, list]]:
         for remaining in residues:
             # lambda (index -1, placed at 0) runs through sizes n*ell down to
             # 0, the last nu component takes all that is left, any other 0 up.
-            total = sum([remaining >> v * width & low for v in range(ell)])
+            # The size left is the coordinate sum: 2**W = 1 modulo low =
+            # 2**W - 1, so the packed residue is that sum modulo low, and the
+            # sum is at most n*ell < 2**(W - 1) < low, so it is its own rest.
+            total = remaining % low
             sizes = range(total if index == ell - 1 else 0, total + 1)
             if index < 0:
                 sizes = reversed(sizes)
@@ -390,7 +387,7 @@ def _step_graph(n: int, ell: int, bad=0) -> list[dict[int, list]]:
     return layers
 
 
-def _fill(n: int, ell: int, root, push, close=None, bad=0) -> Iterator[tuple]:
+def _fill(n: int, ell: int, root, push, close, bad=0) -> Iterator[tuple]:
     """(lambda record, state, mask, suffixes) per lambda and prefix (nu
     components 0..k-1, k = max(ell - 2, 0)) of the labels whose mask misses
     `bad`, in enumeration order: state is push folded over the prefix from
@@ -412,9 +409,7 @@ def _fill(n: int, ell: int, root, push, close=None, bad=0) -> Iterator[tuple]:
             if depth == stop:
                 suffixes = built.get(remaining)
                 if suffixes is None:
-                    suffixes = _suffixes(layers[stop:], remaining, root, push)
-                    if close is not None:
-                        suffixes = close(suffixes)
+                    suffixes = close(_suffixes(layers[stop:], remaining, root, push))
                     built[remaining] = suffixes
                 yield seed, state, mask, suffixes
                 continue
@@ -441,7 +436,8 @@ def _suffixes(tail: list[dict], remaining: int, root, push) -> list[tuple]:
 def _fill_labels(n: int, ell: int, bad=0) -> Iterator[tuple]:
     """(lambda, nu components, class mask) per label of enumerate_orbits
     whose mask misses `bad`, read off _fill over the filtered step graph."""
-    for seed, head, mask, tails in _fill(n, ell, (), lambda h, c: (*h, c), None, bad):
+    walk = _fill(n, ell, (), lambda h, c: (*h, c), lambda tails: tails, bad)
+    for seed, head, mask, tails in walk:
         for tail, tail_mask in tails:
             yield seed.partition, head + tail, mask | tail_mask
 
@@ -544,13 +540,10 @@ def _non_integral_mask(ell: int, mask: int, d: int, scaled) -> int:
 def _bad_bits(n: int, ell: int, chi: RationalCharacter) -> int:
     """The bits of every string class a label of (n, ell) can have (a row
     is at most n*ell long, so its bit is below n*ell*ell) that chi pairs
-    with non-integrally, the one check of chi's length for a walk or a
-    label.  Each bit is decided on its own, so a label admits a
-    chi-monodromic local system exactly when its mask has none."""
-    if chi.ell != ell:
-        raise ValueError(f"character has {chi.ell} entries, expected {ell}")
+    with non-integrally.  Each bit is decided on its own, so a label admits
+    a chi-monodromic local system exactly when its mask has none."""
     full = (1 << max(n, 0) * ell * ell) - 1
-    return _non_integral_mask(ell, full, *chi.common_denominator())
+    return _non_integral_mask(ell, full, *chi.common_denominator(ell))
 
 
 def enumerate_Q_chi(
@@ -583,9 +576,7 @@ def count_Q_chi(n: int, ell: int, chi: RationalCharacter) -> int:
     to k = 8 at (4,5), (3,6) and (2,8), G = 62,407, 55,501 and 47,582 (24-26
     against 39-43 us; 49-53 against 39-44 us at k = 9).
     """
-    if chi.ell != ell:
-        raise ValueError(f"character has {chi.ell} entries, expected {ell}")
-    return _count_Q_chi(n, ell, *chi.common_denominator())
+    return _count_Q_chi(n, ell, *chi.common_denominator(ell))
 
 
 def _count_Q_chi(n: int, ell: int, d: int, scaled) -> int:

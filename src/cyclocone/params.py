@@ -10,6 +10,10 @@ integer numerators over common denominators, each circle element built
 once (`CircleElement.from_ratio`), and one integer core, _product_nonzero,
 decides the product: for ariki_product_nonzero, and for a report on d*chi
 modulo d*ell with no kappa or circle element built (_chi_product_nonzero).
+
+`RationalCharacter.common_denominator(ell)` owns a character's length: every
+library entry that scales chi goes through it, and it alone refuses a
+character without ell entries.
 """
 
 from __future__ import annotations
@@ -65,11 +69,16 @@ class RationalCharacter(Frozen):
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for v in self.values)
 
-    def common_denominator(self) -> tuple[int, tuple[int, ...]]:
+    def common_denominator(self, ell: int) -> tuple[int, tuple[int, ...]]:
         """(d, d*chi): the least common denominator d of the entries and the
-        integer numerators over it.  The pairing of chi with an integer
-        vector is integral iff the integer pairing with d*chi is divisible
-        by d, and then equals that pairing divided by d."""
+        integer numerators over it, for a character of ell entries, any other
+        length refused.  The pairing of chi with an integer vector is
+        integral iff the integer pairing with d*chi is divisible by d, and
+        then equals that pairing divided by d."""
+        if len(self.values) != ell:
+            raise ValueError(
+                f"character has {len(self.values)} entries, expected {ell}"
+            )
         ratios = [v.as_integer_ratio() for v in self.values]
         d = lcm(*[b for _, b in ratios])
         return d, tuple([a * (d // b) for a, b in ratios])
@@ -173,9 +182,7 @@ class CircleElement(Frozen):
     def from_ratio(cls, num: int, den: int) -> CircleElement:
         """exp(2*pi*i*num/den) for integers num and den > 0: num is reduced
         modulo den first, so the one Fraction built is already canonical."""
-        element = object.__new__(cls)
-        element._assign(Fraction(num % den, den))
-        return element
+        return cls._trusted(Fraction(num % den, den))
 
     def __repr__(self) -> str:
         return f"CircleElement({str(self.t)!r})"
@@ -211,8 +218,8 @@ def chi_to_kappa(chi: RationalCharacter) -> KappaParams:
     p_{i+1 mod ell} = i*d - ell*s_i, so k00 = S/(2d) and
     kappa_r = (ell*p_r - sum(p)) / (d*ell^2).
     """
-    d, scaled = chi.common_denominator()
-    ell = len(scaled)
+    ell = len(chi)
+    d, scaled = chi.common_denominator(ell)
     k00 = Fraction(sum(scaled), 2 * d)
     by_i = [i * d - ell * s for i, s in enumerate(accumulate(scaled[1:], initial=0))]
     anchored = by_i[-1:] + by_i[:-1]

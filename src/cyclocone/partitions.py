@@ -42,13 +42,6 @@ class Partition(Frozen):
                 raise ValueError(f"parts must be weakly decreasing: {parts!r}")
         self._assign(parts)
 
-    @classmethod
-    def _trusted(cls, parts: tuple[int, ...]) -> Partition:
-        # The parts come from partitions_of; skip re-validating them.
-        partition = object.__new__(cls)
-        partition._assign(parts)
-        return partition
-
     @property
     def size(self) -> int:
         return sum(self.parts)

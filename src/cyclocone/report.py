@@ -35,7 +35,7 @@ from .orbits import (
     _count_Q_chi,
     _fill_labels,
     _orbit_label,
-    _strings,
+    decompose,
 )
 from .params import (
     CircleElement,
@@ -140,10 +140,8 @@ def semisimplicity_report(
         raise ValueError("n must be positive")
     if ell < 1:
         raise ValueError("cycle length must be positive")
-    if chi.ell != ell:
-        raise ValueError(f"character has {chi.ell} entries, expected {ell}")
 
-    d, scaled = chi.common_denominator()
+    d, scaled = chi.common_denominator(ell)
     prefix = [0, *accumulate(scaled)]
     total = prefix[ell]
     solved, r = {}, 0
@@ -204,7 +202,7 @@ def hyperplane_listing(n: int, ell: int) -> list[tuple[DimVector, str]]:
 class OrbitRow(NamedTuple):
     """An orbit label as lambda and its placed nu components, its pi1 and
     whether it admits a chi-monodromic local system (None without chi).
-    `label` and `strings` are built from the components on access."""
+    `label` is built from the components on access, `strings` from it."""
 
     lam: Partition
     components: tuple[PlacedComponent, ...]
@@ -218,7 +216,7 @@ class OrbitRow(NamedTuple):
 
     @property
     def strings(self) -> tuple[StringSummand, ...]:
-        return _strings(self.components)
+        return decompose(self.label).strings
 
 
 def orbit_report(

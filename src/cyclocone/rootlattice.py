@@ -37,13 +37,6 @@ class DimVector(Frozen):
             raise ValueError("framing multiplicity must be nonnegative")
         self._assign(coords, int(framing))
 
-    @classmethod
-    def _trusted(cls, coords: tuple[int, ...]) -> DimVector:
-        # An unframed vector from a nonempty tuple of ints, not re-validated.
-        vector = object.__new__(cls)
-        vector._assign(coords, 0)
-        return vector
-
     @property
     def ell(self) -> int:
         return len(self.coords)
@@ -106,7 +99,7 @@ def generate_Rn(n: int, ell: int) -> tuple[DimVector, ...]:
     if ell < 1:
         raise ValueError("cycle length must be positive")
     return tuple(
-        DimVector._trusted((m,) * lo + (m + sign,) * (hi - lo) + (m,) * (ell - hi))
+        DimVector._trusted((m,) * lo + (m + sign,) * (hi - lo) + (m,) * (ell - hi), 0)
         for m, sign, lo, hi in _root_forms(n, ell)
     )
 

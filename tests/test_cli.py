@@ -447,6 +447,20 @@ class TestInputValidation:
         code, _, _ = invoke(["orbits", "-n", "1", "-l", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["orbits", "simples", "semisimple"])
+    @pytest.mark.parametrize(
+        "option, error",
+        [
+            ("--chi=1/2,1/3,1/5", "character has 3 entries, expected 2"),
+            ("--chi=1/2", "character has 1 entries, expected 2"),
+            ("--kappa=k00=1/3,k=1/4,-1/4,0", "expected 2 kappa entries, got 3"),
+        ],
+        ids=["long-chi", "short-chi", "long-kappa"],
+    )
+    def test_a_parameter_of_the_wrong_length_is_bad_input(self, command, option, error):
+        code, out, err = invoke([command, "-n", "2", "-l", "2", option])
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
 
 class TestExitCodeContract:
     @pytest.mark.parametrize("count", ["0", "-5"])

@@ -62,3 +62,13 @@ def test_frozen_value(cls):
 def test_different_classes_never_equal(first, second):
     a, b = MAKERS[first](), MAKERS[second]()
     assert a != b and b != a
+
+
+@pytest.mark.parametrize("cls", list(MAKERS), ids=lambda cls: cls.__name__)
+def test_trusted_rebuilds_a_validated_value(cls):
+    # Frozen._trusted stores fields in slot order with no check, the one
+    # way the package builds a value it already knows to be valid.
+    value = MAKERS[cls]()
+    trusted = cls._trusted(*(getattr(value, name) for name in cls.__slots__))
+    assert type(trusted) is cls and trusted is not value
+    assert trusted == value and hash(trusted) == hash(value)

@@ -219,8 +219,11 @@ class TestPlacedRecords:
         # vertex 0 rotated by i, and takes its mask from per-row class
         # tables; the scans place the diagram at i from its boxes, and the
         # scanned residue is packed at the given width (5 bits a vertex
-        # holds 8 with its guard bit).  A label query builds its own
-        # records, which must agree with the cached ones.
+        # holds 8 with its guard bit).  A query on one label reads its rows
+        # without any record, and must agree with the cached ones: the label
+        # has the record's partition as its one nonempty component.  No
+        # lambda closes such a label's residues up to n*delta, and the
+        # queries need none, so it is built trusted.
         width = 5
         for size in range(9):
             base = orbits_module._placed_of_size(ell, 0, size, width)[1]
@@ -237,17 +240,34 @@ class TestPlacedRecords:
                     components = ((),) * index + (parts,)
                     scan = shifted_residue_scan(components, ell)
                     assert packed == sum(c << v * width for v, c in enumerate(scan))
-                    strings = orbits_module._component_strings(comp)
-                    vectors = [s.vector.coords for s in strings]
-                    assert vectors == string_vectors_scan(components, ell)
-                    assert set(mask_vectors(ell, comp.mask)) == set(vectors)
                     assert comp.partition is vertex0.partition
                     nu = MultiPartition(
                         map(Partition, components + ((),) * (ell - index - 1))
                     )
-                    query = orbits_module._placed_nu(ell, nu)[index]
-                    assert (query.partition, query.index) == (comp.partition, index)
-                    assert (query.ell, query.mask) == (comp.ell, comp.mask)
+                    lab = OrbitLabel._trusted(Partition(), nu, 0, ell)
+                    strings = decompose(lab).strings
+                    assert [(s.start, s.row) for s in strings] == [
+                        (index, j) for j in range(1, len(parts) + 1)
+                    ]
+                    vectors = [s.vector.coords for s in strings]
+                    assert vectors == string_vectors_scan(components, ell)
+                    assert set(mask_vectors(ell, comp.mask)) == set(vectors)
+                    assert orbits_module._label_mask(lab) == comp.mask
+                    assert fundamental_group(lab) == orbits_module._class_set_pi1(
+                        ell, comp.mask
+                    )
+
+    def test_a_label_query_builds_no_record(self, monkeypatch):
+        # Records exist only in the walk's cache: the queries on one label
+        # read its rows' classes in one pass and make no record.
+        def refuse(*args):
+            raise AssertionError("a label query built a record")
+
+        monkeypatch.setattr(orbits_module, "PlacedComponent", refuse)
+        lab = label((1,), ((2, 1, 1), (1, 1, 1, 1), ()), 3, 3)
+        assert len(decompose(lab).strings) == 7
+        assert fundamental_group(lab) == FGAbelianGroup(0)
+        assert admits_monodromic_local_system(lab, chi_of(0, 0, 0))
 
 
 class TestFundamentalGroup:
@@ -396,8 +416,10 @@ class TestMonodromy:
         ],
     )
     def test_every_chi_entry_refuses_a_length_mismatch(self, entry):
-        with pytest.raises(ValueError, match="character has 2 entries"):
+        # One message for every entry: the check is made in one place.
+        with pytest.raises(ValueError) as refused:
             entry(chi_of("1/2", "1/2"))
+        assert str(refused.value) == "character has 2 entries, expected 1"
 
     def test_gcd_criterion_mod_one(self):
         rng = random.Random(3)
@@ -678,7 +700,7 @@ class TestCountPaths:
     def good_bits(n, ell, chi):
         _, union, _ = orbits_module._string_class_table(n, ell)
         return union & ~orbits_module._non_integral_mask(
-            ell, union, *chi.common_denominator()
+            ell, union, *chi.common_denominator(ell)
         )
 
     def characters(self, n, ell):
@@ -904,7 +926,7 @@ class TestNonIntegralMask:
                 tuple(random_fraction(rng, max_den=den) for _ in range(ell))
             )
             got = orbits_module._non_integral_mask(
-                ell, union, *chi.common_denominator()
+                ell, union, *chi.common_denominator(ell)
             )
             assert got == self.scan(ell, union, chi)
             seen.add(got)
@@ -923,7 +945,7 @@ class TestNonIntegralMask:
             chi = RationalCharacter(
                 tuple(random_fraction(rng, max_den=6) for _ in range(ell))
             )
-            d, scaled = chi.common_denominator()
+            d, scaled = chi.common_denominator(ell)
             got = orbits_module._non_integral_mask(ell, mask, d, scaled)
             assert got == self.scan(ell, mask, chi)
 
@@ -951,7 +973,7 @@ class TestNonIntegralMask:
         for family, characters in families.items():
             most = 0
             for chi in characters:
-                d, scaled = chi.common_denominator()
+                d, scaled = chi.common_denominator(ell)
                 for mask in (union, full):
                     got = orbits_module._non_integral_mask(ell, mask, d, scaled)
                     assert got == self.scan(ell, mask, chi), (family, str(chi))
@@ -965,6 +987,6 @@ class TestNonIntegralMask:
         if ell > 1 and n > 3:
             # Several laps also through gcd(T, d) > 1, not only d <= n.
             assert any(
-                gcd(sum(c.common_denominator()[1]), c.common_denominator()[0]) > 1
+                gcd(sum(c.common_denominator(ell)[1]), c.common_denominator(ell)[0]) > 1
                 for c in families["periodic"]
             )

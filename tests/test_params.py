@@ -103,11 +103,18 @@ class TestParsing:
 class TestCommonDenominator:
     def test_example(self):
         chi = RationalCharacter.parse("1/2,-2/3,5")
-        assert chi.common_denominator() == (6, (3, -4, 30))
+        assert chi.common_denominator(3) == (6, (3, -4, 30))
+
+    def test_refuses_another_length(self):
+        chi = RationalCharacter.parse("1/2,-2/3,5")
+        for ell in (1, 2, 4):
+            with pytest.raises(ValueError) as refused:
+                chi.common_denominator(ell)
+            assert str(refused.value) == f"character has 3 entries, expected {ell}"
 
     @given(st.lists(fracs, min_size=1, max_size=3))
     def test_least_denominator_and_numerators(self, values):
-        d, numerators = RationalCharacter(values).common_denominator()
+        d, numerators = RationalCharacter(values).common_denominator(len(values))
         assert [Fraction(a, d) for a in numerators] == values
         assert not any(
             all((k * v).denominator == 1 for v in values) for k in range(1, d)
@@ -396,7 +403,7 @@ class TestIntegerHeckeVerdict:
         return ariki_nonzero_scan(oracles.hecke_q(q0, q1).t, [x.t for x in u], n)
 
     def check(self, chi, n):
-        got = _chi_product_nonzero(*chi.common_denominator(), n)
+        got = _chi_product_nonzero(*chi.common_denominator(chi.ell), n)
         assert got == self.oracle(chi, n), (str(chi), n)
         return got
 

@@ -398,7 +398,7 @@ class TestCountingWithoutListing:
             cache.cache_clear()
         monkeypatch.setattr(orbits_module, "enumerate_orbits", refuse)
         monkeypatch.setattr(orbits_module, "_fill_labels", refuse)
-        monkeypatch.setattr(orbits_module, "_component_strings", refuse)
+        monkeypatch.setattr(orbits_module, "_label_classes", refuse)
         # The counts were taken from the listing before counting stopped
         # listing.
         for values, semisimple, simple_count in [
