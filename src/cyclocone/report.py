@@ -35,7 +35,7 @@ from .orbits import (
     _count_Q_chi,
     _fill_labels,
     _orbit_label,
-    decompose,
+    _string_summands,
 )
 from .params import (
     CircleElement,
@@ -111,7 +111,7 @@ def _roots(n: int, ell: int) -> tuple[tuple[int, int, int, int, tuple], ...]:
     """generate_Rn(n, ell) by window: (sign, lo, hi, laps, ((position, m,
     alpha) per root)), alpha = m*delta + sign*(eps_lo + ... + eps_{hi-1})
     (0, 0, 0 for m*delta) at that position, laps the OR of its 1 << m."""
-    groups: dict[tuple[int, ...], list] = {}
+    groups = {}
     roots = zip(generate_Rn(n, ell), _root_forms(n, ell))
     for position, (alpha, (m, *window)) in enumerate(roots):
         groups.setdefault(tuple(window), []).append((position, m, alpha))
@@ -202,7 +202,8 @@ def hyperplane_listing(n: int, ell: int) -> list[tuple[DimVector, str]]:
 class OrbitRow(NamedTuple):
     """An orbit label as lambda and its placed nu components, its pi1 and
     whether it admits a chi-monodromic local system (None without chi).
-    `label` is built from the components on access, `strings` from it."""
+    `label` and `strings` are built from the components on access, each
+    on its own: the strings need no label."""
 
     lam: Partition
     components: tuple[PlacedComponent, ...]
@@ -216,7 +217,8 @@ class OrbitRow(NamedTuple):
 
     @property
     def strings(self) -> tuple[StringSummand, ...]:
-        return decompose(self.label).strings
+        partitions = [comp.partition for comp in self.components]
+        return _string_summands(len(partitions), partitions)
 
 
 def orbit_report(

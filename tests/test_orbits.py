@@ -32,11 +32,13 @@ from oracles import (
     bad_mask_scan,
     brute_force_orbit_pairs,
     cokernel_by_minors,
+    component_vectors_scan,
     count_walk,
     cyclic_group,
     lap_families,
     mask_vectors,
     pairs_integrally,
+    partitions_recursive,
     random_fraction,
     residue_scan,
     shifted_residue_scan,
@@ -645,6 +647,62 @@ class TestStepGraph:
         assert len(closed) == len(seen)
         assert len(seen) == len(step_layers(n, ell)[max(ell - 1, 1)])
 
+    @pytest.mark.parametrize("n, ell, values", STEP_GRAPH_CASES)
+    def test_the_last_component_takes_exactly_the_residue_left(self, n, ell, values):
+        # Every residue the last layer keeps gets exactly, in the oracle's
+        # order, the diagrams placed at ell - 1 whose shifted residue (a box
+        # scan) equals it and whose rows all pair integrally with chi, each
+        # leaving 0.
+        bad = 0 if values is None else bad_mask_scan(values, n, ell)
+        layers = step_layers(n, ell, bad)
+        width = (n * ell).bit_length() + 1
+        empty = ((),) * (ell - 1)
+        for key, steps in layers[ell].items():
+            left = tuple(key >> v * width & (1 << width) - 1 for v in range(ell))
+            expected = [
+                parts
+                for parts in partitions_recursive(sum(left))
+                if shifted_residue_scan((*empty, parts), ell) == left
+                and (
+                    values is None
+                    or all(
+                        pairs_integrally(values, vector)
+                        for vector in component_vectors_scan(ell - 1, parts, ell)
+                    )
+                )
+            ]
+            assert [comp.partition.parts for comp, _ in steps] == expected
+            assert [comp.index for comp, _ in steps] == [ell - 1] * len(steps)
+            assert {rest for _, rest in steps} == {0}
+
+    # Keys and steps per layer of the pruned graph, recorded from the graph
+    # built before the last component was matched by residue.
+    LAYER_SIZES = {
+        (3, 4, None): ([1, 49, 75, 70, 47], [224, 961, 1124, 943, 219]),
+        (4, 4, None): ([1, 87, 141, 133, 85], [737, 4137, 4907, 3951, 719]),
+        (4, 4, ("1/2", "1/2", "1/3", "-1/3")): (
+            [1, 12, 13, 12, 10],
+            [242, 60, 73, 53, 22],
+        ),
+        (2, 7, None): (
+            [1, 136, 220, 251, 278, 274, 239, 135],
+            [302, 1297, 1830, 2265, 2435, 2224, 1615, 301],
+        ),
+        (5, 5, None): (
+            [1, 388, 817, 938, 774, 378],
+            [6638, 68050, 100131, 98344, 67234, 6507],
+        ),
+    }
+
+    @pytest.mark.parametrize("n, ell, values", sorted(LAYER_SIZES, key=str))
+    def test_pinned_layer_sizes(self, n, ell, values):
+        bad = 0 if values is None else bad_mask_scan(values, n, ell)
+        layers = orbits_module._step_graph(n, ell, bad)
+        got = [len(layer) for layer in layers], [
+            sum(map(len, layer.values())) for layer in layers
+        ]
+        assert got == self.LAYER_SIZES[n, ell, values]
+
 
 class TestPackedFits:
     @pytest.mark.parametrize(
@@ -667,14 +725,17 @@ class TestPackedFits:
             assert value >> ell * width == 0
             return tuple(value >> v * width & low for v in range(ell))
 
+        guard = pack((1 << width - 1,) * ell)
         largest = 0
         for index in range(ell):
+            pairs = [
+                orbits_module._placed_of_size(ell, index, size, width)
+                for size in sizes
+            ]
             records = [
                 (comp, unpack(packed))
-                for size in sizes
-                for packed, comp in zip(
-                    *orbits_module._placed_of_size(ell, index, size, width)
-                )
+                for residues, comps in pairs
+                for packed, comp in zip(residues, comps)
             ]
             largest = max([largest] + [max(shifted) for _, shifted in records])
             for remaining in itertools.product(range(n + 1), repeat=ell):
@@ -683,7 +744,7 @@ class TestPackedFits:
                     for comp, shifted in records
                     if all(r >= s for r, s in zip(remaining, shifted))
                 ]
-                got = orbits_module._fits(ell, index, pack(remaining), sizes, width, 0)
+                got = orbits_module._fits(pack(remaining), pairs, guard, 0)
                 assert [(comp, unpack(rest)) for comp, rest in got] == expected
         assert largest == n * ell or (ell > 1 and n > 0)
 

@@ -311,6 +311,16 @@ class TestOrbitReport:
         assert row.strings == decompose(row.label).strings
         assert row.monodromic is False
 
+    @pytest.mark.parametrize(
+        "n, ell",
+        [(n, ell) for n in range(1, 13) for ell in range(1, 13) if n * ell <= 12],
+    )
+    def test_strings_equal_the_label_decomposition(self, n, ell):
+        # A row's strings are built from its components, with no label;
+        # decompose builds them from the label the row stands for.
+        for row in orbit_report(n, ell):
+            assert row.strings == decompose(row.label).strings
+
     @pytest.mark.parametrize("n, ell", [(3, 2), (2, 3)])
     def test_flags_match_per_label_criterion(self, n, ell):
         # The table-driven flags against the per-label pairing test.
