@@ -11,26 +11,26 @@ the content convention of `partitions`, which owns it; lambda is placed the
 same way at index 0.  String class (top, length) is bit (length - 1) * ell +
 top of a class mask, top read as 0 when ell divides the length: one bit per
 string vector.  A `PlacedComponent` record holds a partition, its index,
-ell and the class mask of its rows, nothing more; one cache per
-(ell, index, size, width) keeps the records beside their residues, packed
-ints (_placed_of_size).  Both are summed and ORed from per-row tables of
+ell and the class mask of its rows, nothing more.  Each step graph makes
+its own records once, beside their residues, packed ints (_placed), and
+no process-wide cache keeps them: a record lives as long as its graph or
+a row that holds it.  Both are summed and ORed from per-row tables of
 every class's packed vector and bit (_row_table); the records, the pi1
-cache and the pairing test share this numbering.  Records exist only in
-that cache: a query on one label (decompose, fundamental_group,
-admits_monodromic_local_system) reads its rows' classes in one pass
-(_label_classes) and builds none.
+cache and the pairing test share this numbering.  A query on one label
+(decompose, fundamental_group, admits_monodromic_local_system) reads its
+rows' classes in one pass (_label_classes) and builds no record.
 
 The label walk (_fill) and the table that counts labels per mask
 (_string_class_table) read one step graph (_step_graph) of those records:
 a layer for lambda and one per nu component, each a dict from a packed
 residue left to its (record, residue left) steps; a record fits under a
-residue by one subtraction and one mask (_fits).  The last nu component
+residue by one subtraction and one test (_fits).  The last nu component
 must take exactly the residue left, so its steps come from one dict of
 its records keyed by their own residue, and no residue the component
 before it leaves that no record matches is kept.  The table folds the
 graph from the last layer back, and a residue whose first step is the
 empty component starts its counts as a copy of the counts that step
-leaves.  At a character the walk's graph keeps no nu record with a bit
+leaves.  At a character the walk's graph makes no nu record with a bit
 that chi pairs with non-integrally (_bad_bits), so it meets the labels
 of Q_chi and no other; chi's length is checked where it is scaled, by
 `RationalCharacter.common_denominator(ell)`.
@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd
 from operator import getitem, or_
 from typing import TYPE_CHECKING, Iterator, NamedTuple
@@ -135,10 +135,10 @@ def _class_bit(top: int, length: int, ell: int) -> int:
 
 class PlacedComponent:
     """A partition placed at vertex `index` of the cycle of length `ell`, with
-    the class bits of its rows (`mask`), all that both walks read of it; its
-    residue, packed, sits beside it in _placed_of_size.  A table row's texts,
-    str(partition) and the "i:j:(v)" fragment of each row, are made on first
-    read, so counting never makes them."""
+    the class bits of its rows (`mask`), all a walk reads of it, compared by
+    identity; its packed residue sits beside it in one graph's _placed
+    lists.  A row's texts, str(partition) and the "i:j:(v)" fragment of
+    each row, are made on first read, so counting never makes them."""
 
     def __init__(self, partition: Partition, index: int, ell: int, mask: int):
         self.partition = partition
@@ -274,7 +274,6 @@ def _pack(coords: tuple[int, ...], width: int) -> int:
     return sum([c << v * width for v, c in enumerate(coords)])
 
 
-@lru_cache(maxsize=None)
 def _row_table(ell: int, width: int) -> tuple[list[list[int]], list[list[int]]]:
     """(vectors, bits): vectors[top][length] is the string vector of the
     class (top, length) packed at `width` bits a vertex and bits[top][length]
@@ -289,51 +288,56 @@ def _row_table(ell: int, width: int) -> tuple[list[list[int]], list[list[int]]]:
     return vectors, bits
 
 
-@lru_cache(maxsize=None)
-def _placed_of_size(
-    ell: int, index: int, size: int, width: int
-) -> tuple[tuple[int, ...], Components]:
-    """The one cache of records: (packed residues, records) of the
-    partitions of `size` placed at `index`, both in the order of
-    partitions_of, the residues packed at `width` bits a vertex as _fits
-    reads them.
+def _placed(ell: int, top: int, width: int, bad: int) -> list[list[tuple]]:
+    """The records of one step graph, made once per graph: per layer,
+    lambda then nu components 0..ell-1, the (packed residues, records) pair
+    of each size 0..top in the order of partitions_of, residues packed at
+    `width` bits a vertex as _fits reads them.  Lambda, whose classes are
+    no part of a label's mask, keeps every record; no nu record's mask
+    meets `bad`.
 
-    Row j of a diagram at `index` has the string class
-    (index + j - 1 mod ell, length), so a record's mask ORs those classes'
-    bits from _row_table.  Vertex 0 makes the Partitions, trusted since
-    partitions_of gives their parts, and sums the classes' packed vectors
-    into each residue; every other index shares those Partitions and
-    rotates each residue by sigma^index, a shift of whole fields."""
+    Row j at index i has the string class (i + j - 1 mod ell, length), so
+    a mask ORs its rows' bits from _row_table.  A size's Partitions, trusted
+    since partitions_of gives their parts, and their residues at index 0,
+    sums of packed vectors, serve every index: at index i the residue is
+    rotated by sigma^i, i fields up modulo 2**(ell*W) - 1 (no residue fills
+    every bit).  At i >= 1 the mask comes first and a record is made only
+    if it misses `bad`; index 0's records are made once, all for lambda and
+    those that miss `bad` for component 0."""
     vectors, bits = _row_table(ell, width)
-    tops = [bits[(index + j) % ell] for j in range(size)]
-    residues, records = [], []
-    if index:
-        shift, back = index * width, (ell - index) * width
-        full = (1 << ell * width) - 1
-        for packed, comp in zip(*_placed_of_size(ell, 0, size, width)):
-            partition = comp.partition
-            mask = reduce(or_, map(getitem, tops, partition.parts), 0)
-            residues.append((packed << shift) & full | packed >> back)
-            records.append(PlacedComponent(partition, index, ell, mask))
-        return tuple(residues), tuple(records)
-    rows = [vectors[j % ell] for j in range(size)]
-    for parts in partitions_of(size):
-        mask = reduce(or_, map(getitem, tops, parts), 0)
-        residues.append(sum(map(getitem, rows, parts)))
-        records.append(PlacedComponent(Partition._trusted(parts), 0, ell, mask))
-    return tuple(residues), tuple(records)
+    full = (1 << ell * width) - 1
+    scans = [[] for _ in range(ell + 1)]
+    for size in range(top + 1):
+        rows = [vectors[j % ell] for j in range(size)]
+        partitions = [Partition._trusted(parts) for parts in partitions_of(size)]
+        unrotated = [sum(map(getitem, rows, p.parts)) for p in partitions]
+        for index, scan in enumerate(scans[1:]):
+            tops = [bits[(index + j) % ell] for j in range(size)]
+            residues, records = [], []
+            for packed, partition in zip(unrotated, partitions):
+                mask = reduce(or_, map(getitem, tops, partition.parts), 0)
+                if not (index and mask & bad):
+                    residues.append((packed << index * width) % full)
+                    records.append(PlacedComponent(partition, index, ell, mask))
+            if not index:
+                scans[0].append((residues, records))
+                keep = [not comp.mask & bad for comp in records]
+                residues = list(compress(residues, keep))
+                records = list(compress(records, keep))
+            scan.append((residues, records))
+    return scans
 
 
-def _fits(remaining: int, pairs, guard: int, bad: int) -> Iterator:
+def _fits(remaining: int, pairs, guard: int) -> Iterator:
     """(record, rest) per record of the (packed residues, records) pairs
-    given, in their order, whose residue fits under `remaining` and whose
-    mask misses `bad`, rest the residue left over, all packed at W bits a
-    vertex with every coordinate below 2**(W - 1) and `guard` the top bit of
-    every field; yielded as found, so a caller keeps no list of fits beside
-    the steps it makes of them.  The one placement of a diagram on the
-    cycle: _step_graph scans lambda (index 0, so unrotated) and nu
-    components 0..ell-2 through it, and keys the last component's records
-    that fit under n*delta by it once.
+    given, in their order, whose residue fits under `remaining`, rest the
+    residue left over, all packed at W bits a vertex with every coordinate
+    below 2**(W - 1) and `guard` the top bit of every field; yielded as
+    found, so a caller keeps no list of fits beside the steps it makes of
+    them.  The one placement of a diagram on the cycle, with no filter:
+    _step_graph scans lambda (index 0, so unrotated) and nu components
+    0..ell-2 through it, and keys the last component's records that fit
+    under n*delta by it once.
 
     In (remaining | guard) less the packed record a field keeps its guard
     bit iff the record's coordinate is at most the remaining one, and no
@@ -345,7 +349,7 @@ def _fits(remaining: int, pairs, guard: int, bad: int) -> Iterator:
         (comp, rest ^ guard)
         for residues, records in pairs
         for packed, comp in zip(residues, records)
-        if (rest := top - packed) & guard == guard and not comp.mask & bad
+        if (rest := top - packed) & guard == guard
     )
 
 
@@ -356,24 +360,23 @@ def _step_graph(n: int, ell: int, bad=0) -> list[dict]:
     component i to [(record of component i, residue left)].  Every key is
     reached from n*delta and has a step, and every residue left is a key
     of the next layer (0 after the last), so no walk meets a dead end.  A
-    nu record whose mask meets `bad` is never kept; lambda, whose classes
-    are no part of a label's mask, is not filtered.
+    nu record whose mask meets `bad` is never made (_placed); lambda, whose
+    classes are no part of a label's mask, is not filtered.
 
-    Built with no recursion.  Each index's (residues, records) pairs, one
-    per size, are fetched once per graph.  The last component must take
-    exactly the residue left, so it is matched by residue, not scanned: its
-    records that fit under n*delta and miss `bad` are keyed once by their
-    own residue, each key's steps in the order of partitions_of since a
-    residue fixes the size.  Lambda and every other nu component are
-    scanned (_fits) under each residue reached, and their kept fits go
-    forward, each residue left interned in the next layer's keys; the
-    layer before the last keeps only the fits whose residue left is a key
-    of that dict, and the last layer is the dict on the residues reached,
-    in the order reached.  Then each other layer is rebuilt from the last
-    back keeping only the steps whose residue left the rebuilt layer after
-    it keeps.  Residues are packed ints (_pack) of W = (n*ell).bit_length()
-    + 1 bits a vertex: no coordinate exceeds n*ell < 2**(W - 1), which
-    _fits' guard bits need."""
+    Built with no recursion, from the records _placed makes for this graph
+    alone.  The last component must take exactly the residue left, so it is
+    matched by residue, not scanned: its records that fit under n*delta are
+    keyed once by their own residue, each key's steps in the order of
+    partitions_of since a residue fixes the size.  Lambda and every other nu
+    component are scanned (_fits) under each residue reached, and their kept
+    fits go forward, each residue left interned in the next layer's keys;
+    the layer before the last keeps only the fits whose residue left is a
+    key of that dict, and the last layer is the dict on the residues
+    reached, in the order reached.  Then each other layer is rebuilt from the
+    last back keeping only the steps whose residue left the rebuilt layer
+    after it keeps.  Residues are packed ints (_pack) of
+    W = (n*ell).bit_length() + 1 bits a vertex: no coordinate exceeds
+    n*ell < 2**(W - 1), which _fits' guard bits need."""
     if ell < 1:
         raise ValueError("cycle length must be positive")
     if n < 0:
@@ -381,15 +384,11 @@ def _step_graph(n: int, ell: int, bad=0) -> list[dict]:
     width = (n * ell).bit_length() + 1
     unit = _pack((1,) * ell, width)
     low, start, guard = (1 << width) - 1, n * unit, unit << width - 1
-    # The pairs of lambda (placed at 0, sizes n*ell down to 0) and of each
-    # nu component (sizes 0 up); the last component's are keyed once.
-    scans = [
-        [_placed_of_size(ell, i, size, width) for size in range(n * ell + 1)]
-        for i in [0, *range(ell)]
-    ]
+    # Lambda scans sizes n*ell down; the last component is keyed by residue.
+    scans = _placed(ell, n * ell, width, bad)
     scans[0].reverse()
     exact = {}
-    for comp, rest in _fits(start, scans.pop(), guard, bad):
+    for comp, rest in _fits(start, scans.pop(), guard):
         exact.setdefault(start - rest, []).append((comp, 0))
     layers, residues = [], [start]
     for depth, pairs in enumerate(scans):
@@ -405,7 +404,7 @@ def _step_graph(n: int, ell: int, bad=0) -> list[dict]:
             layer[remaining] = [
                 (comp, intern(rest, rest))
                 for comp, rest in _fits(
-                    remaining, pairs[: remaining % low + 1], guard, bad if depth else 0
+                    remaining, pairs[: remaining % low + 1], guard
                 )
                 if keep_all or rest in exact
             ]
@@ -592,7 +591,7 @@ def enumerate_Q_chi(
 
     Its length is the number of simple objects of the admissible category
     at the character chi.  The walk meets only these labels: its step
-    graph keeps no record with a bit of _bad_bits."""
+    graph makes no nu record with a bit of _bad_bits."""
     rows = _fill_labels(n, ell, _bad_bits(n, ell, chi))
     return [_orbit_label(lam, comps, n) for lam, comps, _ in rows]
 

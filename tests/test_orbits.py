@@ -151,9 +151,15 @@ class TestEnumeration:
             for _ in range(2)
         ]
         for chi in characters:
+            # Each call makes its own records, which compare by identity,
+            # so the rows are compared by partition and index.
             report = list(orbit_report(n, ell, chi))
-            assert [(r.lam, r.components) for r in report] == [
-                (lam, comps) for lam, comps, _ in rows
+            assert [
+                (r.lam, [(c.partition, c.index) for c in r.components])
+                for r in report
+            ] == [
+                (lam, [(c.partition, c.index) for c in comps])
+                for lam, comps, _ in rows
             ]
             for (_, nu), row in zip(pairs, report):
                 vectors = string_vectors_scan(nu, ell)
@@ -222,17 +228,19 @@ class TestPlacedRecords:
         # tables; the scans place the diagram at i from its boxes, and the
         # scanned residue is packed at the given width (5 bits a vertex
         # holds 8 with its guard bit).  A query on one label reads its rows
-        # without any record, and must agree with the cached ones: the label
-        # has the record's partition as its one nonempty component.  No
-        # lambda closes such a label's residues up to n*delta, and the
-        # queries need none, so it is built trusted.
+        # without any record, and must agree with the graph's ones: the
+        # label has the record's partition as its one nonempty component.
+        # No lambda closes such a label's residues up to n*delta, and the
+        # queries need none, so it is built trusted.  With no bad bit every
+        # nu component keeps every record, and component 0 shares lambda's.
         width = 5
+        lambdas, *scans = orbits_module._placed(ell, 8, width, 0)
+        assert len(lambdas) == 9 and len(scans) == ell
         for size in range(9):
-            base = orbits_module._placed_of_size(ell, 0, size, width)[1]
+            base = lambdas[size][1]
+            assert lambdas[size] == scans[0][size]
             for index in range(ell):
-                residues, records = orbits_module._placed_of_size(
-                    ell, index, size, width
-                )
+                residues, records = scans[index][size]
                 assert len(residues) == len(records) == len(partitions_of(size))
                 for parts, packed, comp, vertex0 in zip(
                     partitions_of(size), residues, records, base
@@ -259,8 +267,84 @@ class TestPlacedRecords:
                         ell, comp.mask
                     )
 
+    @pytest.mark.parametrize(
+        "n, ell, values",
+        [
+            (1, 3, ("1/2", "0", "1/3")),
+            (2, 2, ("1/2", "1/2")),
+            (2, 3, ("1/7", "1/5", "1/3")),
+            (3, 2, ("1/3", "2/3")),
+            (2, 4, ("0", "1/2", "0", "1/3")),
+            (3, 3, ("1", "-2", "0")),
+        ],
+    )
+    def test_records_at_a_character_agree_with_box_scans(self, n, ell, values):
+        # The records of one graph at a character: at every index and size
+        # the nu records are exactly the partitions, in the order of
+        # partitions_of (the oracle's recursion), whose rows' vectors from
+        # the box scan all pair integrally with chi, each beside its scanned
+        # residue; lambda keeps every partition, and component 0's records
+        # are lambda's own.  bad comes from the oracle, so at chi = (1, -2,
+        # 0) it is 0 and nothing is left out.
+        bad = bad_mask_scan(values, n, ell)
+        width = (n * ell).bit_length() + 1
+        lambdas, *scans = orbits_module._placed(ell, n * ell, width, bad)
+        assert len(lambdas) == n * ell + 1 and len(scans) == ell
+        left_out = 0
+        for size in range(n * ell + 1):
+            every = list(partitions_recursive(size))
+            assert every == list(partitions_of(size))
+            assert [c.partition.parts for c in lambdas[size][1]] == every
+            assert all(c.index == 0 for c in lambdas[size][1])
+            shared = {id(c) for c in lambdas[size][1]}
+            for index in range(ell):
+                kept = [
+                    parts
+                    for parts in every
+                    if all(
+                        pairs_integrally(values, v)
+                        for v in component_vectors_scan(index, parts, ell)
+                    )
+                ]
+                left_out += len(every) - len(kept)
+                residues, records = scans[index][size]
+                assert [c.partition.parts for c in records] == kept
+                for packed, comp, parts in zip(residues, records, kept):
+                    assert comp.index == index and not comp.mask & bad
+                    components = ((),) * index + (parts,)
+                    scan = shifted_residue_scan(components, ell)
+                    assert packed == sum(c << v * width for v, c in enumerate(scan))
+                    vectors = component_vectors_scan(index, parts, ell)
+                    assert set(mask_vectors(ell, comp.mask)) == set(vectors)
+                    assert (id(comp) in shared) == (index == 0)
+        assert (left_out > 0) == (bad != 0)
+
+    def test_a_graph_at_a_character_makes_no_bad_record(self, monkeypatch):
+        # A construction spy on the (4,4) graph at a generic character: no
+        # record of index >= 1 is made with a bad bit, while lambda, at
+        # index 0, is made whole, bad bits and all.  Records of index 0 are
+        # made once, for lambda and component 0 together.
+        chi = chi_of("1/7", "1/5", "1/3", "1/11")
+        bad = orbits_module._bad_bits(4, 4, chi)
+        made = []
+        original = orbits_module.PlacedComponent
+
+        def spy(partition, index, ell, mask):
+            made.append((partition.parts, index, mask))
+            return original(partition, index, ell, mask)
+
+        monkeypatch.setattr(orbits_module, "PlacedComponent", spy)
+        orbits_module._step_graph(4, 4, bad)
+        placed = Counter(index for _, index, _ in made)
+        lambdas = sum(len(partitions_of(size)) for size in range(17))
+        assert placed[0] == lambdas
+        assert len({(parts, index) for parts, index, _ in made}) == len(made)
+        assert all(not mask & bad for _, index, mask in made if index)
+        assert any(mask & bad for _, index, mask in made if not index)
+        assert 0 < sum(placed.values()) - lambdas < 3 * lambdas
+
     def test_a_label_query_builds_no_record(self, monkeypatch):
-        # Records exist only in the walk's cache: the queries on one label
+        # Records exist only in a step graph: the queries on one label
         # read its rows' classes in one pass and make no record.
         def refuse(*args):
             raise AssertionError("a label query built a record")
@@ -716,7 +800,6 @@ class TestPackedFits:
         # the largest value a field holds.
         width = (n * ell).bit_length() + 1
         low = (1 << width) - 1
-        sizes = range(n * ell + 1)
 
         def pack(coords):
             return sum(c << v * width for v, c in enumerate(coords))
@@ -727,11 +810,7 @@ class TestPackedFits:
 
         guard = pack((1 << width - 1,) * ell)
         largest = 0
-        for index in range(ell):
-            pairs = [
-                orbits_module._placed_of_size(ell, index, size, width)
-                for size in sizes
-            ]
+        for pairs in orbits_module._placed(ell, n * ell, width, 0)[1:]:
             records = [
                 (comp, unpack(packed))
                 for residues, comps in pairs
@@ -744,7 +823,7 @@ class TestPackedFits:
                     for comp, shifted in records
                     if all(r >= s for r, s in zip(remaining, shifted))
                 ]
-                got = orbits_module._fits(pack(remaining), pairs, guard, 0)
+                got = orbits_module._fits(pack(remaining), pairs, guard)
                 assert [(comp, unpack(rest)) for comp, rest in got] == expected
         assert largest == n * ell or (ell > 1 and n > 0)
 

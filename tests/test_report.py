@@ -400,8 +400,6 @@ class TestCountingWithoutListing:
         for cache in (
             orbits_module.enumerate_orbits,
             orbits_module._string_class_table,
-            orbits_module._placed_of_size,
-            orbits_module._row_table,
             orbits_module._string_coords,
             count_multipartitions,
         ):
@@ -409,6 +407,11 @@ class TestCountingWithoutListing:
         monkeypatch.setattr(orbits_module, "enumerate_orbits", refuse)
         monkeypatch.setattr(orbits_module, "_fill_labels", refuse)
         monkeypatch.setattr(orbits_module, "_label_classes", refuse)
+        # The table walks the placed records that the listing reads, but
+        # only their masks: no record makes its row texts.
+        placed = orbits_module.PlacedComponent
+        monkeypatch.setattr(placed, "strings", refuse)
+        monkeypatch.setattr(placed, "text", property(refuse))
         # The counts were taken from the listing before counting stopped
         # listing.
         for values, semisimple, simple_count in [
@@ -422,19 +425,12 @@ class TestCountingWithoutListing:
                 simple_count,
                 105,
             )
-        # The table walks the placed records that the listing reads, but
-        # only their masks, beside their packed residues: no record made its
-        # row texts, and none holds a residue of its own.  The
-        # records read here are the report's own, at the (4,4) graph's width
-        # of 6 bits a vertex: reading them builds none.
-        records = orbits_module._placed_of_size
-        misses = records.cache_info().misses
-        assert records.cache_info().currsize > 0
-        for index in range(4):
-            for size in range(17):
-                for comp in records(4, index, size, 6)[1]:
+        # The records of the (4,4) graph sit beside their packed residues:
+        # none holds a residue or a text of its own.
+        for layer in orbits_module._step_graph(4, 4):
+            for steps in layer.values():
+                for comp, _ in steps:
                     assert vars(comp).keys() == {"partition", "index", "ell", "mask"}
-        assert records.cache_info().misses == misses
 
     # Per size: the number of labels, then (semisimple, simple_count) of each
     # seeded character below, all taken from the listing before counting
