@@ -11,12 +11,12 @@ the content convention of `partitions`, which owns it; lambda is placed the
 same way at index 0.  String class (top, length) is bit (length - 1) * ell +
 top of a class mask, top read as 0 when ell divides the length: one bit per
 string vector.  A `PlacedComponent` record holds a partition, its index,
-ell and the class mask of its rows, nothing more.  Each step graph makes
-its own records once, beside their residues, packed ints (_placed), and
-no process-wide cache keeps them: a record lives as long as its graph or
-a row that holds it.  Both are summed and ORed from per-row tables of
-every class's packed vector and bit (_row_table); the records, the pi1
-cache and the pairing test share this numbering.  A query on one label
+ell and the class mask of its rows, nothing more, and equals any record
+of the same three.  Each step graph makes its own records once, beside
+their residues, packed ints, both summed and ORed from tables of every
+class's packed vector and bit (_placed); no process-wide cache keeps
+them, so a record lives as long as its graph or a row that holds it.  The
+records, the pi1 cache and the pairing test share this numbering.  A query on one label
 (decompose, fundamental_group, admits_monodromic_local_system) reads its
 rows' classes in one pass (_label_classes) and builds no record.
 
@@ -70,9 +70,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, compress
+from itertools import accumulate
 from math import gcd
-from operator import getitem, or_
+from operator import attrgetter, getitem, or_
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from ._frozen import Frozen
@@ -135,16 +135,24 @@ def _class_bit(top: int, length: int, ell: int) -> int:
 
 class PlacedComponent:
     """A partition placed at vertex `index` of the cycle of length `ell`, with
-    the class bits of its rows (`mask`), all a walk reads of it, compared by
-    identity; its packed residue sits beside it in one graph's _placed
-    lists.  A row's texts, str(partition) and the "i:j:(v)" fragment of
-    each row, are made on first read, so counting never makes them."""
+    the class bits of its rows (`mask`), all a walk reads of it, equal to
+    a record of the same partition, index and ell; its packed residue sits
+    beside it in one graph's _placed lists.  A row's texts, str(partition)
+    and the "i:j:(v)" fragment of each row, are made on first read, so
+    counting never makes them."""
 
     def __init__(self, partition: Partition, index: int, ell: int, mask: int):
         self.partition = partition
         self.index = index
         self.ell = ell
         self.mask = mask
+
+    def __eq__(self, other):
+        key = _record_key
+        return type(other) is PlacedComponent and key(self) == key(other)
+
+    def __hash__(self):
+        return hash(_record_key(self))
 
     @cached_property
     def text(self) -> str:
@@ -162,7 +170,7 @@ class PlacedComponent:
         return " ".join([f"{i}:{j}:{v}" for i, j, v in self.strings()])
 
 
-Components = tuple[PlacedComponent, ...]
+_record_key = attrgetter("partition", "index", "ell")
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +179,7 @@ def _class_text(top: int, length: int, ell: int) -> str:
     return str(DimVector._trusted(_string_coords(top, length, ell), 0))
 
 
-def _orbit_label(lam: Partition, components: Components, n: int) -> OrbitLabel:
+def _orbit_label(lam: Partition, components: tuple, n: int) -> OrbitLabel:
     # The walk guarantees the residue identity; it is not re-derived.
     nu = MultiPartition(comp.partition for comp in components)
     return OrbitLabel._trusted(lam, nu, n, len(components))
@@ -274,57 +282,51 @@ def _pack(coords: tuple[int, ...], width: int) -> int:
     return sum([c << v * width for v, c in enumerate(coords)])
 
 
-def _row_table(ell: int, width: int) -> tuple[list[list[int]], list[list[int]]]:
-    """(vectors, bits): vectors[top][length] is the string vector of the
-    class (top, length) packed at `width` bits a vertex and bits[top][length]
-    its class bit, for every length below 2**(width - 1), the largest a
-    field holds; length 0, no row, is 0 in both."""
-    lengths = range(1, 1 << width - 1)
-    vectors, bits = [], []
-    for top in range(ell):
-        coords = [_string_coords(top, k, ell) for k in lengths]
-        vectors.append([0] + [_pack(c, width) for c in coords])
-        bits.append([0] + [_class_bit(top, k, ell) for k in lengths])
-    return vectors, bits
+def _placed(ell: int, largest: int, width: int, bad: int) -> list[list[tuple]]:
+    """The records of one step graph: per layer, lambda then nu components
+    0..ell-1, the (packed residues, records) pair of each size 0..largest
+    in the order of partitions_of, residues packed at `width` bits a vertex
+    as _fits reads them.  Lambda, whose classes are no part of a label's
+    mask, keeps every record; no nu record's mask meets `bad`.
 
-
-def _placed(ell: int, top: int, width: int, bad: int) -> list[list[tuple]]:
-    """The records of one step graph, made once per graph: per layer,
-    lambda then nu components 0..ell-1, the (packed residues, records) pair
-    of each size 0..top in the order of partitions_of, residues packed at
-    `width` bits a vertex as _fits reads them.  Lambda, whose classes are
-    no part of a label's mask, keeps every record; no nu record's mask
-    meets `bad`.
-
-    Row j at index i has the string class (i + j - 1 mod ell, length), so
-    a mask ORs its rows' bits from _row_table.  A size's Partitions, trusted
-    since partitions_of gives their parts, and their residues at index 0,
-    sums of packed vectors, serve every index: at index i the residue is
-    rotated by sigma^i, i fields up modulo 2**(ell*W) - 1 (no residue fills
-    every bit).  At i >= 1 the mask comes first and a record is made only
-    if it misses `bad`; index 0's records are made once, all for lambda and
-    those that miss `bad` for component 0."""
-    vectors, bits = _row_table(ell, width)
+    Row j at index i has the string class (i + j - 1 mod ell, length), so a
+    mask ORs its rows' bits[top][length] and a residue sums their packed
+    vectors[top][length], 0 for length 0 (no row).  A size's Partitions,
+    trusted since partitions_of gives their parts, and their residues at
+    index 0 serve every index: at index i a residue is rotated by sigma^i,
+    i fields up modulo 2**(ell*W) - 1 (no residue fills every bit).  At
+    i >= 1 a record is made only if its mask misses `bad`; index 0's are
+    made once, all for lambda and those that miss `bad` for component 0."""
+    lengths = range(1, largest + 1)
+    vectors = [
+        [0] + [_pack(_string_coords(top, k, ell), width) for k in lengths]
+        for top in range(ell)
+    ]
+    bits = [[0] + [_class_bit(top, k, ell) for k in lengths] for top in range(ell)]
     full = (1 << ell * width) - 1
     scans = [[] for _ in range(ell + 1)]
-    for size in range(top + 1):
+    for size in range(largest + 1):
         rows = [vectors[j % ell] for j in range(size)]
         partitions = [Partition._trusted(parts) for parts in partitions_of(size)]
         unrotated = [sum(map(getitem, rows, p.parts)) for p in partitions]
         for index, scan in enumerate(scans[1:]):
             tops = [bits[(index + j) % ell] for j in range(size)]
-            residues, records = [], []
+            whole, kept = ([], []), ([], [])
             for packed, partition in zip(unrotated, partitions):
                 mask = reduce(or_, map(getitem, tops, partition.parts), 0)
-                if not (index and mask & bad):
-                    residues.append((packed << index * width) % full)
-                    records.append(PlacedComponent(partition, index, ell, mask))
+                if index and mask & bad:
+                    continue
+                packed = (packed << index * width) % full
+                comp = PlacedComponent(partition, index, ell, mask)
+                if not index:
+                    whole[0].append(packed)
+                    whole[1].append(comp)
+                if not mask & bad:
+                    kept[0].append(packed)
+                    kept[1].append(comp)
             if not index:
-                scans[0].append((residues, records))
-                keep = [not comp.mask & bad for comp in records]
-                residues = list(compress(residues, keep))
-                records = list(compress(records, keep))
-            scan.append((residues, records))
+                scans[0].append(whole)
+            scan.append(kept)
     return scans
 
 
@@ -359,24 +361,22 @@ def _step_graph(n: int, ell: int, bad=0) -> list[dict]:
     enumerate_orbits, and layers[i + 1] maps each residue left before nu
     component i to [(record of component i, residue left)].  Every key is
     reached from n*delta and has a step, and every residue left is a key
-    of the next layer (0 after the last), so no walk meets a dead end.  A
-    nu record whose mask meets `bad` is never made (_placed); lambda, whose
-    classes are no part of a label's mask, is not filtered.
+    of the next layer (0 after the last), so no walk meets a dead end.  No
+    nu record whose mask meets `bad` is made (_placed).
 
-    Built with no recursion, from the records _placed makes for this graph
-    alone.  The last component must take exactly the residue left, so it is
-    matched by residue, not scanned: its records that fit under n*delta are
-    keyed once by their own residue, each key's steps in the order of
-    partitions_of since a residue fixes the size.  Lambda and every other nu
-    component are scanned (_fits) under each residue reached, and their kept
-    fits go forward, each residue left interned in the next layer's keys;
-    the layer before the last keeps only the fits whose residue left is a
-    key of that dict, and the last layer is the dict on the residues
-    reached, in the order reached.  Then each other layer is rebuilt from the
-    last back keeping only the steps whose residue left the rebuilt layer
-    after it keeps.  Residues are packed ints (_pack) of
-    W = (n*ell).bit_length() + 1 bits a vertex: no coordinate exceeds
-    n*ell < 2**(W - 1), which _fits' guard bits need."""
+    Built with no recursion.  The last component must take exactly the
+    residue left, so it is matched by residue, not scanned: its records that
+    fit under n*delta are keyed once by their own residue, each key's steps
+    in the order of partitions_of since a residue fixes the size.  Lambda
+    and every other nu component are scanned (_fits) under each residue
+    reached, and their kept fits go forward, each residue left interned in
+    the next layer's keys; the layer before the last keeps only the fits
+    whose residue left is a key of that dict, and the last layer is the
+    dict on the residues reached, in the order reached.  Then each other
+    layer is rebuilt from the last back keeping only the steps whose
+    residue left the rebuilt layer after it keeps.  Residues are packed
+    ints (_pack) of W = (n*ell).bit_length() + 1 bits a vertex: no
+    coordinate exceeds n*ell < 2**(W - 1), which _fits' guard bits need."""
     if ell < 1:
         raise ValueError("cycle length must be positive")
     if n < 0:

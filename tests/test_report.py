@@ -8,6 +8,7 @@ import cyclocone.orbits as orbits_module
 import cyclocone.report as report_module
 from cyclocone.abelian import FGAbelianGroup
 from cyclocone.orbits import (
+    PlacedComponent,
     admits_monodromic_local_system,
     count_Q_chi,
     decompose,
@@ -310,6 +311,16 @@ class TestOrbitReport:
         ]
         assert row.strings == decompose(row.label).strings
         assert row.monodromic is False
+
+    @pytest.mark.parametrize("n, ell", [(2, 2), (3, 3), (2, 4)])
+    def test_rows_of_two_calls_compare_equal(self, n, ell):
+        # Each call makes its own records; equal records hash alike.
+        first, second = list(orbit_report(n, ell)), list(orbit_report(n, ell))
+        assert first == second
+        assert first[-1].components[-1] is not second[-1].components[-1]
+        assert len({*first, *second}) == len(first)
+        comp = first[-1].components[-1]
+        assert comp != PlacedComponent(comp.partition, comp.index + 1, ell, comp.mask)
 
     @pytest.mark.parametrize(
         "n, ell",
