@@ -12,13 +12,13 @@ same way at index 0.  String class (top, length) is bit (length - 1) * ell +
 top of a class mask, top read as 0 when ell divides the length: one bit per
 string vector.  A `PlacedComponent` record holds a partition, its index,
 ell and the class mask of its rows, nothing more, and equals any record
-of the same three.  Each step graph makes its own records once, beside
-their residues, packed ints, both summed and ORed from tables of every
-class's packed vector and bit (_placed); no process-wide cache keeps
-them, so a record lives as long as its graph or a row that holds it.  The
-records, the pi1 cache and the pairing test share this numbering.  A query on one label
-(decompose, fundamental_group, admits_monodromic_local_system) reads its
-rows' classes in one pass (_label_classes) and builds no record.
+of the same three.  Each step graph makes its own records once (_placed),
+beside their residues, packed ints, both summed and ORed from tables of
+every class's packed vector and bit; no process-wide cache keeps them.
+The records, the pi1 cache and the pairing test share this numbering.  A
+query on one label (decompose, fundamental_group and
+admits_monodromic_local_system) reads its rows' classes in one pass
+(_label_classes) and builds no record.
 
 The label walk (_fill) and the table that counts labels per mask
 (_string_class_table) read one step graph (_step_graph) of those records:
